@@ -1,9 +1,28 @@
 #include "src/cache/coherence.h"
 
-#include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace tlbsim {
+
+CoherenceModel::CoherenceModel(const Topology& topo, const CacheCosts& costs)
+    : topo_(topo), costs_(costs), cpu_words_((topo.num_cpus() + 63) / 64) {
+  assert(topo.num_cpus() <= CpuBits::kWords * 64);
+  // CPU ids are socket-major, thread-minor: a core's and a socket's cpus are
+  // contiguous id ranges.
+  masks_.resize(static_cast<size_t>(topo.num_cpus()));
+  for (int cpu = 0; cpu < topo.num_cpus(); ++cpu) {
+    CpuMasks& m = masks_[static_cast<size_t>(cpu)];
+    int core_first = topo.PhysCoreOf(cpu) * topo.smt;
+    for (int b = core_first; b < core_first + topo.smt; ++b) {
+      m.core.Set(b);
+    }
+    int socket_first = topo.SocketOf(cpu) * topo.cpus_per_socket();
+    for (int b = socket_first; b < socket_first + topo.cpus_per_socket(); ++b) {
+      m.socket.Set(b);
+    }
+  }
+}
 
 LineId CoherenceModel::AllocateLine(std::string name) {
   LineId id = next_named_++;
@@ -36,23 +55,65 @@ LineId CoherenceModel::AllocateLine(const char* prefix, uint64_t index, const ch
   return id;
 }
 
-Topology::Distance CoherenceModel::NearestHolder(int cpu, const LineState& s) const {
-  Topology::Distance best = Topology::Distance::kCrossSocket;
-  bool found = false;
-  auto consider = [&](int holder) {
-    Topology::Distance d = topo_.Between(cpu, holder);
-    if (!found || static_cast<int>(d) < static_cast<int>(best)) {
-      best = d;
-      found = true;
+CoherenceModel::Entry& CoherenceModel::EntryIn(Bank& bank, LineId line) {
+  if ((line & kDataBit) != 0) {
+    return bank.data_lines[line];
+  }
+  assert(line < next_named_ && "named line ids come from AllocateLine");
+  if (line >= bank.named_lines.size()) {
+    bank.named_lines.resize(static_cast<size_t>(next_named_));
+  }
+  return bank.named_lines[static_cast<size_t>(line)];
+}
+
+const CoherenceModel::Entry* CoherenceModel::FindIn(const Bank& bank, LineId line) {
+  if ((line & kDataBit) != 0) {
+    auto it = bank.data_lines.find(line);
+    return it == bank.data_lines.end() ? nullptr : &it->second;
+  }
+  return line < bank.named_lines.size() ? &bank.named_lines[static_cast<size_t>(line)] : nullptr;
+}
+
+Topology::Distance CoherenceModel::NearestHolder(int cpu, const CpuBits& holders) const {
+  if (holders.Test(cpu)) {
+    return Topology::Distance::kSelf;
+  }
+  const CpuMasks& m = masks_[static_cast<size_t>(cpu)];
+  bool core = false;
+  bool socket = false;
+  for (int i = 0; i < cpu_words_; ++i) {
+    core |= (holders.w[i] & m.core.w[i]) != 0;
+    socket |= (holders.w[i] & m.socket.w[i]) != 0;
+  }
+  if (core) {
+    return Topology::Distance::kSmtSibling;
+  }
+  return socket ? Topology::Distance::kSameSocket : Topology::Distance::kCrossSocket;
+}
+
+Topology::Distance CoherenceModel::FarthestOther(int cpu, const CpuBits& holders,
+                                                 uint64_t* others) const {
+  const CpuMasks& m = masks_[static_cast<size_t>(cpu)];
+  uint64_t count = 0;
+  bool off_socket = false;
+  bool off_core = false;
+  for (int i = 0; i < cpu_words_; ++i) {
+    uint64_t h = holders.w[i];
+    if (i == cpu >> 6) {
+      h &= ~(1ULL << (cpu & 63));
     }
-  };
-  if (s.owner >= 0) {
-    consider(s.owner);
+    count += static_cast<uint64_t>(__builtin_popcountll(h));
+    off_socket |= (h & ~m.socket.w[i]) != 0;
+    off_core |= (h & ~m.core.w[i]) != 0;
   }
-  for (int sh : s.sharers) {
-    consider(sh);
+  *others = count;
+  if (off_socket) {
+    return Topology::Distance::kCrossSocket;
   }
-  return best;
+  if (off_core) {
+    return Topology::Distance::kSameSocket;
+  }
+  return count > 0 ? Topology::Distance::kSmtSibling : Topology::Distance::kSelf;
 }
 
 Cycles CoherenceModel::TransferCost(Topology::Distance d) const {
@@ -76,19 +137,26 @@ void CoherenceModel::ConfigureBanks(int banks, int cpus_per_bank) {
   std::vector<Bank> old = std::move(banks_);
   banks_.assign(static_cast<size_t>(banks), Bank{});
   cpus_per_bank_ = cpus_per_bank;
-  // Migrate resident lines into the bank of their current holder so warmth
-  // built during the serial setup phase survives re-banking. Access cost is
-  // a function of LineState *contents* (owner/sharer distances), not of which
-  // bank holds the entry, so every access whose line keeps a single resident
-  // copy replays its serial cost exactly; a line with no holder (invalidated
-  // everywhere) lands in bank 0. Aggregate counters accumulate into bank 0 so
+  // Migrate resident lines into the bank of their owner — the line's sole
+  // holder, or the first of its sharers — so warmth built during the serial
+  // setup phase survives re-banking. Access cost is a function of the
+  // entry's *contents* (holder distances), not of which bank holds it, so
+  // every access whose line keeps a single resident copy replays its serial
+  // cost exactly. Aggregate counters accumulate into bank 0 so
   // global_stats() sums are unchanged.
   for (Bank& b : old) {
-    for (auto& [id, e] : b.line_map) {  // det-ok: destination maps are keyed, never order-iterated
-      int holder = e.state.owner >= 0
-                       ? e.state.owner
-                       : (e.state.sharers.empty() ? 0 : e.state.sharers[0]);
-      banks_[BankIndexFor(holder)].line_map.emplace(id, std::move(e));
+    for (size_t id = 0; id < b.named_lines.size(); ++id) {
+      const Entry& e = b.named_lines[id];
+      if (!e.valid_anywhere) {
+        continue;
+      }
+      Entry& dst = EntryIn(banks_[BankIndexFor(e.owner)], id);
+      if (!dst.valid_anywhere) {  // first copy wins, as emplace does below
+        dst = e;
+      }
+    }
+    for (auto& [id, e] : b.data_lines) {  // det-ok: destination maps are keyed, never order-iterated
+      banks_[BankIndexFor(e.owner)].data_lines.emplace(id, e);
     }
     AccumulateStats(banks_[0].stats, b.stats);
   }
@@ -114,33 +182,31 @@ void CoherenceModel::AccumulateStats(GlobalStats& into, const GlobalStats& from)
 
 Cycles CoherenceModel::Access(int cpu, LineId line, AccessType type) {
   Bank& bank = BankFor(cpu);
-  Entry& e = bank.line_map[line];
+  Entry& e = EntryIn(bank, line);
   GlobalStats& global_ = bank.stats;
-  LineState& s = e.state;
   ++e.stats.accesses;
   ++global_.accesses;
 
-  bool is_write = type != AccessType::kRead;
-  bool cpu_is_owner = s.owner == cpu;
-  bool cpu_is_sharer = std::find(s.sharers.begin(), s.sharers.end(), cpu) != s.sharers.end();
-
-  if (!s.valid_anywhere) {
+  if (!e.valid_anywhere) {
     // Cold miss: fill from memory; requester becomes exclusive owner.
-    s.valid_anywhere = true;
-    s.owner = cpu;
-    s.sharers.clear();
+    e.valid_anywhere = true;
+    e.owner = cpu;
+    e.shared = false;
+    e.holders = CpuBits{};
+    e.holders.Set(cpu);
     ++global_.memory_fills;
     return costs_.memory_fill;
   }
 
-  if (!is_write) {
-    if (cpu_is_owner || cpu_is_sharer) {
+  bool cpu_holds = e.holders.Test(cpu);
+  if (type == AccessType::kRead) {
+    if (cpu_holds) {
       ++e.stats.hits;
       ++global_.hits;
       return costs_.l1_hit;
     }
     // Read miss: fetch from nearest holder; owner (if any) downgrades M->S.
-    Topology::Distance d = NearestHolder(cpu, s);
+    Topology::Distance d = NearestHolder(cpu, e.holders);
     Cycles cost = TransferCost(d);
     ++e.stats.transfers;
     ++global_.transfers;
@@ -148,43 +214,23 @@ Cycles CoherenceModel::Access(int cpu, LineId line, AccessType type) {
       ++e.stats.cross_socket_transfers;
       ++global_.cross_socket_transfers;
     }
-    if (s.owner >= 0) {
-      s.sharers.push_back(s.owner);
-      s.owner = -1;
-    }
-    s.sharers.push_back(cpu);
+    e.shared = true;
+    e.holders.Set(cpu);
     return cost;
   }
 
   // Write / atomic RMW.
-  if (cpu_is_owner && s.sharers.empty()) {
+  if (!e.shared && e.owner == cpu) {
     ++e.stats.hits;
     ++global_.hits;
     return costs_.l1_hit;
   }
   // Need exclusive ownership: invalidate every other copy; cost dominated by
   // the farthest current holder we must reach.
-  Topology::Distance farthest = Topology::Distance::kSelf;
   uint64_t invalidated = 0;
-  auto consider = [&](int holder) {
-    if (holder == cpu) {
-      return;
-    }
-    ++invalidated;
-    Topology::Distance d = topo_.Between(cpu, holder);
-    if (static_cast<int>(d) > static_cast<int>(farthest)) {
-      farthest = d;
-    }
-  };
-  if (s.owner >= 0) {
-    consider(s.owner);
-  }
-  for (int sh : s.sharers) {
-    consider(sh);
-  }
-  Cycles cost = cpu_is_owner || cpu_is_sharer
-                    ? TransferCost(farthest)  // upgrade: invalidate others
-                    : TransferCost(NearestHolder(cpu, s));
+  Topology::Distance farthest = FarthestOther(cpu, e.holders, &invalidated);
+  Cycles cost = cpu_holds ? TransferCost(farthest)  // upgrade: invalidate others
+                          : TransferCost(NearestHolder(cpu, e.holders));
   if (invalidated > 0) {
     ++e.stats.transfers;
     ++global_.transfers;
@@ -198,16 +244,32 @@ Cycles CoherenceModel::Access(int cpu, LineId line, AccessType type) {
   }
   e.stats.invalidations += invalidated;
   global_.invalidations += invalidated;
-  s.owner = cpu;
-  s.sharers.clear();
+  e.owner = cpu;
+  e.shared = false;
+  e.holders = CpuBits{};
+  e.holders.Set(cpu);
   return cost;
+}
+
+// tlblint: shard-local — line is socket-confined
+void CoherenceModel::EvictAll(LineId line) {
+  for (Bank& b : banks_) {
+    if ((line & kDataBit) != 0) {
+      b.data_lines.erase(line);
+    } else if (line < b.named_lines.size()) {
+      b.named_lines[static_cast<size_t>(line)] = Entry{};
+    }
+  }
 }
 
 // tlblint: setup — between runs, engine quiescent
 void CoherenceModel::ResetStats() {
   for (Bank& b : banks_) {
     b.stats = GlobalStats{};
-    for (auto& [id, e] : b.line_map) {  // det-ok: order-independent (zeroes every entry)
+    for (Entry& e : b.named_lines) {
+      e.stats = LineStats{};
+    }
+    for (auto& [id, e] : b.data_lines) {  // det-ok: order-independent (zeroes every entry)
       e.stats = LineStats{};
     }
   }
@@ -219,13 +281,13 @@ CoherenceModel::LineStats CoherenceModel::StatsFor(LineId line) const {
   // (contract-violating) case of copies in several.
   LineStats sum;
   for (const Bank& b : banks_) {
-    auto it = b.line_map.find(line);
-    if (it == b.line_map.end()) continue;
-    sum.accesses += it->second.stats.accesses;
-    sum.hits += it->second.stats.hits;
-    sum.transfers += it->second.stats.transfers;
-    sum.cross_socket_transfers += it->second.stats.cross_socket_transfers;
-    sum.invalidations += it->second.stats.invalidations;
+    const Entry* e = FindIn(b, line);
+    if (e == nullptr) continue;
+    sum.accesses += e->stats.accesses;
+    sum.hits += e->stats.hits;
+    sum.transfers += e->stats.transfers;
+    sum.cross_socket_transfers += e->stats.cross_socket_transfers;
+    sum.invalidations += e->stats.invalidations;
   }
   return sum;
 }

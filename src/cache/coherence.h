@@ -10,9 +10,17 @@
 // Lines are identified by opaque LineIds. Kernel data structures allocate
 // named lines via AllocateLine(); data memory derives LineIds from physical
 // addresses via LineOfAddress().
+//
+// Directory layout (the simulator's hottest data structure): named ids are
+// dense (AllocateLine hands out 1, 2, 3, ...), so named lines index a vector;
+// only address-derived data lines go through a hash map. A line's holders
+// are one CPU bitset, and every CPU carries precomputed SMT-sibling and
+// same-socket masks, so the nearest holder, the farthest holder and the
+// invalidation count take a few word operations.
 #ifndef TLBSIM_SRC_CACHE_COHERENCE_H_
 #define TLBSIM_SRC_CACHE_COHERENCE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -42,12 +50,6 @@ struct CacheCosts {
 
 class CoherenceModel {
  public:
-  struct LineState {
-    int owner = -1;                // CPU holding Modified/Exclusive, or -1
-    std::vector<int> sharers;      // CPUs holding Shared (excludes owner)
-    bool valid_anywhere = false;   // false until first access (memory fill)
-  };
-
   struct LineStats {
     uint64_t accesses = 0;
     uint64_t hits = 0;
@@ -65,8 +67,8 @@ class CoherenceModel {
     uint64_t memory_fills = 0;
   };
 
-  CoherenceModel(const Topology& topo, const CacheCosts& costs)
-      : topo_(topo), costs_(costs) {}
+  // Topologies of up to 256 cpus (the 8-socket preset has 224).
+  CoherenceModel(const Topology& topo, const CacheCosts& costs);
 
   // Allocates a fresh LineId for a named kernel object (name kept for
   // diagnostics / the Figure-4 harness).
@@ -83,20 +85,14 @@ class CoherenceModel {
 
   // Derives a LineId for a physical data address (separate id space from
   // named lines).
-  static LineId LineOfAddress(uint64_t phys_addr) {
-    return (phys_addr >> 6) | (1ULL << 63);
-  }
+  static LineId LineOfAddress(uint64_t phys_addr) { return (phys_addr >> 6) | kDataBit; }
 
   // Performs the access, updates MESI state and counters, and returns the
   // cycle cost charged to `cpu`.
   Cycles Access(int cpu, LineId line, AccessType type);
 
   // Drops a line from every cache (e.g. clflush); free for accounting.
-  void EvictAll(LineId line) {  // tlblint: shard-local — line is socket-confined
-    for (Bank& b : banks_) {
-      b.line_map.erase(line);
-    }
-  }
+  void EvictAll(LineId line);
 
   // Protocol sharding: banks the directory per socket. Accesses resolve into
   // the *accessing* cpu's socket bank; under the socket-confinement contract
@@ -119,15 +115,37 @@ class CoherenceModel {
   std::string NameOf(LineId line) const;
 
  private:
+  static constexpr LineId kDataBit = 1ULL << 63;
+
+  // A set of CPUs, one bit each, sized for 256 cpus. Word loops stop at
+  // cpu_words_, the number of words the topology uses.
+  struct CpuBits {
+    static constexpr int kWords = 4;
+    std::array<uint64_t, kWords> w{};
+
+    void Set(int cpu) { w[static_cast<size_t>(cpu) >> 6] |= 1ULL << (cpu & 63); }
+    bool Test(int cpu) const { return (w[static_cast<size_t>(cpu) >> 6] >> (cpu & 63)) & 1; }
+  };
+
+  // One line's directory entry; `valid_anywhere` is false until the first
+  // access (memory fill) and again after EvictAll. `holders` is every CPU
+  // with a copy. `owner` is the CPU that last took the line exclusive (fill
+  // or write): it alone holds the line until a read miss downgrades it
+  // (`shared`), after which every holder, owner included, shares the line.
   struct Entry {
-    LineState state;
+    CpuBits holders;
+    int owner = -1;
+    bool shared = false;
+    bool valid_anywhere = false;
     LineStats stats;
   };
 
-  // One directory bank: the line map plus its aggregate counters. Everything
-  // a shard window touches through Access() lives in its own socket's bank.
+  // One directory bank: named lines indexed by id (slot 0 unused), data
+  // lines hashed, plus the bank's aggregate counters. Everything a shard
+  // window touches through Access() lives in its own socket's bank.
   struct Bank {
-    std::unordered_map<LineId, Entry> line_map;
+    std::vector<Entry> named_lines;
+    std::unordered_map<LineId, Entry> data_lines;
     GlobalStats stats;
   };
 
@@ -142,8 +160,22 @@ class CoherenceModel {
     std::string custom;
   };
 
-  // Distance from `cpu` to the nearest current holder of `e`.
-  Topology::Distance NearestHolder(int cpu, const LineState& s) const;
+  // Per-cpu neighbourhoods, `cpu` itself included in both.
+  struct CpuMasks {
+    CpuBits core;    // SMT siblings: same physical core
+    CpuBits socket;  // same socket
+  };
+
+  // The entry for `line` in `bank`, created (invalid) if absent.
+  Entry& EntryIn(Bank& bank, LineId line);
+  // The entry for `line` in `bank`, or null if the bank never saw it.
+  static const Entry* FindIn(const Bank& bank, LineId line);
+
+  // Distance from `cpu` to the nearest holder (kCrossSocket if none).
+  Topology::Distance NearestHolder(int cpu, const CpuBits& holders) const;
+  // Distance from `cpu` to the farthest holder other than `cpu` (kSelf if
+  // none); `*others` receives how many holders that is.
+  Topology::Distance FarthestOther(int cpu, const CpuBits& holders, uint64_t* others) const;
   Cycles TransferCost(Topology::Distance d) const;
 
   // tlblint: shard-local — resolves into the accessing cpu's own bank
@@ -157,6 +189,8 @@ class CoherenceModel {
 
   const Topology topo_;
   const CacheCosts costs_;
+  int cpu_words_;                // CpuBits words the topology uses
+  std::vector<CpuMasks> masks_;  // indexed by cpu
   std::vector<Bank> banks_{1};  // tlblint: banked(socket) single legacy directory until ConfigureBanks
   int cpus_per_bank_ = 1 << 30;
   std::vector<NameRec> named_;  // indexed by LineId - 1 (named ids are dense)

@@ -275,7 +275,7 @@ void CheckContext::OnTlbGenBump(SimCpu& cpu, MmStruct& mm, uint64_t new_gen, uin
 }
 
 void CheckContext::OnIpiSent(SimCpu& cpu, MmStruct& mm, uint64_t gen,
-                             const std::vector<int>& targets) {
+                             std::span<const int> targets) {
   (void)mm;
   (void)gen;
   VectorClock& vc = cpu_vc_[static_cast<size_t>(cpu.id())];
@@ -329,7 +329,7 @@ void CheckContext::OnLocalGenApplied(SimCpu& cpu, MmStruct& mm, uint64_t new_gen
 }
 
 void CheckContext::OnShootdownComplete(SimCpu& cpu, MmStruct& mm, uint64_t gen,
-                                       const std::vector<int>& targets) {
+                                       std::span<const int> targets) {
   VectorClock& vc = cpu_vc_[static_cast<size_t>(cpu.id())];
   vc.Tick(cpu.id());
   for (int t : targets) {

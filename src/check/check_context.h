@@ -78,12 +78,12 @@ class CheckContext final : public SystemChecker,
   void OnPteCharged(SimCpu& cpu, MmStruct& mm, uint64_t va) override;
   void OnTlbGenBump(SimCpu& cpu, MmStruct& mm, uint64_t new_gen, uint64_t start,
                     uint64_t end) override;
-  void OnIpiSent(SimCpu& cpu, MmStruct& mm, uint64_t gen, const std::vector<int>& targets) override;
+  void OnIpiSent(SimCpu& cpu, MmStruct& mm, uint64_t gen, std::span<const int> targets) override;
   void OnAck(SimCpu& cpu, int initiator, bool early, bool guarded) override;
   void OnLocalGenApplied(SimCpu& cpu, MmStruct& mm, uint64_t new_gen, bool full,
                          bool user_covered) override;
   void OnShootdownComplete(SimCpu& cpu, MmStruct& mm, uint64_t gen,
-                           const std::vector<int>& targets) override;
+                           std::span<const int> targets) override;
   void OnCowAvoidance(SimCpu& cpu, MmStruct& mm, uint64_t va, bool executable) override;
   void OnQueueOverflow(SimCpu& cpu, MmStruct& mm, int target, uint64_t gen,
                        bool fallback_set) override;

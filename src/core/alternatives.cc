@@ -108,7 +108,8 @@ Co<void> FreeBsdShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t 
   for (int t : targets) {
     Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
     cfd.done.Clear();
-    cfd.work.assign(1, info);
+    cfd.work.clear();
+    cfd.work.push_back(info);
     cfd.initiator = cpu.id();
     cfd.in_flight = true;
     cpu.AccessLine(cfd.line, AccessType::kAtomicRmw);
@@ -173,9 +174,9 @@ Co<void> FreeBsdShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
   cpu.AccessLine(pc.csq_line, AccessType::kAtomicRmw);
   while (!pc.csq.empty()) {
     Cfd* cfd = pc.csq.front();
-    pc.csq.pop_front();
+    pc.csq.erase(pc.csq.begin());
     cpu.AccessLine(cfd->line, AccessType::kRead);
-    std::vector<FlushTlbInfo> work = cfd->work;
+    FlushBatch work = cfd->work;
     co_await cpu.Execute(costs.handler_body);
     // No generation tracking: always perform the requested flush.
     for (const FlushTlbInfo& info : work) {

@@ -101,8 +101,7 @@ uint64_t QueueFlushBackend::RingOccupancy(int cpu) const {
   return q.head - q.tail;
 }
 
-std::vector<int> QueueFlushBackend::ComputeTargets(SimCpu& cpu, MmStruct& mm) {
-  std::vector<int> targets;
+void QueueFlushBackend::ComputeTargets(SimCpu& cpu, MmStruct& mm, CpuList* targets) {
   // Set-bit walk over the per-socket mask words (see ShootdownEngine).
   mm.cpumask.ForEachSet([&](int t) {
     if (t == cpu.id()) {
@@ -114,9 +113,8 @@ std::vector<int> QueueFlushBackend::ComputeTargets(SimCpu& cpu, MmStruct& mm) {
       ++StatsFor(cpu).lazy_skipped;  // OnSwitchIn catches the CPU up when it returns
       return;
     }
-    targets.push_back(t);
+    targets->push_back(t);
   });
-  return targets;
 }
 
 Co<void> QueueFlushBackend::LocalFlush(SimCpu& cpu, MmStruct& mm, const FlushTlbInfo& info) {
@@ -222,8 +220,7 @@ void QueueFlushBackend::EnqueueForTarget(SimCpu& cpu, MmStruct& mm, int target,
   HistFor(hb_ring_occupancy_, h_ring_occupancy_, cpu.id())->Record(static_cast<double>(occupancy));
 }
 
-bool QueueFlushBackend::AllAcked(SimCpu& cpu, const std::vector<int>& targets,
-                                 uint64_t queue_gen) {
+bool QueueFlushBackend::AllAcked(SimCpu& cpu, const CpuList& targets, uint64_t queue_gen) {
   for (int t : targets) {
     CpuQueue& q = *queues_[static_cast<size_t>(t)];
     cpu.AccessLine(q.ctl_line, AccessType::kRead);
@@ -275,7 +272,8 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
   // Local TLB first; remote work proceeds asynchronously from here on.
   co_await LocalFlush(cpu, mm, info);
 
-  std::vector<int> targets = ComputeTargets(cpu, mm);
+  CpuList targets;
+  ComputeTargets(cpu, mm, &targets);
   if (targets.empty()) {
     ++StatsFor(cpu).local_only;
     if (ProtocolCheckSink* c = chk()) {
@@ -301,8 +299,8 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
 
   // Kick only responders without an IPI already pending: their in-progress
   // (or queued) drain will consume our entries too — that is the coalescing
-  // the asynchronous design buys.
-  std::vector<int> ipi_targets;
+  // the asynchronous design buys. `kick` is reused below for the resends.
+  CpuList kick;
   for (int t : targets) {
     CpuQueue& q = *queues_[static_cast<size_t>(t)];
     if (q.ipi_pending) {
@@ -310,12 +308,12 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
       continue;
     }
     q.ipi_pending = true;
-    ipi_targets.push_back(t);
+    kick.push_back(t);
   }
   cpu.TracePhase("queue initiator: send IPI");
-  if (!ipi_targets.empty()) {
-    StatsFor(cpu).ipi_sends += ipi_targets.size();
-    kernel_->machine().apic().SendIpi(cpu, ipi_targets, kCallFunctionVector);
+  if (!kick.empty()) {
+    StatsFor(cpu).ipi_sends += kick.size();
+    kernel_->machine().apic().SendIpi(cpu, kick, kCallFunctionVector);
   }
   if (ProtocolCheckSink* c = chk()) {
     c->OnIpiSent(cpu, mm, info.new_tlb_gen, targets);
@@ -345,19 +343,19 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
     }
     ++retries;
     budget *= static_cast<Cycles>(std::max(1, costs().queue_backoff_mult));
-    std::vector<int> unacked;
+    kick.clear();  // now: the targets still unacked
     for (int t : targets) {
       CpuQueue& q = *queues_[static_cast<size_t>(t)];
       cpu.AccessLine(q.ctl_line, AccessType::kRead);
       if (q.ack_gen < queue_gen) {
         q.ipi_pending = true;
-        unacked.push_back(t);
+        kick.push_back(t);
       }
     }
-    if (!inject_.drop_ipi_resend && !unacked.empty()) {
-      StatsFor(cpu).ipi_resends += unacked.size();
+    if (!inject_.drop_ipi_resend && !kick.empty()) {
+      StatsFor(cpu).ipi_resends += kick.size();
       cpu.TracePhase("queue initiator: resend IPI");
-      kernel_->machine().apic().SendIpi(cpu, unacked, kCallFunctionVector);
+      kernel_->machine().apic().SendIpi(cpu, kick, kCallFunctionVector);
     }
   }
   HistFor(hb_ack_wait_cycles_, h_ack_wait_cycles_, cpu.id())

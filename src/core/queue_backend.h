@@ -155,7 +155,7 @@ class QueueFlushBackend final : public TlbFlushBackend {
   const CostModel& costs() const { return kernel_->machine().costs(); }
   ProtocolCheckSink* chk() const { return kernel_->check_sink(); }
 
-  std::vector<int> ComputeTargets(SimCpu& cpu, MmStruct& mm);
+  void ComputeTargets(SimCpu& cpu, MmStruct& mm, CpuList* targets);
 
   // Initiator-local TLB synchronization under the generation protocol.
   Co<void> LocalFlush(SimCpu& cpu, MmStruct& mm, const FlushTlbInfo& info);
@@ -166,7 +166,7 @@ class QueueFlushBackend final : public TlbFlushBackend {
                         uint64_t queue_gen, bool wants_full);
 
   // True when every target's ack_gen has reached `queue_gen`.
-  bool AllAcked(SimCpu& cpu, const std::vector<int>& targets, uint64_t queue_gen);
+  bool AllAcked(SimCpu& cpu, const CpuList& targets, uint64_t queue_gen);
 
   // tlblint: shard-local — resolves into the acting cpu's own bank
   size_t BankIndexFor(int cpu_id) const {

@@ -69,8 +69,8 @@ ShootdownEngine::Stats ShootdownEngine::stats() const {
   return sum;
 }
 
-std::vector<int> ShootdownEngine::ComputeTargets(SimCpu& cpu, MmStruct& mm, bool freed_tables) {
-  std::vector<int> targets;
+void ShootdownEngine::ComputeTargets(SimCpu& cpu, MmStruct& mm, bool freed_tables,
+                                     CpuList* targets) {
   // Walk only the mask's set bits (per-socket words + ctz): target cost
   // follows the process's footprint, not num_cpus — flat at 224 cpus.
   mm.cpumask.ForEachSet([&](int t) {
@@ -97,12 +97,11 @@ std::vector<int> ShootdownEngine::ComputeTargets(SimCpu& cpu, MmStruct& mm, bool
       ++StatsFor(cpu).batched_ipi_skipped;
       return;
     }
-    targets.push_back(t);
+    targets->push_back(t);
   });
-  return targets;
 }
 
-bool ShootdownEngine::AckVisible(SimCpu& cpu, const std::vector<int>& targets) {
+bool ShootdownEngine::AckVisible(SimCpu& cpu, std::span<const int> targets) {
   PerCpu& my = kernel_->percpu(cpu.id());
   for (int t : targets) {
     Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
@@ -129,9 +128,8 @@ void ShootdownEngine::FlushUserPte(SimCpu& cpu, MmStruct& mm, uint64_t va, int s
   ++StatsFor(cpu).invpcid_issued;
 }
 
-Co<void> ShootdownEngine::LocalFlushAll(SimCpu& cpu, MmStruct& mm,
-                                        const std::vector<FlushTlbInfo>& infos,
-                                        const std::vector<int>& targets) {
+Co<void> ShootdownEngine::LocalFlushAll(SimCpu& cpu, MmStruct& mm, const FlushBatch& infos,
+                                        std::span<const int> targets) {
   const CostModel& costs = kernel_->machine().costs();
   PerCpu& pc = kernel_->percpu(cpu.id());
   uint64_t local_gen = pc.loaded_mm_tlb_gen;
@@ -209,7 +207,7 @@ Co<void> ShootdownEngine::LocalFlushAll(SimCpu& cpu, MmStruct& mm,
 }
 
 // tlblint: shard-local — runs on the initiating cpu's timeline
-Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, std::vector<FlushTlbInfo> infos) {
+Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, FlushBatch infos) {
   assert(!infos.empty());
   ScopedCycleTimer timer(HistFor(hb_initiator_cycles_, h_initiator_cycles_, cpu.id()), &cpu);
   c_initiated_->Inc(cpu.id());
@@ -231,7 +229,8 @@ Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, std::vector<Flu
     max_gen = std::max(max_gen, info.new_tlb_gen);
   }
 
-  std::vector<int> targets = ComputeTargets(cpu, mm, any_freed);
+  CpuList targets;
+  ComputeTargets(cpu, mm, any_freed, &targets);
   HistFor(hb_targets_, h_targets_, cpu.id())->Record(static_cast<double>(targets.size()));
   if (targets.empty()) {
     ++StatsFor(cpu).local_only;
@@ -344,17 +343,17 @@ Co<void> ShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, 
     ++StatsFor(cpu).batched_absorbed;
     cpu.AdvanceInline(costs.pte_update);  // slot bookkeeping
     if (pc.batched.size() >= PerCpu::kBatchSlots) {
-      std::vector<FlushTlbInfo> infos = std::move(pc.batched);
+      FlushBatch infos = pc.batched;
       pc.batched.clear();
       ++StatsFor(cpu).batch_shootdowns;
-      co_await DoShootdown(cpu, mm, std::move(infos));
+      co_await DoShootdown(cpu, mm, infos);
     }
     co_return;
   }
 
-  std::vector<FlushTlbInfo> one;
+  FlushBatch one;
   one.push_back(info);
-  co_await DoShootdown(cpu, mm, std::move(one));
+  co_await DoShootdown(cpu, mm, one);
 }
 
 void ShootdownEngine::BeginBatch(SimCpu& cpu, MmStruct& mm) {
@@ -371,10 +370,10 @@ Co<void> ShootdownEngine::EndBatch(SimCpu& cpu, MmStruct& mm) {
   }
   pc.batched_mode = false;
   if (!pc.batched.empty()) {
-    std::vector<FlushTlbInfo> infos = std::move(pc.batched);
+    FlushBatch infos = pc.batched;
     pc.batched.clear();
     ++StatsFor(cpu).batch_shootdowns;
-    co_await DoShootdown(cpu, mm, std::move(infos));
+    co_await DoShootdown(cpu, mm, infos);
   }
   // The mmap_sem-release barrier: while this CPU was in batched mode other
   // initiators skipped its IPI; catch up with the mm generation before any
@@ -485,7 +484,7 @@ Co<void> ShootdownEngine::OnCowFault(SimCpu& cpu, MmStruct& mm, uint64_t va, boo
   if (ProtocolCheckSink* c = chk()) {
     c->OnTlbGenBump(cpu, mm, info.new_tlb_gen, info.start, info.end);
   }
-  std::vector<FlushTlbInfo> one;
+  FlushBatch one;
   one.push_back(info);
   co_await LocalFlushAll(cpu, mm, one, {});
 }
@@ -520,7 +519,7 @@ Co<void> ShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
   cpu.AccessLine(pc.csq_line, AccessType::kAtomicRmw);
   while (!pc.csq.empty()) {
     Cfd* cfd = pc.csq.front();
-    pc.csq.pop_front();
+    pc.csq.erase(pc.csq.begin());
     cpu.AccessLine(cfd->line, AccessType::kRead);
     bool info_inline = opts().cacheline_consolidation && cfd->work.size() == 1;
     if (!info_inline && cfd->initiator >= 0) {
@@ -535,7 +534,7 @@ Co<void> ShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
     // the ack is visible the initiator owns the CFD again and may reuse it
     // for its next shootdown while we are still flushing (the csd ownership
     // rule early acknowledgement must respect).
-    std::vector<FlushTlbInfo> work = cfd->work;
+    FlushBatch work = cfd->work;
 
     bool early = true;
     for (const FlushTlbInfo& info : work) {

@@ -26,6 +26,7 @@
 #define TLBSIM_SRC_CORE_SHOOTDOWN_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/fault_injection.h"
@@ -116,16 +117,16 @@ class ShootdownEngine final : public TlbFlushBackend {
   // mode (§4.2: "indicate that other cores not send IPIs ... during the
   // system call"; they synchronize at their mmap_sem barrier instead).
   // Charges the lazy-flag cacheline reads (§3.3 item 1).
-  std::vector<int> ComputeTargets(SimCpu& cpu, MmStruct& mm, bool freed_tables);
+  void ComputeTargets(SimCpu& cpu, MmStruct& mm, bool freed_tables, CpuList* targets);
 
   // One (possibly multi-info) shootdown: local flush + IPIs + ack wait.
-  Co<void> DoShootdown(SimCpu& cpu, MmStruct& mm, std::vector<FlushTlbInfo> infos);
+  Co<void> DoShootdown(SimCpu& cpu, MmStruct& mm, FlushBatch infos);
 
   // Initiator-local flush of every info. When `targets` is non-empty and
   // concurrent+in-context are on, user-PTE flushing continues only until the
   // first ack is visible (§3.4 4a).
-  Co<void> LocalFlushAll(SimCpu& cpu, MmStruct& mm, const std::vector<FlushTlbInfo>& infos,
-                         const std::vector<int>& targets);
+  Co<void> LocalFlushAll(SimCpu& cpu, MmStruct& mm, const FlushBatch& infos,
+                         std::span<const int> targets);
 
   // Responder-side processing of one info under the generation protocol.
   Co<void> ResponderFlushOne(SimCpu& cpu, const FlushTlbInfo& info);
@@ -133,7 +134,7 @@ class ShootdownEngine final : public TlbFlushBackend {
   // User-address-space part of a selective flush on the initiator.
   void FlushUserPte(SimCpu& cpu, MmStruct& mm, uint64_t va, int stride_shift);
 
-  bool AckVisible(SimCpu& cpu, const std::vector<int>& targets);
+  bool AckVisible(SimCpu& cpu, std::span<const int> targets);
 
   void Ack(SimCpu& cpu, Cfd& cfd);
 

@@ -1,7 +1,7 @@
 #include "src/hw/apic.h"
 
-#include <algorithm>
-#include <map>
+#include <climits>
+#include <string>
 
 namespace tlbsim {
 
@@ -61,7 +61,7 @@ void Apic::Deliver(SimCpu& sender, int target, int vector) {
   }
 }
 
-void Apic::SendIpi(SimCpu& sender, const std::vector<int>& targets, int vector) {
+void Apic::SendIpi(SimCpu& sender, std::span<const int> targets, int vector) {
   if (targets.empty()) {
     return;
   }
@@ -74,17 +74,30 @@ void Apic::SendIpi(SimCpu& sender, const std::vector<int>& targets, int vector) 
     }
     return;
   }
-  // Cluster-mode multicast: one ICR write per addressed cluster.
-  std::map<int, std::vector<int>> by_cluster;
-  for (int t : targets) {
-    by_cluster[t / kClusterSize].push_back(t);
-  }
-  for (auto& [cluster, members] : by_cluster) {
+  // Cluster-mode multicast: one ICR write per addressed cluster, clusters in
+  // ascending order, each cluster's members in `targets` order. Each round
+  // scans the targets for the next cluster, so a multicast allocates nothing
+  // (target lists are short; there is a round per cluster).
+  int cluster = -1;
+  while (true) {
+    int next = INT_MAX;
+    for (int t : targets) {
+      int c = t / kClusterSize;
+      if (c > cluster && c < next) {
+        next = c;
+      }
+    }
+    if (next == INT_MAX) {
+      break;
+    }
+    cluster = next;
     sender.AdvanceInline(sender.rng().Jitter(costs_->ipi_icr_write, costs_->jitter_frac));
     ++bank.icr_writes;
     ++bank.multicast_messages;
-    for (int t : members) {
-      Deliver(sender, t, vector);
+    for (int t : targets) {
+      if (t / kClusterSize == cluster) {
+        Deliver(sender, t, vector);
+      }
     }
   }
 }

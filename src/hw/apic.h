@@ -10,6 +10,7 @@
 #define TLBSIM_SRC_HW_APIC_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/cache/topology.h"
@@ -46,7 +47,7 @@ class Apic {
   // Sends `vector` to every CPU in `targets`. The sender pays one ICR write
   // per addressed cluster (or per target when multicast is disabled) inline
   // on its local clock; deliveries are scheduled per-target with wire latency.
-  void SendIpi(SimCpu& sender, const std::vector<int>& targets, int vector);
+  void SendIpi(SimCpu& sender, std::span<const int> targets, int vector);
 
   // Sends an NMI to a single CPU.
   void SendNmi(SimCpu& sender, int target);

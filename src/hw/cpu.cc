@@ -101,17 +101,12 @@ void SimCpu::Spawn(SimTask task) {
   Cycles at = std::max(now_, engine_->now());
   now_ = at;
   auto handle = task.Release();
-  // Chain a delivery kick onto task completion: a program that ends with
-  // masked-then-queued IRQs must not strand them.
-  InlineFn prev = std::move(handle.promise().on_done);
-  handle.promise().on_done = [this, prev = std::move(prev)] {
-    if (prev) {
-      prev();
-    }
-    if (armed_ == nullptr && HasDeliverablePending()) {
-      KickPendingDelivery();
-    }
-  };
+  // Chain a delivery kick onto task completion, after the task's own
+  // on_done: a program that ends with masked-then-queued IRQs must not
+  // strand them.
+  assert(handle.promise().then == nullptr);
+  handle.promise().then = &SimCpu::AfterTaskDone;
+  handle.promise().then_arg = this;
   ++scheduled_resumes_;
   auto resume = [this, handle] {
     --scheduled_resumes_;
@@ -124,17 +119,10 @@ void SimCpu::Spawn(SimTask task) {
   }
 }
 
-void SimCpu::ScheduleResume(InlineFn fn) {
-  Cycles at = std::max(now_, engine_->now());
-  ++scheduled_resumes_;
-  auto resume = [this, fn = std::move(fn)] {
-    --scheduled_resumes_;
-    fn();
-  };
-  if (shard_queue_) {
-    engine_->ScheduleOnCpu(id_, at, std::move(resume));
-  } else {
-    engine_->Schedule(at, std::move(resume));
+void SimCpu::AfterTaskDone(void* cpu) {
+  auto* self = static_cast<SimCpu*>(cpu);
+  if (self->armed_ == nullptr && self->HasDeliverablePending()) {
+    self->KickPendingDelivery();
   }
 }
 
@@ -353,16 +341,23 @@ void SimCpu::FlagAwaitable::await_suspend(std::coroutine_handle<> h) {
   Arm();
 }
 
+void SimCpu::WakeFlagWait(uint64_t wait_id, Cycles set_time) {
+  if (flag_wait_ != nullptr && flag_wait_id_ == wait_id) {
+    flag_wait_->Fire(set_time);
+  }
+}
+
 void SimCpu::FlagAwaitable::Arm() {
   started = cpu->now();
   armed_here = true;
-  alive = std::make_shared<bool>(true);
   cpu->set_armed(this);
-  token = flag->AddWaiter([this, guard = alive](Cycles set_time) {
-    if (*guard) {
-      Fire(set_time);
-    }
-  });
+  // At most one wait is armed per CPU (header invariant), so one slot holds
+  // the live flag wait; the id tells a fresh wait from a preempted one.
+  assert(cpu->flag_wait_ == nullptr);
+  cpu->flag_wait_ = this;
+  uint64_t id = ++cpu->flag_wait_id_;
+  // Two words of capture: stays inside std::function's inline storage.
+  token = flag->AddWaiter([c = cpu, id](Cycles set_time) { c->WakeFlagWait(id, set_time); });
 }
 
 void SimCpu::FlagAwaitable::Fire(Cycles set_time) {
@@ -370,7 +365,7 @@ void SimCpu::FlagAwaitable::Fire(Cycles set_time) {
     return;  // preempted between Set() and wakeup; spurious resume covers us
   }
   armed_here = false;
-  *alive = false;
+  cpu->flag_wait_ = nullptr;
   cpu->set_armed(nullptr);
   cpu->set_now(std::max(started, set_time));
   cont.resume();
@@ -378,8 +373,8 @@ void SimCpu::FlagAwaitable::Fire(Cycles set_time) {
 
 void SimCpu::FlagAwaitable::Preempt(Cycles at) {
   armed_here = false;
-  if (alive) {
-    *alive = false;
+  if (cpu->flag_wait_ == this) {
+    cpu->flag_wait_ = nullptr;
   }
   flag->RemoveWaiter(token);  // no-op if Set() already consumed the waiter
   cpu->set_now(std::max(at, started));

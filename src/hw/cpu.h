@@ -27,13 +27,12 @@
 #ifndef TLBSIM_SRC_HW_CPU_H_
 #define TLBSIM_SRC_HW_CPU_H_
 
+#include <algorithm>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "src/cache/coherence.h"
@@ -184,8 +183,23 @@ class SimCpu {
   void Spawn(SimTask task);
 
   // Schedules `fn` on this CPU's timeline and tracks it so the idle-delivery
-  // logic knows the CPU is about to run (not truly idle).
-  void ScheduleResume(InlineFn fn);
+  // logic knows the CPU is about to run (not truly idle). A template so the
+  // wrapper captures `fn` itself: an InlineFn would not fit the event's
+  // inline buffer.
+  template <typename F>
+  void ScheduleResume(F&& fn) {
+    Cycles at = std::max(now_, engine_->now());
+    ++scheduled_resumes_;
+    auto resume = [this, fn = std::forward<F>(fn)] {
+      --scheduled_resumes_;
+      fn();
+    };
+    if (shard_queue_) {
+      engine_->ScheduleOnCpu(id_, at, std::move(resume));
+    } else {
+      engine_->Schedule(at, std::move(resume));
+    }
+  }
 
   // Protocol sharding: when set, this CPU's self-schedules (Spawn, resume
   // kicks, Execute completions) land on the event shard that owns the CPU via
@@ -196,8 +210,10 @@ class SimCpu {
   void set_shard_queue(bool on) { shard_queue_ = on; }
   bool shard_queue() const { return shard_queue_; }
 
+  // Gated on enabled(): the tag would otherwise become a std::string per
+  // protocol phase even though only the timeline figure traces.
   void TracePhase(const char* tag) {
-    if (trace_ != nullptr) {
+    if (trace_ != nullptr && trace_->enabled()) {
       trace_->Record(now_, id_, tag);
     }
   }
@@ -229,6 +245,11 @@ class SimCpu {
   void DrainIrqs();
   SimTask IrqTask(int vector);
   void TryPreempt();
+  // Spawned-task completion hook (SimTask::promise_type::then).
+  static void AfterTaskDone(void* cpu);
+  // Flag-waiter callback: fires the armed FlagAwaitable if it is still wait
+  // `wait_id`, else does nothing (the wait was preempted or already fired).
+  void WakeFlagWait(uint64_t wait_id, Cycles set_time);
 
   void set_armed(ArmedWait* w) { armed_ = w; }
   ArmedWait* armed() { return armed_; }
@@ -268,8 +289,14 @@ class SimCpu {
   std::map<int, IrqHandler> handlers_;
   std::function<void(SimCpu&)> kernel_entry_hook_;
   std::function<Co<void>(SimCpu&)> return_to_user_hook_;
-  std::deque<int> pending_irqs_;
+  std::vector<int> pending_irqs_;  // a vector: a few entries; keeps its capacity
   ArmedWait* armed_ = nullptr;
+  // The armed flag wait, if any, and its id. Waiter callbacks the flag has
+  // already scheduled carry the id they were registered under, so one that
+  // fires after a preemption disarmed (and possibly destroyed) its awaitable
+  // finds a different id — or none — and does nothing.
+  FlagAwaitable* flag_wait_ = nullptr;
+  uint64_t flag_wait_id_ = 0;
   std::vector<ArmedWait*> post_irq_waiters_;
   int scheduled_resumes_ = 0;  // continuations queued for this CPU
   bool shard_queue_ = false;   // route self-schedules to this CPU's shard
@@ -306,10 +333,6 @@ struct SimCpu::FlagAwaitable final : SimCpu::ArmedWait {
   std::coroutine_handle<> cont;
   Cycles started = 0;
   bool armed_here = false;
-  // Lifetime guard shared with the registered waiter callback: a Set() can
-  // schedule the callback while a preemption disarms (and later destroys)
-  // this awaitable; the callback must then be a no-op, not a use-after-free.
-  std::shared_ptr<bool> alive;
   SimFlag::WaiterToken token = 0;
 
   FlagAwaitable(SimCpu* c, SimFlag* f) : cpu(c), flag(f) {}

@@ -4,7 +4,7 @@
 
 namespace tlbsim {
 
-Tlb::Tlb(const TlbGeometry& geo) : geo_(geo) {
+void Tlb::Build() {
   slots_4k_.resize(static_cast<size_t>(geo_.sets_4k) * geo_.ways_4k);
   slots_2m_.resize(static_cast<size_t>(geo_.sets_2m) * geo_.ways_2m);
   pcid_mark_.resize(kPcidSpace, 0);
@@ -73,6 +73,9 @@ std::optional<TlbEntry> Tlb::Lookup(uint16_t pcid, uint64_t va) {
 }
 
 std::optional<TlbEntry> Tlb::Probe(uint16_t pcid, uint64_t va) const {
+  if (!built()) {
+    return std::nullopt;
+  }
   for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
     uint64_t vpn = VpnOf(va, s);
     int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
@@ -89,6 +92,9 @@ std::optional<TlbEntry> Tlb::Probe(uint16_t pcid, uint64_t va) const {
 }
 
 void Tlb::Insert(const TlbEntry& e) {
+  if (!built()) {
+    Build();
+  }
   ++mut_gen_;  // disarm the fast path: this may evict or shadow the armed entry
   if (observer_ != nullptr) {
     observer_->OnTlbInsert(e);
@@ -139,6 +145,9 @@ void Tlb::Insert(const TlbEntry& e) {
 }
 
 int Tlb::DropMatching(PageSize s, uint16_t pcid, uint64_t va, bool match_globals) {
+  if (!built()) {
+    return 0;
+  }
   uint64_t vpn = VpnOf(va, s);
   int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
   auto& arr = ArrayFor(s);
@@ -197,10 +206,12 @@ void Tlb::DropTranslation(uint16_t pcid, uint64_t va) {
 void Tlb::FlushPcid(uint16_t pcid) {
   ++mut_gen_;
   ++stats_.full_flushes;
-  uint32_t& frac = FracCount(pcid);
-  fractured_total_ -= frac;
-  frac = 0;
-  pcid_mark_[PcidIndex(pcid)] = clock_;
+  if (built()) {  // unbuilt: no entries, and clock_ is still 0 (the mark's value)
+    uint32_t& frac = FracCount(pcid);
+    fractured_total_ -= frac;
+    frac = 0;
+    pcid_mark_[PcidIndex(pcid)] = clock_;
+  }
   fractured_resident_ = fractured_total_ > 0;
 }
 

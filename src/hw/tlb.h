@@ -42,6 +42,11 @@
 // scan would provably do the same thing: ++lookups, ++hits, restamp that
 // single slot. Stats (bar the new fastpath_hits counter), LRU order and
 // victim choice stay bit-for-bit identical to the scanning path.
+//
+// Lazy state: the slot arrays and the two per-PCID tables (~150 KB per TLB)
+// are built by the first Insert, as a workload fills the TLBs of only a few
+// of the machine's CPUs. Until then the TLB is empty and its clock is 0 —
+// the value any flush mark would record — so flushes need not touch them.
 #ifndef TLBSIM_SRC_HW_TLB_H_
 #define TLBSIM_SRC_HW_TLB_H_
 
@@ -95,7 +100,7 @@ class Tlb {
     uint64_t fastpath_hits = 0;  // hits served by the one-entry hit cache
   };
 
-  explicit Tlb(const TlbGeometry& geo = TlbGeometry{});
+  explicit Tlb(const TlbGeometry& geo = TlbGeometry{}) : geo_(geo) {}
 
   // Looks up `va` under `pcid` (global entries match any pcid).
   std::optional<TlbEntry> Lookup(uint16_t pcid, uint64_t va);
@@ -155,6 +160,10 @@ class Tlb {
     uint64_t stamp = 0;  // LRU stamp and birth mark (see header comment)
     bool valid = false;
   };
+
+  // Lazy state (see header comment): built by the first Insert.
+  bool built() const { return !slots_4k_.empty(); }
+  void Build();
 
   std::vector<Slot>& ArrayFor(PageSize s) { return s == PageSize::k4K ? slots_4k_ : slots_2m_; }
   const std::vector<Slot>& ArrayFor(PageSize s) const {
@@ -218,7 +227,7 @@ class Tlb {
 
   // One-entry fast-path hit cache (see header comment). Armed iff
   // fast_slot_ != nullptr && fast_gen_ == mut_gen_. Slot pointers are stable:
-  // the slot arrays never resize after construction.
+  // the slot arrays never resize once built.
   Slot* fast_slot_ = nullptr;
   uint64_t fast_vpn_ = 0;
   uint16_t fast_pcid_ = 0;

@@ -23,6 +23,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace tlbsim {
 
@@ -30,6 +31,28 @@ namespace tlbsim {
 // clocks). 256 covers the 8-socket/224-cpu big-machine preset; cpumask walks
 // iterate only non-empty socket words, so small topologies pay nothing.
 inline constexpr int kMaxCpus = 256;
+
+// A list of at most kMaxCpus cpu ids with inline storage: shootdown target
+// lists live in the initiator's coroutine frame instead of a fresh heap
+// vector per shootdown.
+class CpuList {
+ public:
+  void push_back(int cpu) {
+    assert(size_ < static_cast<size_t>(kMaxCpus));
+    ids_[size_++] = cpu;
+  }
+  void clear() { size_ = 0; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  int front() const { return ids_[0]; }
+  const int* begin() const { return ids_; }
+  const int* end() const { return ids_ + size_; }
+  operator std::span<const int>() const { return {ids_, size_}; }  // NOLINT(google-explicit-constructor)
+
+ private:
+  int ids_[kMaxCpus] = {};
+  size_t size_ = 0;
+};
 
 class SocketMask {
  public:

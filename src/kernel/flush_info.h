@@ -3,6 +3,9 @@
 #ifndef TLBSIM_SRC_KERNEL_FLUSH_INFO_H_
 #define TLBSIM_SRC_KERNEL_FLUSH_INFO_H_
 
+#include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/mm/pte.h"
@@ -32,6 +35,32 @@ struct FlushTlbInfo {
     }
     return (end - start + (1ULL << stride_shift) - 1) >> stride_shift;
   }
+};
+
+// One shootdown's work: a single range, or a §4.2 batch of up to
+// kCapacity. Held by value with a fixed capacity, so handing the work from
+// initiator to CFD to responder never allocates.
+class FlushBatch {
+ public:
+  static constexpr size_t kCapacity = 4;
+
+  void push_back(const FlushTlbInfo& info) {
+    assert(size_ < kCapacity);
+    infos_[size_++] = info;
+  }
+  void clear() { size_ = 0; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  FlushTlbInfo& front() { return infos_[0]; }
+  const FlushTlbInfo& front() const { return infos_[0]; }
+  FlushTlbInfo* begin() { return infos_.data(); }
+  FlushTlbInfo* end() { return infos_.data() + size_; }
+  const FlushTlbInfo* begin() const { return infos_.data(); }
+  const FlushTlbInfo* end() const { return infos_.data() + size_; }
+
+ private:
+  std::array<FlushTlbInfo, kCapacity> infos_{};
+  size_t size_ = 0;
 };
 
 }  // namespace tlbsim

@@ -15,7 +15,6 @@
 #define TLBSIM_SRC_KERNEL_PERCPU_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -38,7 +37,7 @@ struct Cfd {
   // The shootdown work. With cacheline consolidation and a single info, the
   // info travels inside the CFD line; otherwise the responder additionally
   // reads the initiator's stack flush_tlb_info line (split layout).
-  std::vector<FlushTlbInfo> work;
+  FlushBatch work;
   int initiator = -1;
   bool in_flight = false;
 };
@@ -123,11 +122,14 @@ struct PerCpu {
   // catches up at the mmap_sem-release barrier. msync/fdatasync batching
   // defers its own flushes but does NOT set this.
   bool ipi_defer_mode = false;
-  std::vector<FlushTlbInfo> batched;  // up to kBatchSlots pending infos
-  static constexpr size_t kBatchSlots = 4;
+  FlushBatch batched;  // up to kBatchSlots pending infos
+  static constexpr size_t kBatchSlots = FlushBatch::kCapacity;
 
   // --- SMP layer ---
-  std::deque<Cfd*> csq;  // call single queue (llist of pending CFDs)
+  // Call single queue (llist of pending CFDs), FIFO. A vector: it holds at
+  // most one CFD per initiator and keeps its capacity, so queueing a CFD
+  // never allocates once warm.
+  std::vector<Cfd*> csq;
   // Initiator-owned flush info used by the split layout ("on the stack").
   FlushTlbInfo stack_info;
   std::vector<std::unique_ptr<Cfd>> cfd_for_target;

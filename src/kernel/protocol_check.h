@@ -14,7 +14,7 @@
 #define TLBSIM_SRC_KERNEL_PROTOCOL_CHECK_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace tlbsim {
 
@@ -40,7 +40,7 @@ class ProtocolCheckSink {
 
   // The initiator enqueued CFDs and fired the IPI for generation `gen`.
   virtual void OnIpiSent(SimCpu& cpu, MmStruct& mm, uint64_t gen,
-                         const std::vector<int>& targets) = 0;
+                         std::span<const int> targets) = 0;
 
   // A responder acknowledged `initiator`'s CFD. `early` follows §3.2;
   // `guarded` reports whether unfinished_flushes protects the window.
@@ -55,7 +55,7 @@ class ProtocolCheckSink {
 
   // The initiator observed every ack: the shootdown for `gen` completed.
   virtual void OnShootdownComplete(SimCpu& cpu, MmStruct& mm, uint64_t gen,
-                                   const std::vector<int>& targets) = 0;
+                                   std::span<const int> targets) = 0;
 
   // §4.1 CoW flush avoidance replaced the flush for `va`; `executable` is the
   // paper's guard condition (must force a real flush when set).

@@ -14,9 +14,6 @@ uint64_t NextRootId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
 }
-
-// Virtual-address span covered by one entry at `level`.
-constexpr uint64_t SpanAt(int level) { return 1ULL << (kPageShift + kPtIndexBits * level); }
 }  // namespace
 
 PageTable::PageTable() : root_(std::make_unique<Node>()), root_id_(NextRootId()) {}
@@ -160,41 +157,6 @@ PageTable::WalkResult PageTable::Walk(uint64_t va, int walker_node) const {
   return WalkIn(root, va, walker_node);
 }
 
-void PageTable::VisitPresent(const Node& root, uint64_t lo, uint64_t hi,
-                             const std::function<void(uint64_t, Pte, PageSize)>& fn) {
-  // Recursive descent over the radix tree, pruned to [lo, hi).
-  struct Rec {
-    const std::function<void(uint64_t, Pte, PageSize)>& fn;
-    uint64_t lo, hi;
-    void Visit(const Node& node, int level, uint64_t base) {
-      uint64_t span = SpanAt(level);
-      for (uint64_t i = 0; i < kPtEntries; ++i) {
-        uint64_t va = base + i * span;
-        if (va >= hi || va + span <= lo) {
-          continue;
-        }
-        const Pte& e = node.entries[i];
-        if (level == 0) {
-          if (e.present()) {
-            fn(va, e, PageSize::k4K);
-          }
-        } else if (level == 1 && e.present() && e.huge()) {
-          fn(va, e, PageSize::k2M);
-        } else if (node.children[i]) {
-          Visit(*node.children[i], level - 1, va);
-        }
-      }
-    }
-  };
-  Rec rec{fn, lo, hi};
-  rec.Visit(root, kPtLevels - 1, 0);
-}
-
-void PageTable::ForEachPresent(uint64_t lo, uint64_t hi,
-                               const std::function<void(uint64_t, Pte, PageSize)>& fn) const {
-  VisitPresent(*root_, lo, hi, fn);
-}
-
 bool PageTable::PruneNode(Node& node, int level, uint64_t base, uint64_t lo, uint64_t hi,
                           uint64_t* node_count) {
   bool freed = false;
@@ -284,7 +246,7 @@ bool PageTable::FindReplicaDivergence(uint64_t* va, int* node) const {
     bool diverged = false;
     uint64_t dva = 0;
     // Primary leaves must exist identically in the replica...
-    VisitPresent(*root_, 0, ~0ULL, [&](uint64_t leaf_va, Pte pte, PageSize) {
+    auto in_replica = [&](uint64_t leaf_va, Pte pte, PageSize) {
       if (diverged) {
         return;
       }
@@ -293,10 +255,11 @@ bool PageTable::FindReplicaDivergence(uint64_t* va, int* node) const {
         diverged = true;
         dva = leaf_va;
       }
-    });
+    };
+    VisitPresent(*root_, kPtLevels - 1, 0, 0, ~0ULL, in_replica);
     // ...and the replica must not hold extra (stale) leaves.
     if (!diverged) {
-      VisitPresent(*rep.root, 0, ~0ULL, [&](uint64_t leaf_va, Pte pte, PageSize) {
+      auto in_primary = [&](uint64_t leaf_va, Pte pte, PageSize) {
         if (diverged) {
           return;
         }
@@ -305,7 +268,8 @@ bool PageTable::FindReplicaDivergence(uint64_t* va, int* node) const {
           diverged = true;
           dva = leaf_va;
         }
-      });
+      };
+      VisitPresent(*rep.root, kPtLevels - 1, 0, 0, ~0ULL, in_primary);
     }
     if (diverged) {
       *va = dva;

@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -85,9 +84,13 @@ class PageTable {
   // visited paging structures' home nodes.
   WalkResult Walk(uint64_t va, int walker_node) const;
 
-  // Invokes `fn(va, pte, size)` for every present leaf in [lo, hi).
-  void ForEachPresent(uint64_t lo, uint64_t hi,
-                      const std::function<void(uint64_t, Pte, PageSize)>& fn) const;
+  // Invokes `fn(va, pte, size)` for every present leaf in [lo, hi), in
+  // ascending va order. Each level scans only the entries overlapping the
+  // range.
+  template <typename Fn>
+  void ForEachPresent(uint64_t lo, uint64_t hi, Fn&& fn) const {
+    VisitPresent(*root_, kPtLevels - 1, 0, lo, hi, fn);
+  }
 
   // Frees empty intermediate tables under [lo, hi). Returns true if any
   // paging-structure page was freed (drives the freed-tables flag that gates
@@ -159,8 +162,38 @@ class PageTable {
   }
 
   static WalkResult WalkIn(const Node* root, uint64_t va, int walker_node);
-  static void VisitPresent(const Node& root, uint64_t lo, uint64_t hi,
-                           const std::function<void(uint64_t, Pte, PageSize)>& fn);
+
+  // Virtual-address span covered by one entry at `level`.
+  static constexpr uint64_t SpanAt(int level) {
+    return 1ULL << (kPageShift + kPtIndexBits * level);
+  }
+
+  // Recursive descent over `node` (covering va [base, base + 512 spans) at
+  // `level`), limited to the entries that overlap [lo, hi).
+  template <typename Fn>
+  static void VisitPresent(const Node& node, int level, uint64_t base, uint64_t lo, uint64_t hi,
+                           Fn& fn) {
+    uint64_t span = SpanAt(level);
+    uint64_t first = lo > base ? (lo - base) / span : 0;
+    uint64_t last = hi > base ? (hi - base - 1) / span + 1 : 0;  // exclusive
+    if (last > kPtEntries) {
+      last = kPtEntries;
+    }
+    for (uint64_t i = first; i < last; ++i) {
+      uint64_t va = base + i * span;
+      const Pte& e = node.entries[i];
+      if (level == 0) {
+        if (e.present()) {
+          fn(va, e, PageSize::k4K);
+        }
+      } else if (level == 1 && e.present() && e.huge()) {
+        fn(va, e, PageSize::k2M);
+      } else if (node.children[i]) {
+        VisitPresent(*node.children[i], level - 1, va, lo, hi, fn);
+      }
+    }
+  }
+
   static std::unique_ptr<Node> CloneTree(const Node& src, int home_node);
   static bool PruneNode(Node& node, int level, uint64_t base, uint64_t lo, uint64_t hi,
                         uint64_t* node_count);

@@ -12,11 +12,11 @@ void SimFlag::Set(Cycles at) {
     return;
   }
   Cycles when = std::max(at, engine_->now());
-  std::map<WaiterToken, std::function<void(Cycles)>> woken;
-  woken.swap(waiters_);
-  for (auto& [token, cb] : woken) {
-    engine_->Schedule(when, [cb = std::move(cb), at] { cb(at); });
+  // Scheduling never runs a callback, so the list is stable while we walk it.
+  for (Waiter& w : waiters_) {
+    engine_->Schedule(when, [cb = std::move(w.cb), at] { cb(at); });
   }
+  waiters_.clear();
 }
 
 SimFlag::WaiterToken SimFlag::AddWaiter(std::function<void(Cycles)> cb) {
@@ -27,8 +27,16 @@ SimFlag::WaiterToken SimFlag::AddWaiter(std::function<void(Cycles)> cb) {
     engine_->Schedule(when, [cb = std::move(cb), at] { cb(at); });
     return token;
   }
-  waiters_.emplace(token, std::move(cb));
+  waiters_.push_back(Waiter{token, std::move(cb)});
   return token;
+}
+
+void SimFlag::RemoveWaiter(WaiterToken token) {
+  auto it = std::find_if(waiters_.begin(), waiters_.end(),
+                         [token](const Waiter& w) { return w.token == token; });
+  if (it != waiters_.end()) {
+    waiters_.erase(it);
+  }
 }
 
 }  // namespace tlbsim

@@ -9,7 +9,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
@@ -42,14 +42,22 @@ class SimFlag {
   WaiterToken AddWaiter(std::function<void(Cycles)> cb);
 
   // Deregisters a not-yet-fired waiter. No-op for fired/unknown tokens.
-  void RemoveWaiter(WaiterToken token) { waiters_.erase(token); }
+  void RemoveWaiter(WaiterToken token);
 
  private:
+  struct Waiter {
+    WaiterToken token;
+    std::function<void(Cycles)> cb;
+  };
+
   Engine* engine_;
   bool set_ = false;
   Cycles set_time_ = 0;
   WaiterToken next_token_ = 1;
-  std::map<WaiterToken, std::function<void(Cycles)>> waiters_;  // ordered for determinism
+  // In registration (= token) order. A vector, not a map: a flag has a
+  // waiter or two, and the cleared vector keeps its capacity, so re-waiting
+  // on a reused flag allocates nothing.
+  std::vector<Waiter> waiters_;
 };
 
 }  // namespace tlbsim

@@ -10,8 +10,8 @@
 // only coroutines with huge local state) fall through to the global
 // allocator. Pools are thread_local — the simulator is single-threaded, and
 // this keeps the pool lock-free without assuming it. Pooled memory is
-// retained for the life of the thread (it stays reachable from TLS roots, so
-// leak checkers are happy).
+// retained for the life of the thread and freed when the thread exits (sweep
+// worker threads come and go; their buckets would otherwise leak).
 #ifndef TLBSIM_SRC_SIM_FRAME_POOL_H_
 #define TLBSIM_SRC_SIM_FRAME_POOL_H_
 
@@ -41,6 +41,10 @@ class FramePool {
       return node;
     }
     ++stats_.pool_misses;
+    // Every pooled frame starts as a miss, so the first miss is where a
+    // thread arms its exit-time release (once: block-scope thread_local).
+    static thread_local ThreadExit release_at_exit;
+    (void)release_at_exit;
     return ::operator new((b + 1) * kGranule);
   }
 
@@ -64,6 +68,21 @@ class FramePool {
 
   struct Node {
     Node* next;
+  };
+
+  // Frees the exiting thread's pooled frames.
+  struct ThreadExit {
+    ThreadExit() = default;
+    ThreadExit(const ThreadExit&) = delete;
+    ThreadExit& operator=(const ThreadExit&) = delete;
+    ~ThreadExit() {
+      for (std::size_t b = 0; b < kBuckets; ++b) {
+        while (Node* node = buckets_[b]) {
+          buckets_[b] = node->next;
+          ::operator delete(node, (b + 1) * kGranule);
+        }
+      }
+    }
   };
 
   static std::size_t Bucket(std::size_t n) {

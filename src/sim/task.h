@@ -158,6 +158,11 @@ class SimTask {
  public:
   struct promise_type : PooledFrame {
     InlineFn on_done;
+    // Runs after on_done: SimCpu::Spawn chains its interrupt-delivery kick
+    // here. A function pointer, because wrapping on_done in a lambda would
+    // not fit InlineFn's inline buffer and would allocate per task.
+    void (*then)(void*) = nullptr;
+    void* then_arg = nullptr;
 
     SimTask get_return_object() {
       return SimTask(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -168,9 +173,14 @@ class SimTask {
       bool await_ready() noexcept { return false; }
       void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
         InlineFn done = std::move(h.promise().on_done);
+        void (*then)(void*) = h.promise().then;
+        void* then_arg = h.promise().then_arg;
         h.destroy();
         if (done) {
           done();
+        }
+        if (then != nullptr) {
+          then(then_arg);
         }
       }
       void await_resume() noexcept {}

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <map>
+#include <vector>
+
+#include "src/sim/rng.h"
+
 namespace tlbsim {
 namespace {
 
@@ -196,6 +203,276 @@ TEST(CoherenceDegenerateTest, SingleCpuMachineOnlyFillsAndHits) {
   EXPECT_EQ(model.Access(0, l, AccessType::kAtomicRmw), costs.l1_hit);
   EXPECT_EQ(model.global_stats().transfers, 0u);
   EXPECT_EQ(model.global_stats().invalidations, 0u);
+}
+
+// Holder sets spanning several bitset words: on the 8-socket preset (28 cpus
+// per socket) cpus 1, 63, 64, 127 and 200 sit in words 0, 0, 1, 1 and 3 and
+// on sockets 0, 2, 2, 4 and 7.
+class MultiWordHoldersTest : public ::testing::Test {
+ protected:
+  // A fresh line shared by `holders` (the first one filled it).
+  LineId SharedBy(std::initializer_list<int> holders) {
+    LineId l = model_.AllocateLine("x");
+    for (int cpu : holders) {
+      model_.Access(cpu, l, AccessType::kRead);
+    }
+    return l;
+  }
+
+  Topology topo_ = Topology::EightSocket();
+  CacheCosts costs_;
+  CoherenceModel model_{topo_, costs_};
+};
+
+TEST_F(MultiWordHoldersTest, NearestHolderAcrossWords) {
+  EXPECT_EQ(model_.Access(0, SharedBy({1, 63, 64, 127, 200}), AccessType::kRead),
+            costs_.smt_transfer);  // cpu 1's sibling
+  EXPECT_EQ(model_.Access(65, SharedBy({1, 63, 64, 127, 200}), AccessType::kRead),
+            costs_.smt_transfer);  // cpu 64's sibling, word 1
+  EXPECT_EQ(model_.Access(66, SharedBy({1, 63, 64, 127, 200}), AccessType::kRead),
+            costs_.same_socket_transfer);  // socket 2, no sibling holds it
+  EXPECT_EQ(model_.Access(201, SharedBy({1, 63, 64, 127, 200}), AccessType::kRead),
+            costs_.smt_transfer);  // cpu 200's sibling, word 3
+  LineId l = SharedBy({1, 63, 64, 127, 200});
+  uint64_t cross = model_.global_stats().cross_socket_transfers;
+  EXPECT_EQ(model_.Access(30, l, AccessType::kRead),
+            costs_.cross_socket_transfer);  // socket 1 holds nothing
+  EXPECT_EQ(model_.global_stats().cross_socket_transfers - cross, 1u);
+}
+
+TEST_F(MultiWordHoldersTest, UpgradeCostIsFarthestOtherHolder) {
+  uint64_t inv = model_.global_stats().invalidations;
+  EXPECT_EQ(model_.Access(64, SharedBy({1, 63, 64, 127, 200}), AccessType::kWrite),
+            costs_.cross_socket_transfer);
+  EXPECT_EQ(model_.global_stats().invalidations - inv, 4u);
+
+  inv = model_.global_stats().invalidations;
+  EXPECT_EQ(model_.Access(63, SharedBy({63, 64}), AccessType::kWrite),
+            costs_.same_socket_transfer);  // the other holder is across the word boundary
+  EXPECT_EQ(model_.global_stats().invalidations - inv, 1u);
+
+  inv = model_.global_stats().invalidations;
+  EXPECT_EQ(model_.Access(127, SharedBy({127, 126}), AccessType::kWrite), costs_.smt_transfer);
+  EXPECT_EQ(model_.global_stats().invalidations - inv, 1u);
+
+  inv = model_.global_stats().invalidations;
+  EXPECT_EQ(model_.Access(127, SharedBy({127, 128}), AccessType::kWrite),
+            costs_.same_socket_transfer);  // 128 opens word 2
+  EXPECT_EQ(model_.global_stats().invalidations - inv, 1u);
+}
+
+TEST_F(MultiWordHoldersTest, WriteByNonHolderInvalidatesEveryCopy) {
+  LineId l = SharedBy({1, 63, 64, 127, 200});
+  uint64_t inv = model_.global_stats().invalidations;
+  // cpu 100 (socket 3) reaches the nearest holder across the interconnect.
+  EXPECT_EQ(model_.Access(100, l, AccessType::kAtomicRmw), costs_.cross_socket_transfer);
+  EXPECT_EQ(model_.global_stats().invalidations - inv, 5u);
+  EXPECT_EQ(model_.StatsFor(l).invalidations, 5u);
+  EXPECT_EQ(model_.StatsFor(l).accesses, 6u);
+  // Exclusive now: the writer hits, a former holder misses.
+  EXPECT_EQ(model_.Access(100, l, AccessType::kWrite), costs_.l1_hit);
+  EXPECT_EQ(model_.Access(200, l, AccessType::kRead), costs_.cross_socket_transfer);
+}
+
+// Reference directory: the sharer-list model the bitset directory replaced,
+// kept here as the oracle for the differential test below.
+class SharerListModel {
+ public:
+  SharerListModel(const Topology& topo, const CacheCosts& costs) : topo_(topo), costs_(costs) {}
+
+  Cycles Access(int cpu, LineId line, AccessType type) {
+    Entry& e = lines_[line];
+    ++e.stats.accesses;
+    ++global_.accesses;
+    bool is_write = type != AccessType::kRead;
+    bool cpu_is_owner = e.owner == cpu;
+    bool cpu_is_sharer = std::find(e.sharers.begin(), e.sharers.end(), cpu) != e.sharers.end();
+    if (!e.valid) {
+      e.valid = true;
+      e.owner = cpu;
+      e.sharers.clear();
+      ++global_.memory_fills;
+      return costs_.memory_fill;
+    }
+    if (!is_write) {
+      if (cpu_is_owner || cpu_is_sharer) {
+        ++e.stats.hits;
+        ++global_.hits;
+        return costs_.l1_hit;
+      }
+      Topology::Distance d = Nearest(cpu, e);
+      ++e.stats.transfers;
+      ++global_.transfers;
+      if (d == Topology::Distance::kCrossSocket) {
+        ++e.stats.cross_socket_transfers;
+        ++global_.cross_socket_transfers;
+      }
+      if (e.owner >= 0) {
+        e.sharers.push_back(e.owner);
+        e.owner = -1;
+      }
+      e.sharers.push_back(cpu);
+      return Cost(d);
+    }
+    if (cpu_is_owner && e.sharers.empty()) {
+      ++e.stats.hits;
+      ++global_.hits;
+      return costs_.l1_hit;
+    }
+    Topology::Distance farthest = Topology::Distance::kSelf;
+    uint64_t invalidated = 0;
+    auto consider = [&](int holder) {
+      if (holder == cpu) {
+        return;
+      }
+      ++invalidated;
+      Topology::Distance d = topo_.Between(cpu, holder);
+      if (static_cast<int>(d) > static_cast<int>(farthest)) {
+        farthest = d;
+      }
+    };
+    if (e.owner >= 0) {
+      consider(e.owner);
+    }
+    for (int sh : e.sharers) {
+      consider(sh);
+    }
+    Cycles cost = cpu_is_owner || cpu_is_sharer ? Cost(farthest) : Cost(Nearest(cpu, e));
+    if (invalidated > 0) {
+      ++e.stats.transfers;
+      ++global_.transfers;
+      if (farthest == Topology::Distance::kCrossSocket) {
+        ++e.stats.cross_socket_transfers;
+        ++global_.cross_socket_transfers;
+      }
+    } else {
+      ++e.stats.hits;
+      ++global_.hits;
+    }
+    e.stats.invalidations += invalidated;
+    global_.invalidations += invalidated;
+    e.owner = cpu;
+    e.sharers.clear();
+    return cost;
+  }
+
+  void EvictAll(LineId line) { lines_.erase(line); }
+  const CoherenceModel::GlobalStats& global_stats() const { return global_; }
+  CoherenceModel::LineStats StatsFor(LineId line) const {
+    auto it = lines_.find(line);
+    return it == lines_.end() ? CoherenceModel::LineStats{} : it->second.stats;
+  }
+
+ private:
+  struct Entry {
+    int owner = -1;
+    std::vector<int> sharers;
+    bool valid = false;
+    CoherenceModel::LineStats stats;
+  };
+
+  Topology::Distance Nearest(int cpu, const Entry& e) const {
+    Topology::Distance best = Topology::Distance::kCrossSocket;
+    bool found = false;
+    auto consider = [&](int holder) {
+      Topology::Distance d = topo_.Between(cpu, holder);
+      if (!found || static_cast<int>(d) < static_cast<int>(best)) {
+        best = d;
+        found = true;
+      }
+    };
+    if (e.owner >= 0) {
+      consider(e.owner);
+    }
+    for (int sh : e.sharers) {
+      consider(sh);
+    }
+    return best;
+  }
+
+  Cycles Cost(Topology::Distance d) const {
+    switch (d) {
+      case Topology::Distance::kSelf:
+        return costs_.l1_hit;
+      case Topology::Distance::kSmtSibling:
+        return costs_.smt_transfer;
+      case Topology::Distance::kSameSocket:
+        return costs_.same_socket_transfer;
+      case Topology::Distance::kCrossSocket:
+        return costs_.cross_socket_transfer;
+    }
+    return costs_.memory_fill;
+  }
+
+  Topology topo_;
+  CacheCosts costs_;
+  std::map<LineId, Entry> lines_;
+  CoherenceModel::GlobalStats global_;
+};
+
+// Seeded random (cpu, line, type) sequences — with occasional evictions —
+// must cost, count and attribute exactly what the sharer-list model does.
+void ExpectMatchesSharerList(const Topology& topo, uint64_t seed) {
+  CacheCosts costs;
+  CoherenceModel model(topo, costs);
+  SharerListModel ref(topo, costs);
+  std::vector<LineId> lines;
+  for (int i = 0; i < 24; ++i) {
+    lines.push_back(model.AllocateLine("line", static_cast<uint64_t>(i), ""));
+  }
+  for (uint64_t pa = 0; pa < 8; ++pa) {
+    lines.push_back(CoherenceModel::LineOfAddress(pa << 12));
+  }
+  Rng rng(seed);
+  auto below = [&rng](uint64_t n) { return rng.UniformU64() % n; };
+  // Cpus drawn from a small pool per run, so lines gather several holders.
+  std::vector<int> pool;
+  for (int i = 0; i < 12; ++i) {
+    pool.push_back(static_cast<int>(below(static_cast<uint64_t>(topo.num_cpus()))));
+  }
+  for (int step = 0; step < 20000; ++step) {
+    LineId line = lines[below(lines.size())];
+    int cpu = pool[below(pool.size())];
+    uint64_t r = below(100);
+    if (r == 0) {
+      model.EvictAll(line);
+      ref.EvictAll(line);
+      continue;
+    }
+    AccessType type = r < 60 ? AccessType::kRead
+                             : (r < 90 ? AccessType::kWrite : AccessType::kAtomicRmw);
+    ASSERT_EQ(model.Access(cpu, line, type), ref.Access(cpu, line, type))
+        << "step " << step << " cpu " << cpu << " line " << line;
+  }
+  CoherenceModel::GlobalStats g = model.global_stats();
+  CoherenceModel::GlobalStats want = ref.global_stats();
+  EXPECT_EQ(g.accesses, want.accesses);
+  EXPECT_EQ(g.hits, want.hits);
+  EXPECT_EQ(g.transfers, want.transfers);
+  EXPECT_EQ(g.cross_socket_transfers, want.cross_socket_transfers);
+  EXPECT_EQ(g.invalidations, want.invalidations);
+  EXPECT_EQ(g.memory_fills, want.memory_fills);
+  for (LineId line : lines) {
+    CoherenceModel::LineStats s = model.StatsFor(line);
+    CoherenceModel::LineStats w = ref.StatsFor(line);
+    EXPECT_EQ(s.accesses, w.accesses) << line;
+    EXPECT_EQ(s.hits, w.hits) << line;
+    EXPECT_EQ(s.transfers, w.transfers) << line;
+    EXPECT_EQ(s.cross_socket_transfers, w.cross_socket_transfers) << line;
+    EXPECT_EQ(s.invalidations, w.invalidations) << line;
+  }
+}
+
+TEST(CoherenceDifferentialTest, DefaultTopologyMatchesSharerList) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    ExpectMatchesSharerList(Topology{}, seed);
+  }
+}
+
+TEST(CoherenceDifferentialTest, EightSocketMatchesSharerList) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    ExpectMatchesSharerList(Topology::EightSocket(), seed);
+  }
 }
 
 }  // namespace

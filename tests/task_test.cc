@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/sim/engine.h"
@@ -179,6 +180,26 @@ TEST(FramePoolTest, SteadyStateFramesComeFromFreeLists) {
   EXPECT_GT(after.pool_hits, before.pool_hits);
   EXPECT_EQ(after.pool_misses, before.pool_misses) << "steady state hit the heap";
   EXPECT_EQ(after.fallback_allocs, before.fallback_allocs);
+}
+
+// Frames pooled on a worker thread are freed when the thread exits, not
+// dropped with its thread_local buckets: LeakSanitizer (the sanitizer CI
+// job) reports them otherwise, as it did for sweep worker threads.
+TEST(FramePoolTest, WorkerThreadReleasesFramesAtExit) {
+  int got = 0;
+  FramePool::Stats worker{};
+  std::thread worker_thread([&] {
+    for (int i = 0; i < 4; ++i) {
+      bool done = false;
+      auto task = Driver([&]() -> Co<void> { got = co_await AddOne(Return42()); }, &done);
+      task.Start();
+    }
+    worker = FramePool::stats();
+  });
+  worker_thread.join();
+  EXPECT_EQ(got, 43);
+  EXPECT_GT(worker.pool_misses, 0u);  // the thread pooled frames of its own
+  EXPECT_GT(worker.pool_hits, 0u);
 }
 
 }  // namespace

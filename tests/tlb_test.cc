@@ -384,5 +384,60 @@ TEST(TlbPropertyTest, OccupancyNeverExceedsCapacity) {
   }
 }
 
+// The slot arrays are built by the first Insert. Before that the TLB must
+// count exactly what a built, empty TLB counts.
+TEST(TlbLazyTest, NeverFilledTlbCountsLikeAnEmptyOne) {
+  Tlb lazy;
+  Tlb built;
+  built.Insert(E(0x1000, 1, 0x10));
+  built.FlushAll(/*keep_globals=*/false);  // built, and empty again
+  built.ResetStats();
+  for (Tlb* tlb : {&lazy, &built}) {
+    EXPECT_FALSE(tlb->Lookup(1, 0x1000).has_value());
+    EXPECT_FALSE(tlb->InvlPg(1, 0x1000));
+    EXPECT_FALSE(tlb->InvPcidAddr(1, 0x1000));
+    tlb->DropTranslation(1, 0x1000);
+    tlb->FlushPcid(1);
+    tlb->FlushAll(/*keep_globals=*/true);
+    tlb->FlushAll(/*keep_globals=*/false);
+    EXPECT_FALSE(tlb->has_fractured());
+  }
+  const Tlb::Stats& a = lazy.stats();
+  const Tlb::Stats& b = built.stats();
+  EXPECT_EQ(a.lookups, 1u);
+  EXPECT_EQ(a.misses, 1u);
+  EXPECT_EQ(a.selective_flushes, 2u);
+  EXPECT_EQ(a.full_flushes, 3u);
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.selective_flushes, b.selective_flushes);
+  EXPECT_EQ(a.full_flushes, b.full_flushes);
+  EXPECT_EQ(a.fracture_forced_full, b.fracture_forced_full);
+  EXPECT_EQ(a.fastpath_hits, b.fastpath_hits);
+  EXPECT_EQ(lazy.Occupancy(), 0u);
+  EXPECT_TRUE(lazy.Entries().empty());
+  EXPECT_FALSE(lazy.Probe(1, 0x1000).has_value());
+}
+
+// Flushes before the first Insert leave no mark that could kill a later
+// entry: the entry inserted afterwards is live.
+TEST(TlbLazyTest, EntryInsertedAfterEarlyFlushesIsLive) {
+  Tlb tlb;
+  tlb.FlushPcid(7);
+  tlb.FlushAll(/*keep_globals=*/true);
+  tlb.FlushAll(/*keep_globals=*/false);
+  tlb.Insert(E(0x5000, 7, 0x55));
+  tlb.Insert(E(0x6000, 8, 0x66, /*global=*/true));
+  EXPECT_EQ(tlb.Occupancy(), 2u);
+  ASSERT_TRUE(tlb.Lookup(7, 0x5000).has_value());
+  EXPECT_EQ(tlb.Lookup(7, 0x5000)->pfn, 0x55u);
+  EXPECT_TRUE(tlb.Lookup(9, 0x6000).has_value());
+  tlb.FlushPcid(7);  // and flushes still work once built
+  EXPECT_FALSE(tlb.Lookup(7, 0x5000).has_value());
+  EXPECT_EQ(tlb.Occupancy(), 1u);
+}
+
 }  // namespace
 }  // namespace tlbsim
