@@ -78,7 +78,7 @@ LayoutResult RunLayout(bool consolidated) {
   const NamedLine lines[] = {
       {"responder cpu_tlbstate (lazy flag in split layout)", resp_pc.tlbstate_line},
       {"responder call-single-queue head", resp_pc.csq_line},
-      {"CFD initiator->responder", init_pc.cfd_for_target[30]->line},
+      {"CFD initiator->responder", init_pc.cfd(30).line},
       {"initiator stack flush_tlb_info", init_pc.stack_info_line},
       {"mm->context.tlb_gen", p->mm->gen_line},
   };

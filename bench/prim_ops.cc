@@ -59,8 +59,8 @@ BENCHMARK(BM_PageWalk);
 void BM_FrameAllocChurn(benchmark::State& state) {
   // Steady-state alloc/free churn with a deep free list. The old allocator
   // scanned the free list linearly per Alloc (O(n) with n = live free
-  // entries); the bucketed index makes the scan O(log n). The range arg is
-  // the standing free-list depth.
+  // entries); the per-(node, size) bitset index finds the lowest matching
+  // entry without a scan. The range arg is the standing free-list depth.
   FrameAllocator fa;
   std::vector<uint64_t> standing;
   const int depth = static_cast<int>(state.range(0));

@@ -25,34 +25,20 @@ CoherenceModel::CoherenceModel(const Topology& topo, const CacheCosts& costs)
 }
 
 LineId CoherenceModel::AllocateLine(std::string name) {
-  LineId id = next_named_++;
-  NameRec rec;
-  rec.custom = std::move(name);
-  named_.push_back(std::move(rec));
-  return id;
+  named_.push_back(NameRec{nullptr, custom_names_.size(), nullptr, 0, nullptr});
+  custom_names_.push_back(std::move(name));
+  return next_named_++;
 }
 
 LineId CoherenceModel::AllocateLine(const char* prefix, uint64_t index, const char* suffix) {
-  LineId id = next_named_++;
-  NameRec rec;
-  rec.prefix = prefix;
-  rec.index = index;
-  rec.mid = suffix;
-  named_.push_back(std::move(rec));
-  return id;
+  named_.push_back(NameRec{prefix, index, suffix, 0, nullptr});
+  return next_named_++;
 }
 
 LineId CoherenceModel::AllocateLine(const char* prefix, uint64_t index, const char* mid,
                                     uint64_t index2, const char* suffix) {
-  LineId id = next_named_++;
-  NameRec rec;
-  rec.prefix = prefix;
-  rec.index = index;
-  rec.mid = mid;
-  rec.index2 = index2;
-  rec.suffix = suffix;
-  named_.push_back(std::move(rec));
-  return id;
+  named_.push_back(NameRec{prefix, index, mid, index2, suffix});
+  return next_named_++;
 }
 
 CoherenceModel::Entry& CoherenceModel::EntryIn(Bank& bank, LineId line) {
@@ -298,7 +284,7 @@ std::string CoherenceModel::NameOf(LineId line) const {
   }
   const NameRec& rec = named_[static_cast<size_t>(line - 1)];
   if (rec.prefix == nullptr) {
-    return rec.custom;
+    return custom_names_[static_cast<size_t>(rec.index)];
   }
   std::string name = rec.prefix;
   name += std::to_string(rec.index);

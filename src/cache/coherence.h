@@ -23,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -149,16 +150,18 @@ class CoherenceModel {
     GlobalStats stats;
   };
 
-  // Deferred name of one named line (see the AllocateLine overloads). Either
-  // `custom` is set, or the name is prefix + index + mid [+ index2 + suffix].
+  // Deferred name of one named line (see the AllocateLine overloads):
+  // prefix + index + mid [+ index2 + suffix], or, with a null prefix, the
+  // string custom_names_[index]. Trivially copyable, so allocating a line
+  // never constructs or moves a std::string.
   struct NameRec {
     const char* prefix = nullptr;
     uint64_t index = 0;
     const char* mid = nullptr;
     uint64_t index2 = 0;
     const char* suffix = nullptr;
-    std::string custom;
   };
+  static_assert(std::is_trivially_copyable_v<NameRec>);
 
   // Per-cpu neighbourhoods, `cpu` itself included in both.
   struct CpuMasks {
@@ -194,6 +197,7 @@ class CoherenceModel {
   std::vector<Bank> banks_{1};  // tlblint: banked(socket) single legacy directory until ConfigureBanks
   int cpus_per_bank_ = 1 << 30;
   std::vector<NameRec> named_;  // indexed by LineId - 1 (named ids are dense)
+  std::vector<std::string> custom_names_;  // AllocateLine(std::string) names
   LineId next_named_ = 1;
 };
 

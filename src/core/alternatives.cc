@@ -106,7 +106,7 @@ Co<void> FreeBsdShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t 
 
   PerCpu& my = kernel_->percpu(cpu.id());
   for (int t : targets) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
+    Cfd& cfd = my.cfd(t);
     cfd.done.Clear();
     cfd.work.clear();
     cfd.work.push_back(info);
@@ -120,7 +120,7 @@ Co<void> FreeBsdShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t 
   kernel_->machine().apic().SendIpi(cpu, targets, kCallFunctionVector);
 
   for (int t : targets) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
+    Cfd& cfd = my.cfd(t);
     while (true) {
       cpu.AccessLine(cfd.line, AccessType::kRead);
       if (cfd.done.is_set() && cfd.done.set_time() <= cpu.now()) {

@@ -104,14 +104,14 @@ void ShootdownEngine::ComputeTargets(SimCpu& cpu, MmStruct& mm, bool freed_table
 bool ShootdownEngine::AckVisible(SimCpu& cpu, std::span<const int> targets) {
   PerCpu& my = kernel_->percpu(cpu.id());
   for (int t : targets) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
+    Cfd& cfd = my.cfd(t);
     if (cfd.done.is_set() && cfd.done.set_time() <= cpu.now()) {
       return true;
     }
   }
   // The poll itself touches the first outstanding CFD line.
   if (!targets.empty()) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(targets.front())];
+    Cfd& cfd = my.cfd(targets.front());
     cpu.AccessLine(cfd.line, AccessType::kRead);
   }
   return false;
@@ -259,7 +259,7 @@ Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, FlushBatch info
     cpu.AdvanceInline(costs.stack_info_tlb_penalty);
   }
   for (int t : targets) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
+    Cfd& cfd = my.cfd(t);
     assert(!cfd.in_flight && "CFD reused while in flight");
     cfd.done.Clear();
     cfd.work = infos;
@@ -285,7 +285,7 @@ Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, FlushBatch info
   // Spin for every responder's acknowledgement.
   cpu.TracePhase("initiator: wait for acks");
   for (int t : targets) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
+    Cfd& cfd = my.cfd(t);
     while (!inject_.skip_ack_wait) {
       cpu.AccessLine(cfd.line, AccessType::kRead);
       if (cfd.done.is_set() && cfd.done.set_time() <= cpu.now()) {

@@ -14,6 +14,7 @@
 #ifndef TLBSIM_SRC_KERNEL_PERCPU_H_
 #define TLBSIM_SRC_KERNEL_PERCPU_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -81,7 +82,8 @@ struct DeferredUserFlush {
 };
 
 struct PerCpu {
-  PerCpu(Engine* engine, CoherenceModel* coherence, int cpu, int num_cpus) {
+  PerCpu(Engine* engine, CoherenceModel* coherence, int cpu, int num_cpus)
+      : cfds_(static_cast<size_t>(num_cpus)), engine_(engine) {
     // Allocation-free naming (names materialize only if NameOf is called):
     // PerCpu construction runs once per CPU per simulated System, thousands
     // of times across a bench sweep.
@@ -89,15 +91,32 @@ struct PerCpu {
     tlbstate_line = coherence->AllocateLine("cpu", c, ".tlbstate");
     csq_line = coherence->AllocateLine("cpu", c, ".call_single_queue");
     stack_info_line = coherence->AllocateLine("cpu", c, ".stack_flush_info");
-    cfd_for_target.reserve(static_cast<size_t>(num_cpus));
+    // Every CFD's line id is allocated here, in target order, so line ids do
+    // not depend on which pairs a run shoots down; the Cfd objects are built
+    // on first use (cfd()).
     for (int t = 0; t < num_cpus; ++t) {
-      auto cfd = std::make_unique<Cfd>(engine);
-      cfd->line = coherence->AllocateLine("cpu", c, ".cfd[", static_cast<uint64_t>(t), "]");
-      cfd_for_target.push_back(std::move(cfd));
+      LineId line = coherence->AllocateLine("cpu", c, ".cfd[", static_cast<uint64_t>(t), "]");
+      if (t == 0) {
+        first_cfd_line_ = line;
+      }
+      assert(line == first_cfd_line_ + static_cast<LineId>(t) && "named line ids are dense");
     }
   }
   PerCpu(const PerCpu&) = delete;
   PerCpu& operator=(const PerCpu&) = delete;
+
+  // This CPU's call-function data for target `t`, built the first time an
+  // initiator here targets `t`. The only way to reach a Cfd.
+  Cfd& cfd(int t) {
+    std::unique_ptr<Cfd>& slot = cfds_[static_cast<size_t>(t)];
+    if (!slot) {
+      slot = std::make_unique<Cfd>(engine_);
+      slot->line = first_cfd_line_ + static_cast<LineId>(t);
+    }
+    return *slot;
+  }
+  // Whether cfd(t) was ever called (tests).
+  bool cfd_built(int t) const { return cfds_[static_cast<size_t>(t)] != nullptr; }
 
   // --- cpu_tlbstate ---
   MmStruct* loaded_mm = nullptr;
@@ -132,12 +151,16 @@ struct PerCpu {
   std::vector<Cfd*> csq;
   // Initiator-owned flush info used by the split layout ("on the stack").
   FlushTlbInfo stack_info;
-  std::vector<std::unique_ptr<Cfd>> cfd_for_target;
 
   // --- cachelines ---
   LineId tlbstate_line;
   LineId csq_line;
   LineId stack_info_line;
+
+ private:
+  std::vector<std::unique_ptr<Cfd>> cfds_;  // by target; null until first use
+  Engine* engine_;
+  LineId first_cfd_line_ = 0;  // target t's CFD line is first_cfd_line_ + t
 };
 
 }  // namespace tlbsim

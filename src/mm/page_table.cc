@@ -161,11 +161,12 @@ bool PageTable::PruneNode(Node& node, int level, uint64_t base, uint64_t lo, uin
                           uint64_t* node_count) {
   bool freed = false;
   uint64_t span = SpanAt(level);
-  for (uint64_t i = 0; i < kPtEntries; ++i) {
-    uint64_t va = base + i * span;
-    if (va >= hi || va + span <= lo || !node.children[i]) {
+  auto [first, last] = Overlapping(level, base, lo, hi);
+  for (uint64_t i = first; i < last; ++i) {
+    if (!node.children[i]) {
       continue;
     }
+    uint64_t va = base + i * span;
     Node& child = *node.children[i];
     if (level > 1) {
       freed |= PruneNode(child, level - 1, va, lo, hi, node_count);

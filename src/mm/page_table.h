@@ -168,17 +168,26 @@ class PageTable {
     return 1ULL << (kPageShift + kPtIndexBits * level);
   }
 
+  // Entries [first, last) of a table at `level` covering va [base, base +
+  // 512 spans) that overlap [lo, hi).
+  struct EntryRange {
+    uint64_t first;
+    uint64_t last;
+  };
+  static EntryRange Overlapping(int level, uint64_t base, uint64_t lo, uint64_t hi) {
+    uint64_t span = SpanAt(level);
+    uint64_t first = lo > base ? (lo - base) / span : 0;
+    uint64_t last = hi > base ? (hi - base - 1) / span + 1 : 0;
+    return {first, last < kPtEntries ? last : kPtEntries};
+  }
+
   // Recursive descent over `node` (covering va [base, base + 512 spans) at
   // `level`), limited to the entries that overlap [lo, hi).
   template <typename Fn>
   static void VisitPresent(const Node& node, int level, uint64_t base, uint64_t lo, uint64_t hi,
                            Fn& fn) {
     uint64_t span = SpanAt(level);
-    uint64_t first = lo > base ? (lo - base) / span : 0;
-    uint64_t last = hi > base ? (hi - base - 1) / span + 1 : 0;  // exclusive
-    if (last > kPtEntries) {
-      last = kPtEntries;
-    }
+    auto [first, last] = Overlapping(level, base, lo, hi);
     for (uint64_t i = first; i < last; ++i) {
       uint64_t va = base + i * span;
       const Pte& e = node.entries[i];

@@ -6,8 +6,6 @@
 
 namespace tlbsim {
 
-thread_local Engine::Queue* Engine::tls_queue_ = nullptr;
-
 Engine::Engine() {
   auto q = std::make_unique<Queue>();
   q->index = 0;

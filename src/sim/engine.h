@@ -417,7 +417,10 @@ class Engine {
   // The queue whose window is executing on this host thread (null outside
   // windows). Static: at most one engine runs a window on a given thread at
   // a time, and RunWindow saves/restores for safety.
-  static thread_local Queue* tls_queue_;
+  // constinit + inline: every translation unit sees the constant
+  // initializer and reads the slot directly, without the TLS wrapper call an
+  // out-of-line definition needs.
+  static constinit inline thread_local Queue* tls_queue_ = nullptr;
 };
 
 }  // namespace tlbsim

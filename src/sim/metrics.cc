@@ -4,19 +4,33 @@
 
 namespace tlbsim {
 
-double Histogram::Percentile(double p) const {
-  if (reservoir_.empty()) {
+namespace {
+
+// The p-th percentile of ascending `sorted` (0 when empty), interpolated
+// linearly between the two nearest ranks.
+double PercentileOfSorted(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) {
     return 0.0;
   }
-  // Copy-and-sort keeps Record()'s arrival order intact (decimation depends
-  // on it); the reservoir is at most kMaxSamples doubles.
-  std::vector<double> sorted(reservoir_);
-  std::sort(sorted.begin(), sorted.end());
   double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   auto lo = static_cast<size_t>(rank);
   size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+}  // namespace
+
+std::vector<double> Histogram::SortedReservoir() const {
+  // Copy-and-sort keeps Record()'s arrival order intact (decimation depends
+  // on it); the reservoir is at most kMaxSamples doubles.
+  std::vector<double> sorted(reservoir_);
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+double Histogram::Percentile(double p) const {
+  return PercentileOfSorted(SortedReservoir(), p);
 }
 
 Json Histogram::ToJson() const {
@@ -27,9 +41,11 @@ Json Histogram::ToJson() const {
   h["min"] = min();
   h["max"] = max();
   h["sum"] = sum();
-  h["p50"] = Percentile(50);
-  h["p90"] = Percentile(90);
-  h["p99"] = Percentile(99);
+  // One sort serves all three percentiles.
+  std::vector<double> sorted = SortedReservoir();
+  h["p50"] = PercentileOfSorted(sorted, 50);
+  h["p90"] = PercentileOfSorted(sorted, 90);
+  h["p99"] = PercentileOfSorted(sorted, 99);
   if (stride_ > 1) {
     // Percentiles above come from every stride-th observation; moments
     // (count/mean/stddev/min/max/sum) remain exact.

@@ -152,6 +152,8 @@ class Histogram {
   }
 
  private:
+  std::vector<double> SortedReservoir() const;
+
   RunningStat stat_;
   std::vector<double> reservoir_;  // arrivals = 0 (mod stride_), in order
   uint64_t arrivals_ = 0;

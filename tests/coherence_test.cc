@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -125,6 +126,32 @@ TEST_F(CoherenceTest, NamesRoundTrip) {
   LineId a = model_.AllocateLine("my.line");
   EXPECT_EQ(model_.NameOf(a), "my.line");
   EXPECT_EQ(model_.NameOf(CoherenceModel::LineOfAddress(0x1000)), "<data>");
+}
+
+// String names live out of line and composed names in pieces; thousands of
+// allocations in between (several growths of both tables) must not disturb
+// either kind.
+TEST_F(CoherenceTest, NamesSurviveThousandsOfAllocations) {
+  LineId first = model_.AllocateLine("first.string");
+  LineId composed = model_.AllocateLine("cpu", 7, ".tlbstate");
+  std::vector<LineId> strings;
+  std::vector<LineId> cfds;
+  for (uint64_t i = 0; i < 3000; ++i) {
+    cfds.push_back(model_.AllocateLine("cpu", i % 56, ".cfd[", i, "]"));
+    if (i % 100 == 0) {
+      strings.push_back(model_.AllocateLine("string." + std::to_string(i)));
+    }
+  }
+  LineId last = model_.AllocateLine("last.string");
+  EXPECT_EQ(model_.NameOf(first), "first.string");
+  EXPECT_EQ(model_.NameOf(composed), "cpu7.tlbstate");
+  EXPECT_EQ(model_.NameOf(last), "last.string");
+  EXPECT_EQ(last, first + 3000 + strings.size() + 2);
+  for (size_t k = 0; k < strings.size(); ++k) {
+    EXPECT_EQ(model_.NameOf(strings[k]), "string." + std::to_string(k * 100));
+  }
+  EXPECT_EQ(model_.NameOf(cfds[30]), "cpu30.cfd[30]");
+  EXPECT_EQ(model_.NameOf(cfds[2999]), "cpu31.cfd[2999]");
 }
 
 TEST_F(CoherenceTest, LineOfAddressGroups64Bytes) {

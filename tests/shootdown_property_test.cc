@@ -97,8 +97,8 @@ TEST_P(AllCombosTest, RandomizedWorkloadStaysCoherent) {
       EXPECT_EQ(pc.batched.size(), 0u) << "cpu" << c;
       EXPECT_EQ(pc.unfinished_flushes, 0) << "cpu" << c;
       EXPECT_TRUE(pc.csq.empty()) << "cpu" << c;
-      for (auto& cfd : pc.cfd_for_target) {
-        EXPECT_FALSE(cfd->in_flight) << "cpu" << c;
+      for (int t = 0; t < sys.machine().num_cpus(); ++t) {
+        EXPECT_FALSE(pc.cfd_built(t) && pc.cfd(t).in_flight) << "cpu" << c << " target " << t;
       }
     }
   }

@@ -56,6 +56,38 @@ TEST(ShootdownBasicTest, RemoteThreadGetsIpiAndFlushes) {
   EXPECT_TRUE(TlbCoherent(rig.sys, *rig.proc->mm));
 }
 
+// Every CFD line id is allocated when the System is built, in target order
+// after each CPU's three fixed lines, so cpu c's lines start at id
+// 1 + c * (3 + 56) whatever a run shoots down. A Cfd object is built only
+// for an (initiator, target) pair that was shot down.
+TEST(ShootdownBasicTest, CfdsBuiltOnlyForShotDownTargets) {
+  Rig rig(OptimizationSet::None());
+  Kernel& k = rig.sys.kernel();
+  const int cpus = rig.sys.machine().num_cpus();
+  ASSERT_EQ(cpus, 56);
+  EXPECT_EQ(k.percpu(0).tlbstate_line, 1u);
+  EXPECT_EQ(k.percpu(0).stack_info_line, 3u);
+  EXPECT_EQ(k.percpu(1).tlbstate_line, 60u);
+  for (int c = 0; c < cpus; ++c) {
+    for (int t = 0; t < cpus; ++t) {
+      ASSERT_FALSE(k.percpu(c).cfd_built(t)) << "cpu" << c << " target " << t;
+    }
+  }
+  rig.RunMadvise(4);
+  ASSERT_EQ(rig.sys.shootdown().stats().shootdowns, 1u);
+  for (int c = 0; c < cpus; ++c) {
+    for (int t = 0; t < cpus; ++t) {
+      EXPECT_EQ(k.percpu(c).cfd_built(t), c == 0 && t == 30) << "cpu" << c << " target " << t;
+    }
+  }
+  CoherenceModel& coh = rig.sys.machine().coherence();
+  EXPECT_EQ(k.percpu(0).cfd(30).line, 34u);
+  EXPECT_EQ(coh.NameOf(34), "cpu0.cfd[30]");
+  EXPECT_GT(coh.StatsFor(34).accesses, 0u);
+  EXPECT_EQ(k.percpu(55).cfd(55).line, 3304u);  // the last one
+  EXPECT_EQ(coh.NameOf(3304), "cpu55.cfd[55]");
+}
+
 TEST(ShootdownBasicTest, SingleThreadIsLocalOnly) {
   System sys(TestConfig(OptimizationSet::None()));
   auto* p = sys.kernel().CreateProcess();
