@@ -37,8 +37,7 @@ struct Cell {
   Json metrics;
 };
 
-Cell MeasureCell(bool pagecache, int threads, bool elision, int seeds, FlushBackendKind backend,
-                 int sim_threads) {
+Cell MeasureCell(bool pagecache, int threads, bool elision, int seeds, FlushBackendKind backend) {
   Cell cell;
   double sum = 0.0;
   for (int s = 0; s < seeds; ++s) {
@@ -48,7 +47,6 @@ Cell MeasureCell(bool pagecache, int threads, bool elision, int seeds, FlushBack
     cfg.opts.reuse_elision = elision;
     cfg.seed = kSeeds[s];
     cfg.backend = backend;
-    cfg.sim_threads = sim_threads;
     ChurnResult r = pagecache ? RunChurnPagecache(cfg) : RunChurnArena(cfg);
     sum += r.rounds_per_mcycle;
     cell.flush_requests = r.flush_requests;
@@ -90,9 +88,8 @@ int main(int argc, char** argv) {
     for (bool pagecache : {false, true}) {
       for (int threads : kThreadCounts) {
         for (bool elision : {false, true}) {
-          jobs.emplace_back([pagecache, threads, elision, seeds, backend, &report] {
-            return MeasureCell(pagecache, threads, elision, seeds, backend,
-                               report.sim_threads());
+          jobs.emplace_back([pagecache, threads, elision, seeds, backend] {
+            return MeasureCell(pagecache, threads, elision, seeds, backend);
           });
         }
       }

@@ -41,7 +41,7 @@ struct Cell {
 };
 
 Cell MeasureCell(bool pti, int threads, const OptimizationSet& opts, int seeds,
-                 FlushBackendKind backend, int sim_threads) {
+                 FlushBackendKind backend) {
   Cell cell;
   double sum = 0.0;
   for (int s = 0; s < seeds; ++s) {
@@ -51,7 +51,6 @@ Cell MeasureCell(bool pti, int threads, const OptimizationSet& opts, int seeds,
     cfg.opts = opts;
     cfg.seed = kSeeds[s];
     cfg.backend = backend;
-    cfg.sim_threads = sim_threads;
     SysbenchResult r = RunSysbench(cfg);
     sum += r.writes_per_mcycle;
     cell.metrics = std::move(r.metrics);
@@ -86,13 +85,13 @@ int main(int argc, char** argv) {
       auto cols = Columns(pti);
       for (int threads : kThreadCounts) {
         OptimizationSet base = OptimizationSet::None();
-        jobs.emplace_back([pti, threads, base, seeds, backend, &report] {
-          return MeasureCell(pti, threads, base, seeds, backend, report.sim_threads());
+        jobs.emplace_back([pti, threads, base, seeds, backend] {
+          return MeasureCell(pti, threads, base, seeds, backend);
         });
         for (auto& [name, opts] : cols) {
           OptimizationSet o = opts;
-          jobs.emplace_back([pti, threads, o, seeds, backend, &report] {
-            return MeasureCell(pti, threads, o, seeds, backend, report.sim_threads());
+          jobs.emplace_back([pti, threads, o, seeds, backend] {
+            return MeasureCell(pti, threads, o, seeds, backend);
           });
         }
       }

@@ -33,15 +33,13 @@ struct Cell {
   Json metrics;
 };
 
-Cell MeasureCell(bool pti, int cores, const OptimizationSet& opts, FlushBackendKind backend,
-                 int sim_threads) {
+Cell MeasureCell(bool pti, int cores, const OptimizationSet& opts, FlushBackendKind backend) {
   ApacheConfig cfg;
   cfg.pti = pti;
   cfg.server_cores = cores;
   cfg.opts = opts;
   cfg.seed = 11;
   cfg.backend = backend;
-  cfg.sim_threads = sim_threads;
   ApacheResult r = RunApache(cfg);
   return Cell{r.requests_per_mcycle, std::move(r.metrics)};
 }
@@ -71,13 +69,13 @@ int main(int argc, char** argv) {
       auto cols = Columns(pti);
       for (int cores = 1; cores <= 11; ++cores) {
         OptimizationSet base = OptimizationSet::None();
-        jobs.emplace_back([pti, cores, base, backend, &report] {
-          return MeasureCell(pti, cores, base, backend, report.sim_threads());
+        jobs.emplace_back([pti, cores, base, backend] {
+          return MeasureCell(pti, cores, base, backend);
         });
         for (auto& [name, opts] : cols) {
           OptimizationSet o = opts;
-          jobs.emplace_back([pti, cores, o, backend, &report] {
-            return MeasureCell(pti, cores, o, backend, report.sim_threads());
+          jobs.emplace_back([pti, cores, o, backend] {
+            return MeasureCell(pti, cores, o, backend);
           });
         }
       }

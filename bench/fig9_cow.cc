@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
           cfg.rounds = 4;
           cfg.seed = 40 + static_cast<uint64_t>(run);
           cfg.backend = backend;
-          cfg.sim_threads = report.sim_threads();
           jobs.emplace_back([cfg] { return RunCowMicrobench(cfg); });
         }
       }

@@ -1,5 +1,6 @@
 #include "bench/report.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,9 +26,16 @@ std::string ResolvePath(std::string_view raw, std::string_view bench) {
   return p.string();
 }
 
-}  // namespace
-
-namespace {
+// Prints `problem` and the usage line, then exits 2. A mistyped or unknown
+// flag must not silently run a different experiment than the one asked for.
+[[noreturn]] void UsageError(const std::string& bench, const std::string& problem) {
+  std::fprintf(stderr,
+               "%s: %s\n"
+               "usage: %s [--backend {ipi,queue,both}] [--json PATH] [--threads N]"
+               " [--quick] [--check]\n",
+               bench.c_str(), problem.c_str(), bench.c_str());
+  std::exit(2);
+}
 
 // `--backend` is the protocol axis; a typo here silently benchmarking the
 // wrong protocol would poison a whole sweep, so bad values are fatal.
@@ -39,25 +47,18 @@ std::vector<FlushBackendKind> ParseBackends(const std::string& raw, const std::s
   if (ParseFlushBackend(raw, &kind)) {
     return {kind};
   }
-  std::fprintf(stderr,
-               "%s: unknown --backend value '%s'\n"
-               "usage: %s [--backend {ipi,queue,both}] [--json PATH] [--threads N]"
-               " [--sim-threads N] [--quick] [--check]\n",
-               bench.c_str(), raw.c_str(), bench.c_str());
-  std::exit(2);
+  UsageError(bench, "unknown --backend value '" + raw + "'");
 }
 
-int ParseThreads(std::string_view raw) {
+// A positive decimal integer no larger than 4096.
+int ParseThreads(const std::string& raw, const std::string& bench) {
   int v = 0;
-  for (char c : raw) {
-    if (c < '0' || c > '9' || v > 4096) {
-      std::fprintf(stderr, "BenchReport: bad --threads value '%.*s'; using 1\n",
-                   static_cast<int>(raw.size()), raw.data());
-      return 1;
-    }
-    v = v * 10 + (c - '0');
+  const char* end = raw.data() + raw.size();
+  auto [ptr, ec] = std::from_chars(raw.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < 1 || v > 4096) {
+    UsageError(bench, "bad --threads value '" + raw + "'");
   }
-  return v < 1 ? 1 : v;
+  return v;
 }
 
 }  // namespace
@@ -65,36 +66,35 @@ int ParseThreads(std::string_view raw) {
 BenchReport::BenchReport(const char* name, int argc, char** argv)
     : name_(name), threads_(ThreadPool::DefaultThreadCount()) {
   for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--json" && i + 1 < argc) {
-      path_ = ResolvePath(argv[i + 1], name_);
-      ++i;
-    } else if (arg == "--json") {
-      std::fprintf(stderr, "BenchReport: --json needs a path; no report will be written\n");
-    } else if (arg.rfind("--json=", 0) == 0) {
-      path_ = ResolvePath(arg.substr(7), name_);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads_ = ParseThreads(argv[i + 1]);
-      ++i;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads_ = ParseThreads(arg.substr(10));
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      sim_threads_ = ParseThreads(argv[i + 1]);
-      ++i;
-    } else if (arg.rfind("--sim-threads=", 0) == 0) {
-      sim_threads_ = ParseThreads(arg.substr(14));
-    } else if (arg == "--quick") {
+    std::string arg(argv[i]);
+    if (arg == "--quick") {
       quick_ = true;
-    } else if (arg == "--check") {
+      continue;
+    }
+    if (arg == "--check") {
       check_ = true;
-    } else if (arg == "--backend" && i + 1 < argc) {
-      backends_ = ParseBackends(argv[i + 1], name_);
-      ++i;
-    } else if (arg == "--backend") {
-      std::fprintf(stderr, "%s: --backend needs a value\n", name_.c_str());
-      backends_ = ParseBackends("", name_);  // prints usage and exits
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      backends_ = ParseBackends(std::string(arg.substr(10)), name_);
+      continue;
+    }
+    // Valued flags, as `--flag VALUE` or `--flag=VALUE`.
+    std::string flag = arg.substr(0, arg.find('='));
+    if (flag != "--json" && flag != "--threads" && flag != "--backend") {
+      UsageError(name_, "unknown argument '" + arg + "'");
+    }
+    std::string value;
+    if (flag.size() < arg.size()) {
+      value = arg.substr(flag.size() + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (value.empty()) {
+      UsageError(name_, flag + " needs a value");
+    }
+    if (flag == "--json") {
+      path_ = ResolvePath(value, name_);
+    } else if (flag == "--threads") {
+      threads_ = ParseThreads(value, name_);
+    } else {
+      backends_ = ParseBackends(value, name_);
     }
   }
   if (backends_.empty()) {
@@ -125,16 +125,6 @@ void BenchReport::Snapshot(System& system, const char* key) {
 void BenchReport::Set(const char* key, Json value) { root_[key] = std::move(value); }
 
 int BenchReport::Finish(int rc) {
-  if (sim_threads_ > 1) {
-    // Host-execution knob, not a simulation quantity: recorded only under
-    // the stripped "host" section (and only when non-default) so the
-    // deterministic document stays byte-identical at every --sim-threads.
-    Json& host = root_["host"];
-    if (host.type() != Json::Type::kObject) {
-      host = Json::Object();
-    }
-    host["sim_threads"] = sim_threads_;
-  }
   if (check_) {
     root_["tlbcheck"] = GlobalTlbCheckReport();
     uint64_t violations = GlobalTlbCheckViolationCount();

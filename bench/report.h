@@ -47,9 +47,10 @@ namespace tlbsim {
 
 class BenchReport {
  public:
-  // `name` is the bench target name (e.g. "fig5_safe_1pte"); argv is scanned
-  // for --json, --threads and --quick. Unrecognized arguments are ignored so
-  // targets stay usable under wrappers that append their own flags.
+  // `name` is the bench target name (e.g. "fig5_safe_1pte"); argv is parsed
+  // for --json, --threads, --backend, --quick and --check. An unknown
+  // argument, a flag missing its value or a malformed value prints the usage
+  // line and exits 2.
   BenchReport(const char* name, int argc, char** argv);
 
   // True when --json was requested (callers may skip expensive collection).
@@ -78,20 +79,13 @@ class BenchReport {
   // fast local iteration.
   bool quick() const { return quick_; }
 
-  // Event-engine shards to run on host threads, via --sim-threads N (default
-  // 1: the serial engine). Benches feed this into MachineConfig::sim_threads.
-  // The simulated timeline is bit-identical at any value — the flag only
-  // changes host execution — so 1 and N>1 runs emit identical deterministic
-  // sections; Finish() records values > 1 under the stripped "host" key.
-  int sim_threads() const { return sim_threads_; }
-
   // True when --check was passed (tlbcheck enabled for every System).
   bool check() const { return check_; }
 
   // The flush backends this invocation sweeps, in run order. Default is
   // {ipi, queue} (every figure carries both protocols side by side);
   // `--backend ipi|queue` narrows to one, `--backend both` is the explicit
-  // default. A bad value prints usage to stderr and exits nonzero.
+  // default. A bad value prints usage to stderr and exits 2.
   const std::vector<FlushBackendKind>& backends() const { return backends_; }
 
   // True when this run is the paper's IPI protocol alone (`--backend ipi`).
@@ -115,7 +109,6 @@ class BenchReport {
   std::string name_;
   std::string path_;  // empty: reporting disabled
   int threads_;
-  int sim_threads_ = 1;
   bool quick_ = false;
   bool check_ = false;
   std::vector<FlushBackendKind> backends_;

@@ -1,32 +1,16 @@
-// Big-machine lab: the 8-socket / 224-cpu preset on the sharded event
-// engine.
+// Big-machine lab: the 8-socket / 224-cpu preset on the serial engine.
 //
-// Runs the same scenario twice — once on the serial engine (sim_threads=1)
-// and once with per-socket event-heap shards on 8 host threads — and checks
-// the simulated outcome is identical. The scenario mixes the two timeline
-// classes the engine distinguishes:
+// One initiator on socket 0 madvises 8 pages of a process that also runs on
+// one cpu of every other socket, so a single shootdown reaches all 7 remote
+// sockets. Background "traffic" events on every cpu overlap the shootdown.
+// The scenario runs twice and the two runs must replay identically
+// (madvise cycles, IPIs, traffic events, events processed, end time).
 //
-//   - the shootdown protocol (kernel + APIC + coherence) runs on the serial
-//     timeline, exactly as on the 2-socket paper testbed;
-//   - per-cpu background "traffic" events ride the per-socket shards via
-//     ScheduleOnCpu and execute concurrently inside conservative-lookahead
-//     windows.
-//
-// Part two runs the sharded-protocol storm (MachineConfig::shard_protocol):
-// the ENTIRE shootdown protocol — cpumask scan, IPI delivery, remote flush,
-// ack, coherence — banked per socket and executed inside the shard windows,
-// socket-confined by construction. The sharded run must replay the serial
-// engine bit-exactly (checksum, end time, event count) with zero cross-shard
-// traffic. This is also the TSan storm CI drives at --sim-threads 8.
-//
-//   $ ./build/examples/big_machine [--sim-threads N]
+//   $ ./build/examples/big_machine
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "src/core/system.h"
-#include "src/workloads/protocol_storm.h"
 
 using namespace tlbsim;
 
@@ -57,28 +41,28 @@ struct RunResult {
   Cycles madvise_cycles = 0;
   uint64_t ipis_sent = 0;
   uint64_t traffic_events = 0;
-  Engine::ParallelStats par;
+  uint64_t events_processed = 0;
+  Cycles end_time = 0;
+
+  bool operator==(const RunResult&) const = default;
 };
 
-RunResult RunOnce(int sim_threads) {
+RunResult RunOnce() {
   SystemConfig cfg;
   cfg.machine.topo = Topology::EightSocket();
-  cfg.machine.sim_threads = sim_threads;
   cfg.kernel.pti = true;
   cfg.kernel.opts = OptimizationSet::AllGeneral();
   System sys(cfg);
   Machine& m = sys.machine();
   const Topology& topo = m.config().topo;
 
-  // Background traffic: 64 events per cpu, shard-confined (each touches only
-  // its own cpu's counter), spread over ~60k cycles so they overlap the
-  // shootdown. On the sharded engine these run inside parallel windows.
+  // Background traffic: 64 events per cpu, each touching only its own cpu's
+  // counter, spread over ~60k cycles so they overlap the shootdown.
   std::vector<uint64_t> traffic(static_cast<size_t>(topo.num_cpus()), 0);
   for (int cpu = 0; cpu < topo.num_cpus(); ++cpu) {
     for (int k = 0; k < 64; ++k) {
       uint64_t* slot = &traffic[static_cast<size_t>(cpu)];
-      m.engine().ScheduleOnCpu(cpu, 1 + static_cast<Cycles>(k) * 977,
-                               [slot] { ++*slot; });
+      m.engine().Schedule(1 + static_cast<Cycles>(k) * 977, [slot] { ++*slot; });
     }
   }
 
@@ -94,112 +78,49 @@ RunResult RunOnce(int sim_threads) {
   }
   Cycles madvise_cycles = 0;
   m.cpu(0).Spawn(Initiator(sys, *initiator, &stop, &madvise_cycles));
-  m.engine().Run();
 
   RunResult r;
+  r.end_time = m.engine().Run();
   r.madvise_cycles = madvise_cycles;
   r.ipis_sent = m.apic().stats().ipis_sent;
   for (uint64_t t : traffic) {
     r.traffic_events += t;
   }
-  r.par = m.engine().parallel_stats();
+  r.events_processed = m.engine().events_processed();
   return r;
+}
+
+void Print(const char* label, const RunResult& r) {
+  std::printf("%s: madvise %lld cycles, %llu IPIs, %llu traffic events, %llu events, end %lld\n",
+              label, static_cast<long long>(r.madvise_cycles),
+              static_cast<unsigned long long>(r.ipis_sent),
+              static_cast<unsigned long long>(r.traffic_events),
+              static_cast<unsigned long long>(r.events_processed),
+              static_cast<long long>(r.end_time));
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  int sim_threads = 8;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sim-threads") == 0 && i + 1 < argc) {
-      sim_threads = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr, "usage: big_machine [--sim-threads N]\n");
-      return 2;
-    }
+int main(int argc, char** /*argv*/) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: big_machine\n");
+    return 2;
   }
-  if (sim_threads < 1) {
-    sim_threads = 1;
-  }
-
   std::printf("big_machine: 8 sockets, 224 cpus, shootdown to 7 remote sockets\n\n");
 
-  RunResult serial = RunOnce(/*sim_threads=*/1);
-  RunResult sharded = RunOnce(/*sim_threads=*/8);
+  RunResult first = RunOnce();
+  RunResult replay = RunOnce();
+  Print("run    ", first);
+  Print("replay ", replay);
 
-  std::printf("serial engine   : madvise %lld cycles, %llu IPIs, %llu traffic events\n",
-              static_cast<long long>(serial.madvise_cycles),
-              static_cast<unsigned long long>(serial.ipis_sent),
-              static_cast<unsigned long long>(serial.traffic_events));
-  std::printf("8 event shards  : madvise %lld cycles, %llu IPIs, %llu traffic events\n",
-              static_cast<long long>(sharded.madvise_cycles),
-              static_cast<unsigned long long>(sharded.ipis_sent),
-              static_cast<unsigned long long>(sharded.traffic_events));
-  std::printf("                  %llu windows, %llu shard activations, "
-              "%llu events in parallel\n",
-              static_cast<unsigned long long>(sharded.par.windows),
-              static_cast<unsigned long long>(sharded.par.shard_windows),
-              static_cast<unsigned long long>(sharded.par.parallel_events));
-
-  // The whole point: host parallelism must be invisible to the simulation.
-  if (serial.madvise_cycles != sharded.madvise_cycles ||
-      serial.ipis_sent != sharded.ipis_sent ||
-      serial.traffic_events != sharded.traffic_events) {
-    std::printf("\nFAIL: sharded run diverged from the serial engine\n");
+  if (!(first == replay)) {
+    std::printf("\nFAIL: the replay diverged from the first run\n");
     return 1;
   }
-  if (sharded.par.windows == 0 || sharded.par.parallel_events == 0) {
-    std::printf("\nFAIL: sharded run never entered a parallel window\n");
+  if (first.ipis_sent == 0) {
+    std::printf("\nFAIL: the madvise sent no IPIs\n");
     return 1;
   }
-  std::printf("\nOK: identical simulation at 1 and 8 sim-threads\n");
-
-  // Part two: the sharded-protocol storm. Every socket runs a confined
-  // mprotect shootdown storm, and the protocol itself executes on the
-  // per-socket shards — banked cpumask, APIC, coherence directory, backend.
-  std::printf("\nsharded-protocol storm: all 224 cpus, mprotect round-trips, "
-              "%d host threads\n\n", sim_threads);
-  ProtocolStormConfig pcfg;
-  pcfg.topo = Topology::EightSocket();
-  pcfg.pages_per_cpu = 2;
-  pcfg.iterations = 4;
-  pcfg.seed = 42;
-
-  ProtocolStormConfig pserial = pcfg;
-  pserial.shard_protocol = false;
-  ProtocolStormResult rs = RunProtocolStorm(pserial);
-
-  ProtocolStormConfig psharded = pcfg;
-  psharded.sim_threads = sim_threads;
-  ProtocolStormResult rp = RunProtocolStorm(psharded);
-
-  std::printf("serial protocol : %llu shootdowns, checksum %016llx, end %lld\n",
-              static_cast<unsigned long long>(rs.shootdowns),
-              static_cast<unsigned long long>(rs.checksum),
-              static_cast<long long>(rs.end_time));
-  std::printf("8 proto shards  : %llu shootdowns, checksum %016llx, end %lld\n",
-              static_cast<unsigned long long>(rp.shootdowns),
-              static_cast<unsigned long long>(rp.checksum),
-              static_cast<long long>(rp.end_time));
-  std::printf("                  %llu shard windows, %llu events in parallel, "
-              "%llu cross-shard msgs\n",
-              static_cast<unsigned long long>(rp.par.shard_windows),
-              static_cast<unsigned long long>(rp.par.parallel_events),
-              static_cast<unsigned long long>(rp.par.cross_shard_messages));
-
-  if (rp.checksum != rs.checksum || rp.end_time != rs.end_time ||
-      rp.events_processed != rs.events_processed || rp.shootdowns != rs.shootdowns) {
-    std::printf("\nFAIL: sharded protocol diverged from the serial replay\n");
-    return 1;
-  }
-  if (rp.par.cross_shard_messages != 0 || rp.par.clamped_deliveries != 0) {
-    std::printf("\nFAIL: confined storm leaked across shards\n");
-    return 1;
-  }
-  if (rp.par.parallel_events == 0) {
-    std::printf("\nFAIL: protocol storm never entered a parallel window\n");
-    return 1;
-  }
-  std::printf("\nOK: the sharded protocol replays the serial timeline bit-exactly\n");
+  std::printf("\nOK: two runs replay identically\n");
   return 0;
 }

@@ -154,109 +154,6 @@ def check_histograms(path, node, where=""):
     return rc
 
 
-def check_sim_throughput(path, doc):
-    """Self-benchmark gate: the simulator must actually move, and the engine
-    hot path must be allocation-free in steady state (the whole point of the
-    slab-pooled event queue). Thresholds are deliberately loose on speed —
-    CI machines vary wildly — and exact on allocation counts, which don't.
-    """
-    rc = 0
-    virtual = doc.get("virtual", {})
-    wall = doc.get("wall", {})
-    if virtual.get("plain_events_processed", 0) <= 0:
-        rc |= fail(path, "virtual.plain_events_processed is not positive")
-    if virtual.get("storm_shootdowns", 0) <= 0:
-        rc |= fail(path, "virtual.storm_shootdowns is not positive")
-    if wall.get("events_per_sec", 0) <= 0:
-        rc |= fail(path, "wall.events_per_sec is not positive")
-    if wall.get("allocs_per_event_steady", 1) != 0:
-        rc |= fail(
-            path,
-            f'wall.allocs_per_event_steady is {wall.get("allocs_per_event_steady")!r},'
-            " expected exactly 0 (engine hot path regressed to allocating)",
-        )
-    if wall.get("allocs_per_coro_frame_steady", 1) != 0:
-        rc |= fail(
-            path,
-            f'wall.allocs_per_coro_frame_steady is {wall.get("allocs_per_coro_frame_steady")!r},'
-            " expected exactly 0 (coroutine frame pool regressed)",
-        )
-
-    # --sim-threads must not tax the serial protocol path: the same madvise
-    # storm under the sharded engine config (whose shard queues stay empty)
-    # must stay within noise of the serial engine. 1.5x is far above timer
-    # jitter on any CI machine yet catches an accidental hot-path branch.
-    ns1 = wall.get("ns_per_shootdown", 0)
-    ns2 = wall.get("ns_per_shootdown_sim_threads_2", 0)
-    if ns2 <= 0:
-        rc |= fail(path, "wall.ns_per_shootdown_sim_threads_2 is not positive")
-    elif ns1 > 0 and ns2 > ns1 * 1.5:
-        rc |= fail(
-            path,
-            f"--sim-threads 2 shootdown storm regressed: {ns2:.0f} ns vs {ns1:.0f} ns serial",
-        )
-
-    # Shard-scaling sweep: every shard count must replay the identical
-    # timeline (the conservative-lookahead determinism contract), cross-shard
-    # traffic must actually flow, and nothing may violate the lookahead
-    # contract (clamped deliveries would mean nondeterministic delivery).
-    rows = {row.get("shards"): row for row in doc.get("rows", [])}
-    for shards in (1, 2, 4, 8):
-        if shards not in rows:
-            rc |= fail(path, f"shard sweep row for {shards} shards missing")
-    if rc:
-        return rc
-    base = rows[1]
-    if base.get("events_processed", 0) <= 0:
-        rc |= fail(path, "shard sweep: serial baseline processed no events")
-    for shards, row in sorted(rows.items()):
-        if row.get("timeline_checksum") != base.get("timeline_checksum") or row.get(
-            "events_processed"
-        ) != base.get("events_processed"):
-            rc |= fail(path, f"shard sweep: {shards} shards diverged from the serial replay")
-        if row.get("clamped_deliveries", 0) != 0:
-            rc |= fail(path, f"shard sweep: {shards} shards clamped deliveries")
-        if shards > 1 and row.get("cross_shard_messages", 0) <= 0:
-            rc |= fail(path, f"shard sweep: {shards} shards sent no cross-shard messages")
-        if not 0 <= row.get("horizon_stall_fraction", -1) <= 1:
-            rc |= fail(path, f"shard sweep: {shards} shards bad horizon_stall_fraction")
-
-    sweep_wall = {p.get("shards"): p for p in wall.get("shard_sweep", [])}
-    serial = sweep_wall.get(1, {})
-    if serial.get("events_per_sec", 0) <= 0:
-        rc |= fail(path, "wall.shard_sweep serial point missing or idle")
-    # The storm run allocates only during setup (engine pool growth, lanes)
-    # and per cross-shard delivery (mailed-id registry); amortized it must
-    # stay far below one allocation per event.
-    if serial.get("allocs_per_event", 1) > 0.01:
-        rc |= fail(
-            path,
-            f'shard sweep: serial allocs/event {serial.get("allocs_per_event")!r} > 0.01',
-        )
-    # The scaling gate proper: >= 2x aggregate events/s at 8 shards. Only
-    # meaningful with real parallelism under the pool, so it is conditional
-    # on the host actually having cores to scale onto.
-    host_cores = wall.get("host_cores", 0)
-    speedup8 = sweep_wall.get(8, {}).get("speedup_vs_serial", 0)
-    if host_cores >= 4:
-        if speedup8 < 2.0:
-            rc |= fail(
-                path,
-                f"shard sweep: 8-shard speedup {speedup8:.2f}x < 2x on a {host_cores}-core host",
-            )
-    elif speedup8 <= 0:
-        rc |= fail(path, "shard sweep: 8-shard point missing")
-
-    if rc == 0:
-        print(
-            f"OK   {path}: status=pass, "
-            f'{wall.get("events_per_sec", 0) / 1e6:.1f}M events/s, '
-            "0 steady-state allocs/event, "
-            f"8-shard speedup {speedup8:.2f}x on {host_cores} cores"
-        )
-    return rc
-
-
 def check_churn_rows(path, doc):
     """Churn sweep gate: every (backend, workload, threads) cell's elision-on
     run must actually elide shootdowns and close records benignly, and the
@@ -336,9 +233,6 @@ def check(path):
         rc |= fail(path, f'status is {doc.get("status")!r}, expected "pass"')
     rc |= check_histograms(path, doc.get("metrics", {}).get("histograms", {}))
     rc |= check_histograms(path, doc.get("metrics_queue", {}).get("histograms", {}))
-
-    if name == "sim_throughput":
-        return rc | check_sim_throughput(path, doc)
 
     # Which backends did this invocation run? An ipi-only run carries no
     # backend markers at all (byte-compatibility with pre-axis reports), so

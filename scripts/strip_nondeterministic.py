@@ -2,11 +2,10 @@
 """Strip the host-dependent sections from a BENCH_*.json report.
 
 Every bench report is deterministic — same binary, same flags, same bytes —
-except for two top-level carve-outs:
+except for one top-level carve-out:
 
   "host"  sweep-executor wall time / realized parallel speedup
           (bench/report.h SetHost, src/exec/sweep.h HostJson)
-  "wall"  sim_throughput's host wall-clock measurements
 
 CI's determinism gates run a bench twice (or at --threads 1 vs --threads N),
 strip both files with this script, and `cmp` the results. Canonical output
@@ -27,7 +26,6 @@ def main(argv):
     with open(argv[1]) as f:
         doc = json.load(f)
     doc.pop("host", None)
-    doc.pop("wall", None)
     with open(argv[2], "w") as f:
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
         f.write("\n")

@@ -1,19 +1,8 @@
 #!/usr/bin/env python3
-"""tlblint: static concurrency & determinism linter for the tlbsim tree.
+"""tlblint: static layering & determinism linter for the tlbsim tree.
 
-Four rule classes, each aimed at an invariant the parallel core depends on
-but the C++ type system cannot state:
-
-  banked        Shard-affinity. Members annotated `// tlblint: banked(socket)`
-                hold per-socket protocol state (coherence banks, apic banks,
-                queue-backend ticket banks, SocketMask words). They may be
-                referenced only inside functions annotated
-                `// tlblint: shard-local` (runs inside the owning shard's
-                engine window) or `// tlblint: setup` (single-threaded
-                configure/aggregate context: construction, ConfigureBanks,
-                Snapshot between runs). Anything else is a latent cross-shard
-                race that no mutex will ever flag, because the ownership
-                discipline is the engine's window barrier, not a lock.
+Three rule classes, each aimed at an invariant the C++ type system cannot
+state:
 
   layering      Include-direction DAG over src/ subdirectories. The checker
                 (src/check) is observational: nothing outside it may include
@@ -23,28 +12,28 @@ but the C++ type system cannot state:
                 src/core/optimizations.h) is pinned in LAYERING_WHITELIST as
                 a file pair so it cannot silently widen into kernel -> core.
 
-  determinism   Host-nondeterminism gate (supersedes
-                scripts/check_determinism_lint.py, same suppression syntax).
-                Flags host clocks outside sanctioned hosts-side-timing code,
-                host randomness, range-for over unordered containers, and
+  determinism   Host-nondeterminism gate. Flags host clocks outside
+                sanctioned host-side-timing code, host randomness, range-for
+                over unordered containers, and
                 pointer-keyed ordered containers (std::map/set<T*>: iteration
                 order follows allocation addresses). Suppress a provably
                 order-independent loop with `// det-ok: <why>` on the line.
 
   no-ts-optout  The clang thread-safety escape hatch NO_THREAD_SAFETY_ANALYSIS
-                must not appear in src/exec, src/sim or src/core: the
-                annotated concurrency core documents barrier-transferred
-                ownership with AssertHeld() + a justification comment instead
-                of opting out of the analysis.
+                must not appear in src/exec, src/sim or src/core: annotated
+                code documents ownership the analysis cannot see with
+                AssertHeld() + a justification comment instead of opting out
+                of the analysis.
 
 Per-line suppression for any rule: `// tlblint: allow(<rule>) <reason>`.
 
+With --strict, every `// tlblint: ...` comment must also be a recognized
+directive (directive hygiene).
+
 Engine: a deliberately dependency-free syntactic analysis (Python stdlib
-only — CI runners and dev containers need no libclang/bindings). The banked
-rule uses a brace-tracking scope scanner, not a bare grep: a reference is
-blessed by an annotation on any enclosing scope, so lambdas and nested
-blocks inherit their function's affinity. An AST engine can slot in behind
-the same Finding interface if clang Python bindings ever become a baseline.
+only — CI runners and dev containers need no libclang/bindings). An AST
+engine can slot in behind the same Finding interface if clang Python
+bindings ever become a baseline.
 
 Usage: tlblint.py [--root DIR] [--strict] [--json PATH] [--rules r1,r2,...]
 Exit 0: clean. 1: findings. 2: usage/internal error.
@@ -73,7 +62,7 @@ ALLOWED_DEPS = {
     "sim": {"base"},
     "cache": {"sim"},
     "exec": {"base", "sim"},
-    "hw": {"cache", "exec", "mm", "sim"},
+    "hw": {"cache", "mm", "sim"},
     "virt": {"hw", "mm"},
     "kernel": {"cache", "hw", "mm", "sim"},
     "core": {"hw", "kernel", "sim"},
@@ -88,9 +77,9 @@ LAYERING_WHITELIST = {
 
 # --- determinism ------------------------------------------------------------
 # Paths (dir/ prefixes or exact files) where host clocks are by design:
-# host-side speedup measurement and wall-clock self-benchmarks. src/base is
+# host-side speedup measurement. src/base is
 # the annotated Mutex/CondVar layer (chrono durations for bounded waits).
-CLOCK_ALLOWED = ("src/exec/", "src/base/", "bench/report.cc", "bench/sim_throughput.cc")
+CLOCK_ALLOWED = ("src/exec/", "src/base/", "bench/report.cc")
 
 DET_SUPPRESS = "det-ok:"
 CLOCK_RE = re.compile(
@@ -105,15 +94,11 @@ RANGE_FOR_RE = re.compile(r"\bfor\s*\(.*?:\s*(?:\w+(?:\.|->))*(\w+)\s*\)")
 PTRKEY_RE = re.compile(r"\b(?:std::)?(?:map|set|multimap|multiset)\s*<\s*(?:const\s+)?[\w:]+\s*\*")
 
 # --- annotations ------------------------------------------------------------
-BANKED_MARK_RE = re.compile(r"//\s*tlblint:\s*banked\(socket\)")
-AFFINITY_MARK_RE = re.compile(r"//\s*tlblint:\s*(shard-local|setup)\b")
-ALLOW_RE = re.compile(r"//\s*tlblint:\s*allow\(([\w-]+)\)")
 TLBLINT_COMMENT_RE = re.compile(r"//\s*tlblint:\s*(\S+)")
-KNOWN_DIRECTIVES_RE = re.compile(r"^(?:banked\(socket\)|shard-local|setup|allow\([\w-]+\))")
-BANKED_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*(?:=[^;]*|\{[^;]*\})?\s*;")
+KNOWN_DIRECTIVES_RE = re.compile(r"^allow\([\w-]+\)")
 NO_TS_OPTOUT_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 
-RULES = ("banked", "layering", "determinism", "no-ts-optout")
+RULES = ("layering", "determinism", "no-ts-optout")
 
 
 class Finding:
@@ -147,144 +132,6 @@ def walk(root, subdirs):
 def read_lines(path):
     with open(path, encoding="utf-8") as f:
         return f.readlines()
-
-
-def strip_strings(code):
-    # Blank out string and char literal contents (keeps column positions).
-    out = []
-    i, n = 0, len(code)
-    while i < n:
-        c = code[i]
-        if c in "\"'":
-            quote = c
-            out.append(c)
-            i += 1
-            while i < n and code[i] != quote:
-                out.append(" " if code[i] != "\\" else " ")
-                i += 2 if code[i] == "\\" else 1
-            if i < n:
-                out.append(quote)
-                i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-class LineSplitter:
-    """Splits physical lines into (code, comment) across // and block comments."""
-
-    def __init__(self):
-        self.in_block = False
-
-    def split(self, line):
-        code, comment = [], []
-        i, n = 0, len(line)
-        while i < n:
-            if self.in_block:
-                end = line.find("*/", i)
-                if end < 0:
-                    comment.append(line[i:])
-                    i = n
-                else:
-                    comment.append(line[i:end])
-                    self.in_block = False
-                    i = end + 2
-                continue
-            two = line[i:i + 2]
-            if two == "//":
-                comment.append(line[i + 2:])
-                i = n
-            elif two == "/*":
-                self.in_block = True
-                i += 2
-            elif line[i] in "\"'":
-                # skip literal so comment markers inside strings don't trigger
-                quote = line[i]
-                code.append(line[i])
-                i += 1
-                while i < n and line[i] != quote:
-                    code.append(line[i])
-                    i += 2 if line[i] == "\\" else 1
-                if i < n:
-                    code.append(line[i])
-                    i += 1
-            else:
-                code.append(line[i])
-                i += 1
-        return "".join(code), " ".join(comment)
-
-
-# --- rule: banked -----------------------------------------------------------
-
-def collect_banked_names(root, findings, strict):
-    """Pass 1: member names declared with `// tlblint: banked(socket)`."""
-    names = {}
-    for path in walk(root, (SRC_ROOT,)):
-        r = rel(path, root)
-        splitter = LineSplitter()
-        for lineno, line in enumerate(read_lines(path), 1):
-            code, comment = splitter.split(line)
-            if not BANKED_MARK_RE.search("//" + comment):
-                continue
-            m = BANKED_NAME_RE.search(strip_strings(code))
-            if m:
-                names.setdefault(m.group(1), []).append((r, lineno))
-            elif strict:
-                findings.append(Finding(
-                    "banked", r, lineno,
-                    "banked(socket) marker on a line with no recognizable member declaration",
-                    line))
-    return names
-
-
-def check_banked_file(path, r, banked_names, findings):
-    """Pass 2: brace-tracking scope scan; a banked-member reference needs a
-    shard-local/setup annotation on some enclosing scope (or the statement
-    in progress, which covers constructor initializer lists)."""
-    tok_re = re.compile(r"[{};]|[A-Za-z_]\w*")
-    scope_stack = []   # one annotation-set per open brace
-    stmt_annos = set()
-    splitter = LineSplitter()
-    for lineno, line in enumerate(read_lines(path), 1):
-        code, comment = splitter.split(line)
-        comment = "//" + comment
-        line_annos = {m.group(1) for m in AFFINITY_MARK_RE.finditer(comment)}
-        stmt_annos |= line_annos
-        is_decl = bool(BANKED_MARK_RE.search(comment))
-        allowed = {m.group(1) for m in ALLOW_RE.finditer(comment)}
-        code = strip_strings(code)
-        if code.lstrip().startswith("#"):
-            continue  # preprocessor: no brace/scope meaning
-        for tok in tok_re.finditer(code):
-            t = tok.group(0)
-            if t == "{":
-                scope_stack.append(frozenset(stmt_annos))
-                stmt_annos = set()
-            elif t == "}":
-                if scope_stack:
-                    scope_stack.pop()
-                stmt_annos = set()
-            elif t == ";":
-                stmt_annos = set()
-            elif t in banked_names and not is_decl and "banked" not in allowed:
-                held = (line_annos | stmt_annos) & {"shard-local", "setup"}
-                if not held and not any(
-                        a in ("shard-local", "setup")
-                        for s in scope_stack for a in s):
-                    findings.append(Finding(
-                        "banked", r, lineno,
-                        f"banked(socket) member '{t}' referenced outside a "
-                        "shard-local/setup-annotated function (see "
-                        "docs/CHECKING.md § Static analysis)",
-                        line))
-
-
-def check_banked(root, findings, strict):
-    banked_names = collect_banked_names(root, findings, strict)
-    for path in walk(root, (SRC_ROOT,)):
-        check_banked_file(path, rel(path, root), set(banked_names), findings)
-    return banked_names
 
 
 # --- rule: layering ---------------------------------------------------------
@@ -391,7 +238,7 @@ def check_ts_optout(root, findings):
 
 def check_directive_hygiene(root, findings):
     """Every `// tlblint: ...` comment must be a recognized directive; a typo
-    like `tlblint: shardlocal` would otherwise silently bless nothing."""
+    like `tlblint: alow(layering)` would otherwise silently allow nothing."""
     roots = set(DET_ROOTS) | {SRC_ROOT}
     for path in walk(root, sorted(roots)):
         r = rel(path, root)
@@ -402,8 +249,7 @@ def check_directive_hygiene(root, findings):
                     findings.append(Finding(
                         "hygiene", r, lineno,
                         f"unrecognized tlblint directive '{d}' "
-                        "(known: banked(socket), shard-local, setup, "
-                        "allow(rule))", line))
+                        "(known: allow(rule))", line))
                 elif d.startswith("allow("):
                     named = d[len("allow("):].rstrip(")")
                     if named not in RULES:
@@ -430,10 +276,7 @@ def main(argv):
         return 2
 
     findings = []
-    banked_names = {}
     unordered_vars = set()
-    if "banked" in rules:
-        banked_names = check_banked(args.root, findings, args.strict)
     if "layering" in rules:
         check_layering(args.root, findings)
     if "determinism" in rules:
@@ -452,8 +295,6 @@ def main(argv):
             "findings": [f.as_dict() for f in findings],
             "rules": rules,
             "strict": args.strict,
-            "banked_members": {k: [f"{p}:{ln}" for p, ln in v]
-                               for k, v in sorted(banked_names.items())},
             "unordered_vars_tracked": sorted(unordered_vars),
         }
         with open(args.json, "w", encoding="utf-8") as f:
@@ -466,7 +307,6 @@ def main(argv):
         return 1
     print(f"tlblint: OK [rules: {', '.join(rules)}"
           f"{', strict' if args.strict else ''}; "
-          f"{len(banked_names)} banked member(s), "
           f"{len(unordered_vars)} unordered var(s) tracked]")
     return 0
 

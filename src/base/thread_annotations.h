@@ -1,27 +1,18 @@
 // Clang thread-safety-analysis annotation macros (no-ops on GCC/MSVC).
 //
 // The macros below let the compiler prove, on every clang build, the
-// host-concurrency disciplines that PRs 3/7/8 could only check dynamically
-// (TSan on sampled tests, replay-determinism gates):
+// host-concurrency discipline of the sweep executor (src/exec): mutex-guarded
+// state — GUARDED_BY(mu) on members, REQUIRES(mu) on functions — enforced
+// through the annotated Mutex/MutexLock wrappers in src/base/mutex.h
+// (libstdc++'s std::mutex carries no annotations, so raw std::lock_guard use
+// is invisible to the analysis). Any new code that touches GUARDED_BY state
+// without its lock is a compile error under -Wthread-safety (promoted to
+// -Werror=thread-safety on clang builds, see the top-level CMakeLists.txt).
 //
-//   - mutex-guarded state   — GUARDED_BY(mu) on members, REQUIRES(mu) on
-//     functions, enforced through the annotated Mutex/MutexLock wrappers in
-//     src/base/mutex.h (libstdc++'s std::mutex carries no annotations, so
-//     raw std::lock_guard use is invisible to the analysis);
-//   - capability tokens     — CAPABILITY classes with no runtime state model
-//     ownership that is transferred by a barrier instead of a lock. The
-//     engine's per-queue shard window (Engine::Queue::cap) and the SPSC
-//     mailbox producer/consumer sides are tokens: Acquire()/Release() and
-//     AssertHeld() compile to nothing, but any new code that touches
-//     GUARDED_BY(cap) state without the token is a compile error under
-//     -Wthread-safety (promoted to -Werror=thread-safety on clang builds,
-//     see the top-level CMakeLists.txt).
-//
-// State whose owner is a *dynamic* property the type system cannot name —
-// the per-socket banked protocol state ("this bank may only be touched from
-// its socket's shard window") — is covered by the companion static analyzer
-// scripts/tlblint.py via its banked(socket) member annotations instead.
-// See docs/CHECKING.md § Static analysis for the full model.
+// CAPABILITY classes with no runtime state can also serve as ownership
+// tokens handed over by a barrier instead of a lock (Acquire()/Release()/
+// AssertHeld() compile to nothing); tests/static_analysis/ts_clean.cc keeps
+// that idiom compiling. See docs/CHECKING.md § Static analysis.
 #ifndef TLBSIM_SRC_BASE_THREAD_ANNOTATIONS_H_
 #define TLBSIM_SRC_BASE_THREAD_ANNOTATIONS_H_
 
@@ -73,9 +64,8 @@
 #define EXCLUDES(...) TLBSIM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 // Informs the analysis that the capability is held at this point. This is
-// the sanctioned escape hatch for barrier-transferred ownership: the runtime
-// justification (ThreadPool::Drain's mutex hand-off, the engine's
-// single-coordinator phases) is documented at each use site.
+// the sanctioned escape hatch for ownership the analysis cannot see; the
+// runtime justification is documented at each use site.
 #define ASSERT_CAPABILITY(x) TLBSIM_THREAD_ANNOTATION(assert_capability(x))
 
 // Function returns a reference to the given capability.

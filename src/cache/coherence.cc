@@ -7,7 +7,7 @@ namespace tlbsim {
 
 CoherenceModel::CoherenceModel(const Topology& topo, const CacheCosts& costs)
     : topo_(topo), costs_(costs), cpu_words_((topo.num_cpus() + 63) / 64) {
-  assert(topo.num_cpus() <= CpuBits::kWords * 64);
+  assert(topo.num_cpus() <= kMaxCpus);
   // CPU ids are socket-major, thread-minor: a core's and a socket's cpus are
   // contiguous id ranges.
   masks_.resize(static_cast<size_t>(topo.num_cpus()));
@@ -15,11 +15,11 @@ CoherenceModel::CoherenceModel(const Topology& topo, const CacheCosts& costs)
     CpuMasks& m = masks_[static_cast<size_t>(cpu)];
     int core_first = topo.PhysCoreOf(cpu) * topo.smt;
     for (int b = core_first; b < core_first + topo.smt; ++b) {
-      m.core.Set(b);
+      m.core.set(static_cast<size_t>(b));
     }
     int socket_first = topo.SocketOf(cpu) * topo.cpus_per_socket();
     for (int b = socket_first; b < socket_first + topo.cpus_per_socket(); ++b) {
-      m.socket.Set(b);
+      m.socket.set(static_cast<size_t>(b));
     }
   }
 }
@@ -41,27 +41,19 @@ LineId CoherenceModel::AllocateLine(const char* prefix, uint64_t index, const ch
   return next_named_++;
 }
 
-CoherenceModel::Entry& CoherenceModel::EntryIn(Bank& bank, LineId line) {
+CoherenceModel::Entry& CoherenceModel::EntryFor(LineId line) {
   if ((line & kDataBit) != 0) {
-    return bank.data_lines[line];
+    return data_lines_[line];
   }
   assert(line < next_named_ && "named line ids come from AllocateLine");
-  if (line >= bank.named_lines.size()) {
-    bank.named_lines.resize(static_cast<size_t>(next_named_));
+  if (line >= named_lines_.size()) {
+    named_lines_.resize(static_cast<size_t>(next_named_));
   }
-  return bank.named_lines[static_cast<size_t>(line)];
-}
-
-const CoherenceModel::Entry* CoherenceModel::FindIn(const Bank& bank, LineId line) {
-  if ((line & kDataBit) != 0) {
-    auto it = bank.data_lines.find(line);
-    return it == bank.data_lines.end() ? nullptr : &it->second;
-  }
-  return line < bank.named_lines.size() ? &bank.named_lines[static_cast<size_t>(line)] : nullptr;
+  return named_lines_[static_cast<size_t>(line)];
 }
 
 Topology::Distance CoherenceModel::NearestHolder(int cpu, const CpuBits& holders) const {
-  if (holders.Test(cpu)) {
+  if (holders.test(static_cast<size_t>(cpu))) {
     return Topology::Distance::kSelf;
   }
   const CpuMasks& m = masks_[static_cast<size_t>(cpu)];
@@ -116,60 +108,8 @@ Cycles CoherenceModel::TransferCost(Topology::Distance d) const {
   return costs_.memory_fill;
 }
 
-// tlblint: setup — single-threaded Machine construction
-void CoherenceModel::ConfigureBanks(int banks, int cpus_per_bank) {
-  if (banks < 1) banks = 1;
-  if (cpus_per_bank < 1) cpus_per_bank = 1;
-  std::vector<Bank> old = std::move(banks_);
-  banks_.assign(static_cast<size_t>(banks), Bank{});
-  cpus_per_bank_ = cpus_per_bank;
-  // Migrate resident lines into the bank of their owner — the line's sole
-  // holder, or the first of its sharers — so warmth built during the serial
-  // setup phase survives re-banking. Access cost is a function of the
-  // entry's *contents* (holder distances), not of which bank holds it, so
-  // every access whose line keeps a single resident copy replays its serial
-  // cost exactly. Aggregate counters accumulate into bank 0 so
-  // global_stats() sums are unchanged.
-  for (Bank& b : old) {
-    for (size_t id = 0; id < b.named_lines.size(); ++id) {
-      const Entry& e = b.named_lines[id];
-      if (!e.valid_anywhere) {
-        continue;
-      }
-      Entry& dst = EntryIn(banks_[BankIndexFor(e.owner)], id);
-      if (!dst.valid_anywhere) {  // first copy wins, as emplace does below
-        dst = e;
-      }
-    }
-    for (auto& [id, e] : b.data_lines) {  // det-ok: destination maps are keyed, never order-iterated
-      banks_[BankIndexFor(e.owner)].data_lines.emplace(id, e);
-    }
-    AccumulateStats(banks_[0].stats, b.stats);
-  }
-}
-
-// tlblint: setup — aggregation between runs, engine quiescent
-CoherenceModel::GlobalStats CoherenceModel::global_stats() const {
-  GlobalStats sum;
-  for (const Bank& b : banks_) {
-    AccumulateStats(sum, b.stats);
-  }
-  return sum;
-}
-
-void CoherenceModel::AccumulateStats(GlobalStats& into, const GlobalStats& from) {
-  into.accesses += from.accesses;
-  into.hits += from.hits;
-  into.transfers += from.transfers;
-  into.cross_socket_transfers += from.cross_socket_transfers;
-  into.invalidations += from.invalidations;
-  into.memory_fills += from.memory_fills;
-}
-
 Cycles CoherenceModel::Access(int cpu, LineId line, AccessType type) {
-  Bank& bank = BankFor(cpu);
-  Entry& e = EntryIn(bank, line);
-  GlobalStats& global_ = bank.stats;
+  Entry& e = EntryFor(line);
   ++e.stats.accesses;
   ++global_.accesses;
 
@@ -179,12 +119,12 @@ Cycles CoherenceModel::Access(int cpu, LineId line, AccessType type) {
     e.owner = cpu;
     e.shared = false;
     e.holders = CpuBits{};
-    e.holders.Set(cpu);
+    e.holders.set(static_cast<size_t>(cpu));
     ++global_.memory_fills;
     return costs_.memory_fill;
   }
 
-  bool cpu_holds = e.holders.Test(cpu);
+  bool cpu_holds = e.holders.test(static_cast<size_t>(cpu));
   if (type == AccessType::kRead) {
     if (cpu_holds) {
       ++e.stats.hits;
@@ -201,7 +141,7 @@ Cycles CoherenceModel::Access(int cpu, LineId line, AccessType type) {
       ++global_.cross_socket_transfers;
     }
     e.shared = true;
-    e.holders.Set(cpu);
+    e.holders.set(static_cast<size_t>(cpu));
     return cost;
   }
 
@@ -233,49 +173,34 @@ Cycles CoherenceModel::Access(int cpu, LineId line, AccessType type) {
   e.owner = cpu;
   e.shared = false;
   e.holders = CpuBits{};
-  e.holders.Set(cpu);
+  e.holders.set(static_cast<size_t>(cpu));
   return cost;
 }
 
-// tlblint: shard-local — line is socket-confined
 void CoherenceModel::EvictAll(LineId line) {
-  for (Bank& b : banks_) {
-    if ((line & kDataBit) != 0) {
-      b.data_lines.erase(line);
-    } else if (line < b.named_lines.size()) {
-      b.named_lines[static_cast<size_t>(line)] = Entry{};
-    }
+  if ((line & kDataBit) != 0) {
+    data_lines_.erase(line);
+  } else if (line < named_lines_.size()) {
+    named_lines_[static_cast<size_t>(line)] = Entry{};
   }
 }
 
-// tlblint: setup — between runs, engine quiescent
 void CoherenceModel::ResetStats() {
-  for (Bank& b : banks_) {
-    b.stats = GlobalStats{};
-    for (Entry& e : b.named_lines) {
-      e.stats = LineStats{};
-    }
-    for (auto& [id, e] : b.data_lines) {  // det-ok: order-independent (zeroes every entry)
-      e.stats = LineStats{};
-    }
+  global_ = GlobalStats{};
+  for (Entry& e : named_lines_) {
+    e.stats = LineStats{};
+  }
+  for (auto& [id, e] : data_lines_) {  // det-ok: order-independent (zeroes every entry)
+    e.stats = LineStats{};
   }
 }
 
-// tlblint: setup — observability between runs, engine quiescent
 CoherenceModel::LineStats CoherenceModel::StatsFor(LineId line) const {
-  // A line normally resides in exactly one bank; summing tolerates the
-  // (contract-violating) case of copies in several.
-  LineStats sum;
-  for (const Bank& b : banks_) {
-    const Entry* e = FindIn(b, line);
-    if (e == nullptr) continue;
-    sum.accesses += e->stats.accesses;
-    sum.hits += e->stats.hits;
-    sum.transfers += e->stats.transfers;
-    sum.cross_socket_transfers += e->stats.cross_socket_transfers;
-    sum.invalidations += e->stats.invalidations;
+  if ((line & kDataBit) != 0) {
+    auto it = data_lines_.find(line);
+    return it == data_lines_.end() ? LineStats{} : it->second.stats;
   }
-  return sum;
+  return line < named_lines_.size() ? named_lines_[static_cast<size_t>(line)].stats : LineStats{};
 }
 
 std::string CoherenceModel::NameOf(LineId line) const {

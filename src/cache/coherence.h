@@ -20,13 +20,13 @@
 #ifndef TLBSIM_SRC_CACHE_COHERENCE_H_
 #define TLBSIM_SRC_CACHE_COHERENCE_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "src/cache/cpu_bits.h"
 #include "src/cache/topology.h"
 #include "src/sim/time.h"
 
@@ -68,7 +68,7 @@ class CoherenceModel {
     uint64_t memory_fills = 0;
   };
 
-  // Topologies of up to 256 cpus (the 8-socket preset has 224).
+  // Topologies of up to kMaxCpus cpus (the 8-socket preset has 224).
   CoherenceModel(const Topology& topo, const CacheCosts& costs);
 
   // Allocates a fresh LineId for a named kernel object (name kept for
@@ -95,18 +95,7 @@ class CoherenceModel {
   // Drops a line from every cache (e.g. clflush); free for accounting.
   void EvictAll(LineId line);
 
-  // Protocol sharding: banks the directory per socket. Accesses resolve into
-  // the *accessing* cpu's socket bank; under the socket-confinement contract
-  // (every line is only ever touched by one socket) that is the line's home
-  // socket, each bank is mutated exclusively by its shard's host thread, and
-  // the per-bank MESI trajectories replay the serial ones exactly. Must be
-  // called before any Access (typically by Machine construction); banks <= 1
-  // keeps the legacy single-directory shape.
-  void ConfigureBanks(int banks, int cpus_per_bank);
-  int banks() const { return static_cast<int>(banks_.size()); }  // tlblint: setup
-
-  // Summed over banks (one bank — the legacy single directory — by default).
-  GlobalStats global_stats() const;
+  GlobalStats global_stats() const { return global_; }
   void ResetStats();
 
   // Per-line statistics (zero-initialized for untouched lines).
@@ -117,16 +106,6 @@ class CoherenceModel {
 
  private:
   static constexpr LineId kDataBit = 1ULL << 63;
-
-  // A set of CPUs, one bit each, sized for 256 cpus. Word loops stop at
-  // cpu_words_, the number of words the topology uses.
-  struct CpuBits {
-    static constexpr int kWords = 4;
-    std::array<uint64_t, kWords> w{};
-
-    void Set(int cpu) { w[static_cast<size_t>(cpu) >> 6] |= 1ULL << (cpu & 63); }
-    bool Test(int cpu) const { return (w[static_cast<size_t>(cpu) >> 6] >> (cpu & 63)) & 1; }
-  };
 
   // One line's directory entry; `valid_anywhere` is false until the first
   // access (memory fill) and again after EvictAll. `holders` is every CPU
@@ -139,15 +118,6 @@ class CoherenceModel {
     bool shared = false;
     bool valid_anywhere = false;
     LineStats stats;
-  };
-
-  // One directory bank: named lines indexed by id (slot 0 unused), data
-  // lines hashed, plus the bank's aggregate counters. Everything a shard
-  // window touches through Access() lives in its own socket's bank.
-  struct Bank {
-    std::vector<Entry> named_lines;
-    std::unordered_map<LineId, Entry> data_lines;
-    GlobalStats stats;
   };
 
   // Deferred name of one named line (see the AllocateLine overloads):
@@ -169,10 +139,8 @@ class CoherenceModel {
     CpuBits socket;  // same socket
   };
 
-  // The entry for `line` in `bank`, created (invalid) if absent.
-  Entry& EntryIn(Bank& bank, LineId line);
-  // The entry for `line` in `bank`, or null if the bank never saw it.
-  static const Entry* FindIn(const Bank& bank, LineId line);
+  // The entry for `line`, created (invalid) if absent.
+  Entry& EntryFor(LineId line);
 
   // Distance from `cpu` to the nearest holder (kCrossSocket if none).
   Topology::Distance NearestHolder(int cpu, const CpuBits& holders) const;
@@ -181,21 +149,14 @@ class CoherenceModel {
   Topology::Distance FarthestOther(int cpu, const CpuBits& holders, uint64_t* others) const;
   Cycles TransferCost(Topology::Distance d) const;
 
-  // tlblint: shard-local — resolves into the accessing cpu's own bank
-  size_t BankIndexFor(int cpu) const {
-    if (banks_.size() == 1) return 0;
-    size_t b = static_cast<size_t>(cpu) / static_cast<size_t>(cpus_per_bank_);
-    return b < banks_.size() ? b : banks_.size() - 1;
-  }
-  Bank& BankFor(int cpu) { return banks_[BankIndexFor(cpu)]; }  // tlblint: shard-local
-  static void AccumulateStats(GlobalStats& into, const GlobalStats& from);
-
   const Topology topo_;
   const CacheCosts costs_;
   int cpu_words_;                // CpuBits words the topology uses
   std::vector<CpuMasks> masks_;  // indexed by cpu
-  std::vector<Bank> banks_{1};  // tlblint: banked(socket) single legacy directory until ConfigureBanks
-  int cpus_per_bank_ = 1 << 30;
+  // Named lines indexed by id (slot 0 unused); data lines hashed.
+  std::vector<Entry> named_lines_;
+  std::unordered_map<LineId, Entry> data_lines_;
+  GlobalStats global_;
   std::vector<NameRec> named_;  // indexed by LineId - 1 (named ids are dense)
   std::vector<std::string> custom_names_;  // AllocateLine(std::string) names
   LineId next_named_ = 1;

@@ -16,7 +16,7 @@ struct Topology {
   int cores_per_socket = 14;
   int smt = 2;
 
-  // Big-machine presets for the sharded engine (ROADMAP item 5): the same
+  // Big-machine presets (run serially, like every topology): the same
   // per-socket core/SMT shape as the paper's testbed, scaled to 4 and 8
   // sockets (112 and 224 logical CPUs) — the glueless 4S and node-controller
   // 8S configurations Xeon E5/E7 platforms actually shipped.

@@ -7,11 +7,10 @@
 
 namespace tlbsim {
 
-// tlblint: setup — single-threaded construction
 QueueFlushBackend::QueueFlushBackend(Kernel* kernel) : kernel_(kernel) {
   Machine& machine = kernel_->machine();
   CoherenceModel& coherence = machine.coherence();
-  gen_lines_.push_back(coherence.AllocateLine("queue.next_tlb_gen"));
+  gen_line_ = coherence.AllocateLine("queue.next_tlb_gen");
   size_t cap = static_cast<size_t>(std::max(1, machine.costs().queue_ring_entries));
   for (int c = 0; c < machine.num_cpus(); ++c) {
     auto q = std::make_unique<CpuQueue>();
@@ -29,80 +28,13 @@ QueueFlushBackend::QueueFlushBackend(Kernel* kernel) : kernel_(kernel) {
   c_drains_ = &m.percpu("queue.drains");
 }
 
-// tlblint: setup — single-threaded Machine construction
-void QueueFlushBackend::ConfigureBanks(int banks, int cpus_per_bank) {
-  if (banks < 1) banks = 1;
-  if (cpus_per_bank < 1) cpus_per_bank = 1;
-  // Per-socket ticket streams continue from the current global value so a
-  // responder's pre-split ack_gen never trivially satisfies a post-split
-  // ticket (the ordering-isomorphism argument in the header needs this).
-  ticket_seed_ = ticket_banks_[0];
-  ticket_banks_.assign(static_cast<size_t>(banks), ticket_seed_);
-  banks_.resize(static_cast<size_t>(banks));
-  cpus_per_bank_ = cpus_per_bank;
-  CoherenceModel& coherence = kernel_->machine().coherence();
-  while (gen_lines_.size() < static_cast<size_t>(banks)) {
-    gen_lines_.push_back(coherence.AllocateLine(
-        "queue.next_tlb_gen.socket" + std::to_string(gen_lines_.size())));
-  }
-  hb_ring_occupancy_.clear();
-  hb_ack_wait_cycles_.clear();
-  hb_drain_cycles_.clear();
-  if (banks > 1) {
-    MetricsRegistry& m = kernel_->machine().metrics();
-    for (int b = 0; b < banks; ++b) {
-      std::string sfx = ".socket" + std::to_string(b);
-      hb_ring_occupancy_.push_back(&m.histogram("queue.ring_occupancy" + sfx));
-      hb_ack_wait_cycles_.push_back(&m.histogram("queue.ack_wait_cycles" + sfx));
-      hb_drain_cycles_.push_back(&m.histogram("queue.drain_cycles" + sfx));
-    }
-  }
-}
-
-// tlblint: setup — aggregation between runs, engine quiescent
-QueueFlushBackend::Stats QueueFlushBackend::stats() const {
-  Stats sum;
-  for (const Stats& b : banks_) {
-    sum.flush_requests += b.flush_requests;
-    sum.shootdowns += b.shootdowns;
-    sum.local_only += b.local_only;
-    sum.full_requests += b.full_requests;
-    sum.enqueued += b.enqueued;
-    sum.max_ring_occupancy = std::max(sum.max_ring_occupancy, b.max_ring_occupancy);
-    sum.ring_overflows += b.ring_overflows;
-    sum.flush_all_fallbacks += b.flush_all_fallbacks;
-    sum.ipi_sends += b.ipi_sends;
-    sum.ipi_coalesced += b.ipi_coalesced;
-    sum.ipi_resends += b.ipi_resends;
-    sum.acks += b.acks;
-    sum.ack_timeouts += b.ack_timeouts;
-    sum.spin_polls += b.spin_polls;
-    sum.spin_cycles += b.spin_cycles;
-    sum.drains += b.drains;
-    sum.drained_entries += b.drained_entries;
-    sum.drain_skipped_mm += b.drain_skipped_mm;
-    sum.drain_skipped_gen += b.drain_skipped_gen;
-    sum.drain_flush_all += b.drain_flush_all;
-    sum.drain_full += b.drain_full;
-    sum.drain_full_storm += b.drain_full_storm;
-    sum.full_local_flushes += b.full_local_flushes;
-    sum.invlpg_issued += b.invlpg_issued;
-    sum.invpcid_issued += b.invpcid_issued;
-    sum.lazy_skipped += b.lazy_skipped;
-    sum.switch_in_flushes += b.switch_in_flushes;
-    sum.cow_flush_avoided += b.cow_flush_avoided;
-    sum.cow_flushes += b.cow_flushes;
-  }
-  return sum;
-}
-
 uint64_t QueueFlushBackend::RingOccupancy(int cpu) const {
   const CpuQueue& q = *queues_[static_cast<size_t>(cpu)];
   return q.head - q.tail;
 }
 
 void QueueFlushBackend::ComputeTargets(SimCpu& cpu, MmStruct& mm, CpuList* targets) {
-  // Set-bit walk over the per-socket mask words (see ShootdownEngine).
+  // Set-bit walk over the mask (see ShootdownEngine).
   mm.cpumask.ForEachSet([&](int t) {
     if (t == cpu.id()) {
       return;
@@ -110,7 +42,7 @@ void QueueFlushBackend::ComputeTargets(SimCpu& cpu, MmStruct& mm, CpuList* targe
     PerCpu& pc = kernel_->percpu(t);
     cpu.AccessLine(pc.tlbstate_line, AccessType::kRead);
     if (pc.is_lazy) {
-      ++StatsFor(cpu).lazy_skipped;  // OnSwitchIn catches the CPU up when it returns
+      ++stats_.lazy_skipped;  // OnSwitchIn catches the CPU up when it returns
       return;
     }
     targets->push_back(t);
@@ -136,16 +68,16 @@ Co<void> QueueFlushBackend::LocalFlush(SimCpu& cpu, MmStruct& mm, const FlushTlb
         cpu.ArchInvPcidAddr(mm.user_pcid, va);
       }
     }
-    StatsFor(cpu).invlpg_issued += pages;
+    stats_.invlpg_issued += pages;
     Cycles per_page = costs().invlpg;
     if (pti()) {
-      StatsFor(cpu).invpcid_issued += pages;
+      stats_.invpcid_issued += pages;
       per_page += costs().invpcid_addr;
     }
     co_await cpu.Execute(static_cast<Cycles>(pages) * per_page);
     local_gen = info.new_tlb_gen;
   } else {
-    ++StatsFor(cpu).full_local_flushes;
+    ++stats_.full_local_flushes;
     full_applied = true;
     cpu.ArchFlushPcid(mm.kernel_pcid);
     Cycles cost = costs().cr3_write_flush;
@@ -169,7 +101,6 @@ Co<void> QueueFlushBackend::LocalFlush(SimCpu& cpu, MmStruct& mm, const FlushTlb
   }
 }
 
-// tlblint: shard-local — runs on the initiating cpu's timeline
 void QueueFlushBackend::EnqueueForTarget(SimCpu& cpu, MmStruct& mm, int target,
                                          const FlushTlbInfo& info, uint64_t queue_gen,
                                          bool wants_full) {
@@ -177,7 +108,7 @@ void QueueFlushBackend::EnqueueForTarget(SimCpu& cpu, MmStruct& mm, int target,
   uint64_t cap = q.ring.size();
   if (wants_full) {
     // Wide flushes never enumerate pages: one flag store covers everything.
-    ++StatsFor(cpu).full_requests;
+    ++stats_.full_requests;
     cpu.AccessLine(q.ctl_line, AccessType::kAtomicRmw);
     cpu.AdvanceInline(costs().queue_enqueue);
     q.flush_all = true;
@@ -189,10 +120,10 @@ void QueueFlushBackend::EnqueueForTarget(SimCpu& cpu, MmStruct& mm, int target,
     if (q.head - q.tail >= cap) {
       // Ring full: the remaining pages cannot be enumerated. The design's
       // safety valve converts them into a flush_all on the responder.
-      ++StatsFor(cpu).ring_overflows;
+      ++stats_.ring_overflows;
       bool fallback = !inject_.ring_overflow_no_fallback;
       if (fallback) {
-        ++StatsFor(cpu).flush_all_fallbacks;
+        ++stats_.flush_all_fallbacks;
         cpu.AccessLine(q.ctl_line, AccessType::kAtomicRmw);
         q.flush_all = true;
         q.flush_all_queue_gen = std::max(q.flush_all_queue_gen, queue_gen);
@@ -213,11 +144,11 @@ void QueueFlushBackend::EnqueueForTarget(SimCpu& cpu, MmStruct& mm, int target,
     e.mm_gen = info.new_tlb_gen;
     e.queue_gen = queue_gen;
     ++q.head;
-    ++StatsFor(cpu).enqueued;
+    ++stats_.enqueued;
   }
   uint64_t occupancy = q.head - q.tail;
-  StatsFor(cpu).max_ring_occupancy = std::max(StatsFor(cpu).max_ring_occupancy, occupancy);
-  HistFor(hb_ring_occupancy_, h_ring_occupancy_, cpu.id())->Record(static_cast<double>(occupancy));
+  stats_.max_ring_occupancy = std::max(stats_.max_ring_occupancy, occupancy);
+  h_ring_occupancy_->Record(static_cast<double>(occupancy));
 }
 
 bool QueueFlushBackend::AllAcked(SimCpu& cpu, const CpuList& targets, uint64_t queue_gen) {
@@ -231,14 +162,9 @@ bool QueueFlushBackend::AllAcked(SimCpu& cpu, const CpuList& targets, uint64_t q
   return true;
 }
 
-// tlblint: shard-local — runs on the initiating cpu's timeline
 Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint64_t end,
                                        int stride_shift, bool freed_tables) {
-  // Socket-confinement contract (protocol-shard storms): see ShootdownEngine.
-  assert(!require_confined_ ||
-         mm.cpumask.OnlySocket() ==
-             cpu.id() / kernel_->machine().topo().cpus_per_socket());
-  ++StatsFor(cpu).flush_requests;
+  ++stats_.flush_requests;
   c_initiated_->Inc(cpu.id());
 
   // Bump the address-space generation (mm->context.tlb_gen), same contract as
@@ -275,13 +201,13 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
   CpuList targets;
   ComputeTargets(cpu, mm, &targets);
   if (targets.empty()) {
-    ++StatsFor(cpu).local_only;
+    ++stats_.local_only;
     if (ProtocolCheckSink* c = chk()) {
       c->OnShootdownComplete(cpu, mm, info.new_tlb_gen, {});
     }
     co_return;
   }
-  ++StatsFor(cpu).shootdowns;
+  ++stats_.shootdowns;
 
   // Ticket + enqueue + IPI dispatch form one suspension-free critical
   // section, so the global ticket order equals ring order on every
@@ -290,8 +216,8 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
   // consumed — with a suspension in between (say, the local flush), a later
   // initiator could enqueue-and-drain first and its ack would falsely
   // release this one while these entries still sat in the ring.
-  cpu.AccessLine(GenLineFor(cpu.id()), AccessType::kAtomicRmw);
-  uint64_t queue_gen = ++TicketFor(cpu.id());
+  cpu.AccessLine(gen_line_, AccessType::kAtomicRmw);
+  uint64_t queue_gen = ++next_tlb_gen_;
 
   for (int t : targets) {
     EnqueueForTarget(cpu, mm, t, info, queue_gen, wants_full);
@@ -304,7 +230,7 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
   for (int t : targets) {
     CpuQueue& q = *queues_[static_cast<size_t>(t)];
     if (q.ipi_pending) {
-      ++StatsFor(cpu).ipi_coalesced;
+      ++stats_.ipi_coalesced;
       continue;
     }
     q.ipi_pending = true;
@@ -312,7 +238,7 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
   }
   cpu.TracePhase("queue initiator: send IPI");
   if (!kick.empty()) {
-    StatsFor(cpu).ipi_sends += kick.size();
+    stats_.ipi_sends += kick.size();
     kernel_->machine().apic().SendIpi(cpu, kick, kCallFunctionVector);
   }
   if (ProtocolCheckSink* c = chk()) {
@@ -331,8 +257,8 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
     while (!all_acked && spent < budget) {
       co_await cpu.Execute(costs().queue_spin_poll);
       spent += costs().queue_spin_poll;
-      ++StatsFor(cpu).spin_polls;
-      StatsFor(cpu).spin_cycles += static_cast<uint64_t>(costs().queue_spin_poll);
+      ++stats_.spin_polls;
+      stats_.spin_cycles += static_cast<uint64_t>(costs().queue_spin_poll);
       all_acked = AllAcked(cpu, targets, queue_gen);
     }
     if (all_acked) {
@@ -353,13 +279,12 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
       }
     }
     if (!inject_.drop_ipi_resend && !kick.empty()) {
-      StatsFor(cpu).ipi_resends += kick.size();
+      stats_.ipi_resends += kick.size();
       cpu.TracePhase("queue initiator: resend IPI");
       kernel_->machine().apic().SendIpi(cpu, kick, kCallFunctionVector);
     }
   }
-  HistFor(hb_ack_wait_cycles_, h_ack_wait_cycles_, cpu.id())
-      ->Record(static_cast<double>(cpu.now() - wait_start));
+  h_ack_wait_cycles_->Record(static_cast<double>(cpu.now() - wait_start));
 
   if (all_acked) {
     cpu.TracePhase("queue initiator: shootdown complete");
@@ -374,7 +299,7 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
   for (int t : targets) {
     CpuQueue& q = *queues_[static_cast<size_t>(t)];
     if (q.ack_gen < queue_gen) {
-      ++StatsFor(cpu).ack_timeouts;
+      ++stats_.ack_timeouts;
       if (ProtocolCheckSink* c = chk()) {
         c->OnQueueAckTimeout(cpu, mm, t, queue_gen);
       }
@@ -382,10 +307,9 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
   }
 }
 
-// tlblint: shard-local — runs on the draining cpu's timeline
 Co<void> QueueFlushBackend::HandleFlushIrq(SimCpu& cpu) {
-  ScopedCycleTimer timer(HistFor(hb_drain_cycles_, h_drain_cycles_, cpu.id()), &cpu);
-  ++StatsFor(cpu).drains;
+  ScopedCycleTimer timer(h_drain_cycles_, &cpu);
+  ++stats_.drains;
   c_drains_->Inc(cpu.id());
   PerCpu& pc = kernel_->percpu(cpu.id());
   CpuQueue& q = *queues_[static_cast<size_t>(cpu.id())];
@@ -409,7 +333,7 @@ Co<void> QueueFlushBackend::HandleFlushIrq(SimCpu& cpu) {
       q.flush_all = false;
       drained_queue_gen = std::max(drained_queue_gen, q.flush_all_queue_gen);
       need_full = true;
-      ++StatsFor(cpu).drain_flush_all;
+      ++stats_.drain_flush_all;
       progressed = true;
     }
     while (q.tail != q.head) {
@@ -417,14 +341,14 @@ Co<void> QueueFlushBackend::HandleFlushIrq(SimCpu& cpu) {
       Entry e = q.ring[q.tail % cap];
       ++q.tail;
       progressed = true;
-      ++StatsFor(cpu).drained_entries;
+      ++stats_.drained_entries;
       drained_queue_gen = std::max(drained_queue_gen, e.queue_gen);
       if (e.mm != pc.loaded_mm) {
-        ++StatsFor(cpu).drain_skipped_mm;  // the switch-in path owns that catch-up
+        ++stats_.drain_skipped_mm;  // the switch-in path owns that catch-up
         continue;
       }
       if (e.mm_gen <= local_gen) {
-        ++StatsFor(cpu).drain_skipped_gen;  // a full flush already covered it
+        ++stats_.drain_skipped_gen;  // a full flush already covered it
         continue;
       }
       if (e.mm_gen > contiguous_gen + 1) {
@@ -437,11 +361,11 @@ Co<void> QueueFlushBackend::HandleFlushIrq(SimCpu& cpu) {
       max_mm_gen = std::max(max_mm_gen, e.mm_gen);
       if (!need_full) {
         cpu.ArchInvlPg(e.mm->kernel_pcid, e.va);
-        ++StatsFor(cpu).invlpg_issued;
+        ++stats_.invlpg_issued;
         Cycles cost = costs().invlpg;
         if (pti()) {
           cpu.ArchInvPcidAddr(e.mm->user_pcid, e.va);
-          ++StatsFor(cpu).invpcid_issued;
+          ++stats_.invpcid_issued;
           cost += costs().invpcid_addr;
         }
         co_await cpu.Execute(cost);
@@ -451,9 +375,9 @@ Co<void> QueueFlushBackend::HandleFlushIrq(SimCpu& cpu) {
 
   if (need_full && pc.loaded_mm != nullptr) {
     MmStruct& mm = *pc.loaded_mm;
-    ++StatsFor(cpu).drain_full;
+    ++stats_.drain_full;
     if (gap_seen) {
-      ++StatsFor(cpu).drain_full_storm;
+      ++stats_.drain_full_storm;
     }
     cpu.ArchFlushPcid(mm.kernel_pcid);
     Cycles cost = costs().cr3_write_flush;
@@ -481,7 +405,7 @@ Co<void> QueueFlushBackend::HandleFlushIrq(SimCpu& cpu) {
   cpu.AccessLine(q.ctl_line, AccessType::kAtomicRmw);
   if (drained_queue_gen > q.ack_gen) {
     q.ack_gen = drained_queue_gen;
-    ++StatsFor(cpu).acks;
+    ++stats_.acks;
   }
   q.ipi_pending = false;
 }
@@ -498,7 +422,7 @@ Co<void> QueueFlushBackend::OnCowFault(SimCpu& cpu, MmStruct& mm, uint64_t va, b
   // CoW break, not of the shootdown transport.
   bool exec_eff = executable && !inject_.cow_avoid_executable;
   if (opts().cow_avoidance && !exec_eff) {
-    ++StatsFor(cpu).cow_flush_avoided;
+    ++stats_.cow_flush_avoided;
     cpu.TracePhase("cow: flush avoided via atomic access");
     if (ProtocolCheckSink* c = chk()) {
       c->OnCowAvoidance(cpu, mm, va, executable);
@@ -516,7 +440,7 @@ Co<void> QueueFlushBackend::OnCowFault(SimCpu& cpu, MmStruct& mm, uint64_t va, b
     (void)r;
     co_return;
   }
-  ++StatsFor(cpu).cow_flushes;
+  ++stats_.cow_flushes;
   cpu.TracePhase("cow: flush path");
   if (mm.cpumask.count() > 1) {
     co_await FlushRange(cpu, mm, va, va + kPageSize4K, static_cast<int>(kPageShift),
@@ -550,7 +474,7 @@ Co<void> QueueFlushBackend::OnSwitchIn(SimCpu& cpu, MmStruct& mm) {
   if (pc.loaded_mm_tlb_gen >= mm.tlb_gen) {
     co_return;
   }
-  ++StatsFor(cpu).switch_in_flushes;
+  ++stats_.switch_in_flushes;
   cpu.ArchFlushPcid(mm.kernel_pcid);
   Cycles cost = costs().cr3_write_flush;
   if (pti()) {

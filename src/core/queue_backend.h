@@ -84,25 +84,8 @@ class QueueFlushBackend final : public TlbFlushBackend {
   Co<void> OnSwitchIn(SimCpu& cpu, MmStruct& mm) override;
   Co<void> HandleFlushIrq(SimCpu& cpu) override;
 
-  // Summed over banks (max for max_ring_occupancy); one bank — the legacy
-  // flat counters — by default.
-  Stats stats() const;
-  void ResetStats() {  // tlblint: setup — between runs, engine quiescent
-    for (Stats& b : banks_) {
-      b = Stats{};
-    }
-  }
-
-  // Protocol sharding: banks the counters, histograms ("queue.*.socket<k>")
-  // and the global ticket counter by the acting CPU's socket. Per-socket
-  // ticket streams seed from the current global value; under the socket-
-  // confinement contract tickets are only ever compared against ack_gens of
-  // same-socket responders, so the per-socket streams replay the serial
-  // ordering relations exactly. banks <= 1 keeps the legacy flat shape.
-  void ConfigureBanks(int banks, int cpus_per_bank);
-
-  // Debug contract check for socket-confined storms (see ShootdownEngine).
-  void set_require_confined(bool on) { require_confined_ = on; }
+  const Stats& stats() const { return stats_; }
+  void ResetStats() { stats_ = Stats{}; }
 
   // Deliberate protocol faults for tlbcheck validation (tests only).
   void set_fault_injection(const FaultInjection& fi) {
@@ -114,16 +97,8 @@ class QueueFlushBackend final : public TlbFlushBackend {
   // Current occupancy of `cpu`'s ring (tests).
   uint64_t RingOccupancy(int cpu) const;
   uint64_t ack_gen(int cpu) const { return queues_[static_cast<size_t>(cpu)]->ack_gen; }
-  // Tickets issued so far: the per-socket streams overlap numerically after
-  // ConfigureBanks, so report the count (bank deltas summed), which equals
-  // the serial counter value.
-  uint64_t next_tlb_gen() const {  // tlblint: setup — tests/snapshots, quiescent
-    uint64_t n = ticket_banks_[0];
-    for (size_t b = 1; b < ticket_banks_.size(); ++b) {
-      n += ticket_banks_[b] - ticket_seed_;
-    }
-    return n;
-  }
+  // Tickets issued so far (the last one handed out).
+  uint64_t next_tlb_gen() const { return next_tlb_gen_; }
 
  private:
   // One queued invalidation: a single page of one mm, tagged with the mm
@@ -168,29 +143,11 @@ class QueueFlushBackend final : public TlbFlushBackend {
   // True when every target's ack_gen has reached `queue_gen`.
   bool AllAcked(SimCpu& cpu, const CpuList& targets, uint64_t queue_gen);
 
-  // tlblint: shard-local — resolves into the acting cpu's own bank
-  size_t BankIndexFor(int cpu_id) const {
-    if (banks_.size() == 1) return 0;
-    size_t b = static_cast<size_t>(cpu_id) / static_cast<size_t>(cpus_per_bank_);
-    return b < banks_.size() ? b : banks_.size() - 1;
-  }
-  Stats& StatsFor(const SimCpu& cpu) { return banks_[BankIndexFor(cpu.id())]; }  // tlblint: shard-local
-  uint64_t& TicketFor(int cpu_id) { return ticket_banks_[BankIndexFor(cpu_id)]; }  // tlblint: shard-local
-  LineId GenLineFor(int cpu_id) const { return gen_lines_[BankIndexFor(cpu_id)]; }  // tlblint: shard-local
-  // tlblint: shard-local — resolves into the acting cpu's own bank
-  Histogram* HistFor(const std::vector<Histogram*>& banked, Histogram* flat, int cpu_id) const {
-    if (banked.empty()) return flat;
-    return banked[BankIndexFor(cpu_id)];
-  }
-
   Kernel* kernel_;
   std::vector<std::unique_ptr<CpuQueue>> queues_;
-  std::vector<uint64_t> ticket_banks_{0};  // tlblint: banked(socket) per-socket ticket counters
-  uint64_t ticket_seed_ = 0;               // global value when banks split
-  std::vector<LineId> gen_lines_;          // tlblint: banked(socket) per-bank ticket cachelines
-  std::vector<Stats> banks_{1};            // tlblint: banked(socket)
-  int cpus_per_bank_ = 1 << 30;
-  bool require_confined_ = false;
+  uint64_t next_tlb_gen_ = 0;  // global ticket counter
+  LineId gen_line_ = 0;        // the cacheline holding it
+  Stats stats_;
   FaultInjection inject_;
 
   // Live observability handles (registered only when this backend exists, so
@@ -200,10 +157,6 @@ class QueueFlushBackend final : public TlbFlushBackend {
   Histogram* h_drain_cycles_ = nullptr;     // queue.drain_cycles
   PerCpuCounter* c_initiated_ = nullptr;    // queue.initiated
   PerCpuCounter* c_drains_ = nullptr;       // queue.drains
-  // Per-socket variants ("<name>.socket<k>"), protocol-shard mode only.
-  std::vector<Histogram*> hb_ring_occupancy_;   // tlblint: banked(socket)
-  std::vector<Histogram*> hb_ack_wait_cycles_;  // tlblint: banked(socket)
-  std::vector<Histogram*> hb_drain_cycles_;     // tlblint: banked(socket)
 };
 
 }  // namespace tlbsim

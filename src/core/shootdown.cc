@@ -17,62 +17,10 @@ ShootdownEngine::ShootdownEngine(Kernel* kernel) : kernel_(kernel) {
   c_flush_irqs_ = &m.percpu("shootdown.flush_irqs");
 }
 
-// tlblint: setup — single-threaded Machine construction
-void ShootdownEngine::ConfigureBanks(int banks, int cpus_per_bank) {
-  if (banks < 1) banks = 1;
-  if (cpus_per_bank < 1) cpus_per_bank = 1;
-  banks_.assign(static_cast<size_t>(banks), Stats{});
-  cpus_per_bank_ = cpus_per_bank;
-  hb_initiator_cycles_.clear();
-  hb_flush_irq_cycles_.clear();
-  hb_targets_.clear();
-  if (banks > 1) {
-    MetricsRegistry& m = kernel_->machine().metrics();
-    for (int b = 0; b < banks; ++b) {
-      std::string sfx = ".socket" + std::to_string(b);
-      hb_initiator_cycles_.push_back(&m.histogram("shootdown.initiator_cycles" + sfx));
-      hb_flush_irq_cycles_.push_back(&m.histogram("shootdown.flush_irq_cycles" + sfx));
-      hb_targets_.push_back(&m.histogram("shootdown.targets" + sfx));
-    }
-  }
-}
-
-// tlblint: setup — aggregation between runs, engine quiescent
-ShootdownEngine::Stats ShootdownEngine::stats() const {
-  Stats sum;
-  for (const Stats& b : banks_) {
-    sum.flush_requests += b.flush_requests;
-    sum.shootdowns += b.shootdowns;
-    sum.local_only += b.local_only;
-    sum.full_local_flushes += b.full_local_flushes;
-    sum.invlpg_issued += b.invlpg_issued;
-    sum.invpcid_issued += b.invpcid_issued;
-    sum.early_acks += b.early_acks;
-    sum.late_acks += b.late_acks;
-    sum.deferred_selective += b.deferred_selective;
-    sum.in_context_invlpg += b.in_context_invlpg;
-    sum.in_context_full += b.in_context_full;
-    sum.eager_user_during_wait += b.eager_user_during_wait;
-    sum.batched_absorbed += b.batched_absorbed;
-    sum.batch_shootdowns += b.batch_shootdowns;
-    sum.batched_ipi_skipped += b.batched_ipi_skipped;
-    sum.batch_barrier_flushes += b.batch_barrier_flushes;
-    sum.responder_skipped_gen += b.responder_skipped_gen;
-    sum.responder_selective += b.responder_selective;
-    sum.responder_full += b.responder_full;
-    sum.responder_full_storm += b.responder_full_storm;
-    sum.cow_flush_avoided += b.cow_flush_avoided;
-    sum.cow_flushes += b.cow_flushes;
-    sum.lazy_skipped += b.lazy_skipped;
-    sum.switch_in_flushes += b.switch_in_flushes;
-  }
-  return sum;
-}
-
 void ShootdownEngine::ComputeTargets(SimCpu& cpu, MmStruct& mm, bool freed_tables,
                                      CpuList* targets) {
-  // Walk only the mask's set bits (per-socket words + ctz): target cost
-  // follows the process's footprint, not num_cpus — flat at 224 cpus.
+  // Walk only the mask's set bits (ctz per word): target cost follows the
+  // process's footprint, not num_cpus.
   mm.cpumask.ForEachSet([&](int t) {
     if (t == cpu.id()) {
       return;
@@ -85,7 +33,7 @@ void ShootdownEngine::ComputeTargets(SimCpu& cpu, MmStruct& mm, bool freed_table
     LineId lazy_line = opts().cacheline_consolidation ? pc.csq_line : pc.tlbstate_line;
     cpu.AccessLine(lazy_line, AccessType::kRead);
     if (pc.is_lazy) {
-      ++StatsFor(cpu).lazy_skipped;
+      ++stats_.lazy_skipped;
       return;
     }
     // §4.2/§5.3: a CPU inside an munmap advertising ipi_defer_mode does not
@@ -94,7 +42,7 @@ void ShootdownEngine::ComputeTargets(SimCpu& cpu, MmStruct& mm, bool freed_table
     // could touch freed tables).
     if (opts().userspace_batching && !freed_tables && pc.ipi_defer_mode &&
         pc.loaded_mm == &mm) {
-      ++StatsFor(cpu).batched_ipi_skipped;
+      ++stats_.batched_ipi_skipped;
       return;
     }
     targets->push_back(t);
@@ -125,7 +73,7 @@ void ShootdownEngine::Ack(SimCpu& cpu, Cfd& cfd) {
 void ShootdownEngine::FlushUserPte(SimCpu& cpu, MmStruct& mm, uint64_t va, int stride_shift) {
   (void)stride_shift;
   cpu.ArchInvPcidAddr(mm.user_pcid, va);
-  ++StatsFor(cpu).invpcid_issued;
+  ++stats_.invpcid_issued;
 }
 
 Co<void> ShootdownEngine::LocalFlushAll(SimCpu& cpu, MmStruct& mm, const FlushBatch& infos,
@@ -150,7 +98,7 @@ Co<void> ShootdownEngine::LocalFlushAll(SimCpu& cpu, MmStruct& mm, const FlushBa
       for (uint64_t va = info.start; va < info.end; va += stride) {
         cpu.ArchInvlPg(mm.kernel_pcid, va);
       }
-      StatsFor(cpu).invlpg_issued += pages;
+      stats_.invlpg_issued += pages;
       co_await cpu.Execute(static_cast<Cycles>(pages) * costs.invlpg);
 
       if (pti() && !inject_.skip_user_flush) {
@@ -164,11 +112,11 @@ Co<void> ShootdownEngine::LocalFlushAll(SimCpu& cpu, MmStruct& mm, const FlushBa
                 opts().concurrent_flush && !targets.empty() && !AckVisible(cpu, targets);
             if (spare_cycles) {
               FlushUserPte(cpu, mm, va, info.stride_shift);
-              ++StatsFor(cpu).eager_user_during_wait;
+              ++stats_.eager_user_during_wait;
               co_await cpu.Execute(costs.invpcid_addr);
             } else {
               pc.deferred_user.MergeRange(va, va + stride, info.stride_shift, threshold());
-              ++StatsFor(cpu).deferred_selective;
+              ++stats_.deferred_selective;
             }
           } else {
             FlushUserPte(cpu, mm, va, info.stride_shift);
@@ -184,7 +132,7 @@ Co<void> ShootdownEngine::LocalFlushAll(SimCpu& cpu, MmStruct& mm, const FlushBa
                              /*user_covered=*/!pti() || !inject_.skip_user_flush);
       }
     } else {
-      ++StatsFor(cpu).full_local_flushes;
+      ++stats_.full_local_flushes;
       cpu.ArchFlushPcid(mm.kernel_pcid);
       co_await cpu.Execute(costs.cr3_write_flush);
       bool user_covered = !pti();
@@ -206,10 +154,9 @@ Co<void> ShootdownEngine::LocalFlushAll(SimCpu& cpu, MmStruct& mm, const FlushBa
   }
 }
 
-// tlblint: shard-local — runs on the initiating cpu's timeline
 Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, FlushBatch infos) {
   assert(!infos.empty());
-  ScopedCycleTimer timer(HistFor(hb_initiator_cycles_, h_initiator_cycles_, cpu.id()), &cpu);
+  ScopedCycleTimer timer(h_initiator_cycles_, &cpu);
   c_initiated_->Inc(cpu.id());
   const CostModel& costs = kernel_->machine().costs();
   cpu.TracePhase("initiator: flush dispatch");
@@ -231,9 +178,9 @@ Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, FlushBatch info
 
   CpuList targets;
   ComputeTargets(cpu, mm, any_freed, &targets);
-  HistFor(hb_targets_, h_targets_, cpu.id())->Record(static_cast<double>(targets.size()));
+  h_targets_->Record(static_cast<double>(targets.size()));
   if (targets.empty()) {
-    ++StatsFor(cpu).local_only;
+    ++stats_.local_only;
     cpu.TracePhase("initiator: local flush (no remote targets)");
     co_await LocalFlushAll(cpu, mm, infos, {});
     if (ProtocolCheckSink* c = chk()) {
@@ -241,7 +188,7 @@ Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, FlushBatch info
     }
     co_return;
   }
-  ++StatsFor(cpu).shootdowns;
+  ++stats_.shootdowns;
 
   if (!opts().concurrent_flush) {
     // Baseline order: local flush first, then kick the remotes (Figure 1a).
@@ -303,12 +250,7 @@ Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, FlushBatch info
 
 Co<void> ShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint64_t end,
                                      int stride_shift, bool freed_tables) {
-  // Socket-confinement contract (protocol-shard storms): the whole protocol
-  // for this mm — targets, CFDs, acks — stays inside the initiator's socket.
-  assert(!require_confined_ ||
-         mm.cpumask.OnlySocket() ==
-             cpu.id() / kernel_->machine().topo().cpus_per_socket());
-  ++StatsFor(cpu).flush_requests;
+  ++stats_.flush_requests;
   const CostModel& costs = kernel_->machine().costs();
 
   // Bump the address-space generation (mm->context.tlb_gen).
@@ -340,12 +282,12 @@ Co<void> ShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, 
   if (pc.batched_mode) {
     // §4.2: absorb into the batch; flush when the 4 slots fill.
     pc.batched.push_back(info);
-    ++StatsFor(cpu).batched_absorbed;
+    ++stats_.batched_absorbed;
     cpu.AdvanceInline(costs.pte_update);  // slot bookkeeping
     if (pc.batched.size() >= PerCpu::kBatchSlots) {
       FlushBatch infos = pc.batched;
       pc.batched.clear();
-      ++StatsFor(cpu).batch_shootdowns;
+      ++stats_.batch_shootdowns;
       co_await DoShootdown(cpu, mm, infos);
     }
     co_return;
@@ -372,7 +314,7 @@ Co<void> ShootdownEngine::EndBatch(SimCpu& cpu, MmStruct& mm) {
   if (!pc.batched.empty()) {
     FlushBatch infos = pc.batched;
     pc.batched.clear();
-    ++StatsFor(cpu).batch_shootdowns;
+    ++stats_.batch_shootdowns;
     co_await DoShootdown(cpu, mm, infos);
   }
   // The mmap_sem-release barrier: while this CPU was in batched mode other
@@ -380,7 +322,7 @@ Co<void> ShootdownEngine::EndBatch(SimCpu& cpu, MmStruct& mm) {
   // userspace mapping can be touched again.
   cpu.AccessLine(mm.gen_line, AccessType::kRead);
   if (pc.loaded_mm_tlb_gen < mm.tlb_gen) {
-    ++StatsFor(cpu).batch_barrier_flushes;
+    ++stats_.batch_barrier_flushes;
     cpu.ArchFlushPcid(mm.kernel_pcid);
     co_await cpu.Execute(kernel_->machine().costs().cr3_write_flush);
     if (pti()) {
@@ -409,7 +351,7 @@ Co<void> ShootdownEngine::OnReturnToUser(SimCpu& cpu, MmStruct& mm) {
     co_return;
   }
   if (d.full) {
-    ++StatsFor(cpu).in_context_full;
+    ++stats_.in_context_full;
     cpu.TracePhase("exit: full user-space flush");
     cpu.ArchFlushPcid(mm.user_pcid);
     // CR3 load without the NOFLUSH bit: flush+switch in one instruction;
@@ -429,8 +371,8 @@ Co<void> ShootdownEngine::OnReturnToUser(SimCpu& cpu, MmStruct& mm) {
     cpu.ArchInvlPg(mm.user_pcid, va);
     ++pages;
   }
-  StatsFor(cpu).in_context_invlpg += pages;
-  StatsFor(cpu).invlpg_issued += pages;
+  stats_.in_context_invlpg += pages;
+  stats_.invlpg_issued += pages;
   co_await cpu.Execute(static_cast<Cycles>(pages) * costs.invlpg + costs.lfence);
 }
 
@@ -440,7 +382,7 @@ Co<void> ShootdownEngine::OnCowFault(SimCpu& cpu, MmStruct& mm, uint64_t va, boo
   // avoidance path the paper forbids for them.
   bool exec_eff = executable && !inject_.cow_avoid_executable;
   if (opts().cow_avoidance && !exec_eff) {
-    ++StatsFor(cpu).cow_flush_avoided;
+    ++stats_.cow_flush_avoided;
     cpu.TracePhase("cow: flush avoided via atomic access");
     if (ProtocolCheckSink* c = chk()) {
       c->OnCowAvoidance(cpu, mm, va, executable);
@@ -463,7 +405,7 @@ Co<void> ShootdownEngine::OnCowFault(SimCpu& cpu, MmStruct& mm, uint64_t va, boo
     (void)r;
     co_return;
   }
-  ++StatsFor(cpu).cow_flushes;
+  ++stats_.cow_flushes;
   cpu.TracePhase("cow: flush path");
   if (mm.cpumask.count() > 1) {
     // Other threads may cache the mapping: full shootdown (ptep_clear_flush
@@ -496,7 +438,7 @@ Co<void> ShootdownEngine::OnSwitchIn(SimCpu& cpu, MmStruct& mm) {
   if (pc.loaded_mm_tlb_gen >= mm.tlb_gen) {
     co_return;  // TLB is current
   }
-  ++StatsFor(cpu).switch_in_flushes;
+  ++stats_.switch_in_flushes;
   cpu.ArchFlushPcid(mm.kernel_pcid);
   co_await cpu.Execute(costs.cr3_write_flush);
   if (pti()) {
@@ -509,9 +451,8 @@ Co<void> ShootdownEngine::OnSwitchIn(SimCpu& cpu, MmStruct& mm) {
   }
 }
 
-// tlblint: shard-local — runs on the target cpu's timeline
 Co<void> ShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
-  ScopedCycleTimer timer(HistFor(hb_flush_irq_cycles_, h_flush_irq_cycles_, cpu.id()), &cpu);
+  ScopedCycleTimer timer(h_flush_irq_cycles_, &cpu);
   c_flush_irqs_->Inc(cpu.id());
   const CostModel& costs = kernel_->machine().costs();
   PerCpu& pc = kernel_->percpu(cpu.id());
@@ -547,7 +488,7 @@ Co<void> ShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
       if (!inject_.skip_early_ack_guard) {
         ++pc.unfinished_flushes;
       }
-      ++StatsFor(cpu).early_acks;
+      ++stats_.early_acks;
       cpu.TracePhase("responder: early ack");
       Ack(cpu, *cfd);
       if (ProtocolCheckSink* c = chk()) {
@@ -563,7 +504,7 @@ Co<void> ShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
         --pc.unfinished_flushes;
       }
     } else {
-      ++StatsFor(cpu).late_acks;
+      ++stats_.late_acks;
       cpu.TracePhase("responder: ack after flush");
       Ack(cpu, *cfd);
       if (ProtocolCheckSink* c = chk()) {
@@ -584,27 +525,27 @@ Co<void> ShootdownEngine::ResponderFlushOne(SimCpu& cpu, const FlushTlbInfo& inf
   uint64_t mm_gen = mm->tlb_gen;
   uint64_t local_gen = pc.loaded_mm_tlb_gen;
   if (info.new_tlb_gen <= local_gen) {
-    ++StatsFor(cpu).responder_skipped_gen;  // someone already flushed for us
+    ++stats_.responder_skipped_gen;  // someone already flushed for us
     co_return;
   }
   bool wants_full = info.IsFull() || info.PageCount() > threshold();
   bool full_applied = false;
   bool user_covered = true;
   if (!wants_full && local_gen == info.new_tlb_gen - 1) {
-    ++StatsFor(cpu).responder_selective;
+    ++stats_.responder_selective;
     uint64_t stride = 1ULL << info.stride_shift;
     uint64_t pages = info.PageCount();
     if (!inject_.drop_responder_flush) {
       for (uint64_t va = info.start; va < info.end; va += stride) {
         cpu.ArchInvlPg(mm->kernel_pcid, va);
       }
-      StatsFor(cpu).invlpg_issued += pages;
+      stats_.invlpg_issued += pages;
       co_await cpu.Execute(static_cast<Cycles>(pages) * costs.invlpg);
       if (pti()) {
         bool may_defer = opts().in_context_flush && !info.freed_tables;
         if (may_defer) {
           pc.deferred_user.MergeRange(info.start, info.end, info.stride_shift, threshold());
-          StatsFor(cpu).deferred_selective += pages;
+          stats_.deferred_selective += pages;
           cpu.TracePhase("responder: user flush deferred in-context");
         } else {
           for (uint64_t va = info.start; va < info.end; va += stride) {
@@ -618,10 +559,10 @@ Co<void> ShootdownEngine::ResponderFlushOne(SimCpu& cpu, const FlushTlbInfo& inf
   } else {
     // More than one generation behind (a flush storm), or an explicit full
     // flush: do a full flush and catch up with mm_gen entirely.
-    ++StatsFor(cpu).responder_full;
+    ++stats_.responder_full;
     full_applied = true;
     if (!info.IsFull() && info.PageCount() <= threshold()) {
-      ++StatsFor(cpu).responder_full_storm;
+      ++stats_.responder_full_storm;
     }
     if (!inject_.drop_responder_flush) {
       cpu.ArchFlushPcid(mm->kernel_pcid);

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "src/core/fault_injection.h"
 #include "src/kernel/flush_backend.h"
@@ -77,25 +76,8 @@ class ShootdownEngine final : public TlbFlushBackend {
   Co<void> OnSwitchIn(SimCpu& cpu, MmStruct& mm) override;
   Co<void> HandleFlushIrq(SimCpu& cpu) override;
 
-  // Summed over banks (one bank — the legacy flat counters — by default).
-  Stats stats() const;
-  void ResetStats() {  // tlblint: setup — between runs, engine quiescent
-    for (Stats& b : banks_) {
-      b = Stats{};
-    }
-  }
-
-  // Protocol sharding: banks the counters and the protocol histograms
-  // ("shootdown.*.socket<k>") by the acting CPU's socket, so protocol phases
-  // running concurrently in different shard windows never share a counter
-  // word or interleave nondeterministically into one histogram reservoir.
-  // banks <= 1 keeps the legacy flat shape and metric names.
-  void ConfigureBanks(int banks, int cpus_per_bank);
-
-  // Debug contract check for socket-confined storms: every FlushRange must
-  // find the mm's cpumask confined to the initiator's socket (TSan CI runs
-  // with this on).
-  void set_require_confined(bool on) { require_confined_ = on; }
+  const Stats& stats() const { return stats_; }
+  void ResetStats() { stats_ = Stats{}; }
 
   // Deliberate protocol faults for tlbcheck validation (tests only).
   void set_fault_injection(const FaultInjection& fi) {
@@ -141,23 +123,8 @@ class ShootdownEngine final : public TlbFlushBackend {
   // tlbcheck sink (null when checking is off); shared with the kernel.
   ProtocolCheckSink* chk() const { return kernel_->check_sink(); }
 
-  // tlblint: shard-local — resolves into the acting cpu's own bank
-  Stats& StatsFor(const SimCpu& cpu) {
-    if (banks_.size() == 1) return banks_[0];
-    size_t b = static_cast<size_t>(cpu.id()) / static_cast<size_t>(cpus_per_bank_);
-    return banks_[b < banks_.size() ? b : banks_.size() - 1];
-  }
-  // tlblint: shard-local — resolves into the acting cpu's own bank
-  Histogram* HistFor(const std::vector<Histogram*>& banked, Histogram* flat, int cpu_id) const {
-    if (banked.empty()) return flat;
-    size_t b = static_cast<size_t>(cpu_id) / static_cast<size_t>(cpus_per_bank_);
-    return banked[b < banked.size() ? b : banked.size() - 1];
-  }
-
   Kernel* kernel_;
-  std::vector<Stats> banks_{1};  // tlblint: banked(socket)
-  int cpus_per_bank_ = 1 << 30;
-  bool require_confined_ = false;
+  Stats stats_;
   FaultInjection inject_;
 
   // Live observability handles, resolved once in the ctor (the registry map
@@ -169,10 +136,6 @@ class ShootdownEngine final : public TlbFlushBackend {
   Histogram* h_targets_ = nullptr;           // shootdown.targets per dispatch
   PerCpuCounter* c_initiated_ = nullptr;     // shootdown.initiated
   PerCpuCounter* c_flush_irqs_ = nullptr;    // shootdown.flush_irqs
-  // Per-socket variants ("<name>.socket<k>"), protocol-shard mode only.
-  std::vector<Histogram*> hb_initiator_cycles_;  // tlblint: banked(socket)
-  std::vector<Histogram*> hb_flush_irq_cycles_;  // tlblint: banked(socket)
-  std::vector<Histogram*> hb_targets_;           // tlblint: banked(socket)
 };
 
 }  // namespace tlbsim

@@ -49,32 +49,6 @@ void CollectMachineMetrics(Machine& machine) {
   m.counter("apic.multicast_messages").Set(ap.multicast_messages);
   m.counter("engine.events_processed").Set(machine.engine().events_processed());
   m.counter("engine.virtual_cycles").Set(static_cast<uint64_t>(machine.engine().now()));
-  const Engine::ParallelStats par = machine.engine().parallel_stats();
-  if (par.windows > 0) {
-    // Sharded-engine gauges, only once a parallel window actually ran.
-    // Guarded: the shootdown protocol lives on the serial timeline, so a
-    // figure bench at any --sim-threads never enters a window and its
-    // report stays byte-identical with the serial engine's.
-    m.counter("engine.windows").Set(par.windows);
-    m.counter("engine.shard_windows").Set(par.shard_windows);
-    m.counter("engine.parallel_events").Set(par.parallel_events);
-    m.counter("engine.cross_shard_messages").Set(par.cross_shard_messages);
-    m.counter("engine.cross_shard_cancels").Set(par.cross_shard_cancels);
-    m.counter("engine.horizon_stalls").Set(par.horizon_stalls);
-    m.counter("engine.clamped_deliveries").Set(par.clamped_deliveries);
-    m.counter("engine.mailbox_overflows").Set(par.mailbox_overflows);
-    m.counter("engine.mailbox_high_water").Set(par.mailbox_high_water);
-  }
-  if (machine.protocol_shards_active()) {
-    // Protocol-shard gauges (MachineConfig::shard_protocol). Guarded like the
-    // window gauges above: legacy and plain --sim-threads reports never see
-    // these names.
-    m.counter("engine.protocol_shard_banks").Set(
-        static_cast<uint64_t>(machine.topo().sockets));
-    m.counter("engine.protocol_shard_lookahead").Set(
-        static_cast<uint64_t>(machine.engine().lookahead()));
-    m.counter("engine.protocol_shard_events").Set(par.parallel_events);
-  }
   if (machine.config().numa.enabled()) {
     // Gauge view of the live per-CPU NUMA counters, so bench gates can probe
     // them under "counters" by dotted name. Guarded: registering these on a
@@ -97,7 +71,7 @@ void CollectKernelMetrics(Kernel& kernel) {
   m.counter("kernel.lazy_entries").Set(s.lazy_entries);
   m.counter("kernel.compat_iret_full_flushes").Set(s.compat_iret_full_flushes);
   if (kernel.config().opts.reuse_elision) {
-    // Optimization #7 counters. Guarded like the numa/protocol-shard gauges:
+    // Optimization #7 counters. Guarded like the numa gauges:
     // a report produced with the flag off must never see these names, so the
     // existing figure/table documents stay byte-identical.
     m.counter("kernel.reuse_elided_flushes").Set(s.reuse_elided_flushes);

@@ -108,35 +108,6 @@ class System {
   Kernel& kernel() { return kernel_; }
   ShootdownEngine& shootdown() { return shootdown_; }
 
-  // Protocol sharding, phase 2 (MachineConfig::shard_protocol): splits the
-  // quiescent engine into per-socket shards and banks every protocol-state
-  // layer — coherence directory, APIC, kernel counters, and whichever flush
-  // backend is active — by the acting CPU's socket. Call after the serial
-  // setup phase (process creation, pre-faulting) and before the measured
-  // storm. No-op unless the config asked for protocol sharding; idempotent.
-  void ActivateProtocolShards() {
-    if (!machine_.config().shard_protocol || machine_.protocol_shards_active()) {
-      return;
-    }
-    int banks = machine_.config().topo.sockets;
-    int cps = machine_.config().topo.cpus_per_socket();
-    machine_.ActivateProtocolShards();
-    kernel_.ConfigureStatBanks(banks, cps);
-    shootdown_.ConfigureBanks(banks, cps);
-    if (queue_) {
-      queue_->ConfigureBanks(banks, cps);
-    }
-  }
-
-  // Debug contract check for socket-confined storms: asserts (debug builds)
-  // that every shootdown's initiator and cpumask stay on one socket.
-  void SetRequireConfined(bool on) {
-    shootdown_.set_require_confined(on);
-    if (queue_) {
-      queue_->set_require_confined(on);
-    }
-  }
-
   // Non-null iff this system runs the queue backend.
   QueueFlushBackend* queue() { return queue_.get(); }
   const QueueFlushBackend* queue() const { return queue_.get(); }

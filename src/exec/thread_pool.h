@@ -23,13 +23,13 @@
 
 #include <cstddef>
 #include <deque>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/base/mutex.h"
 #include "src/base/thread_annotations.h"
-#include "src/sim/engine.h"
 #include "src/sim/inline_fn.h"
 
 namespace tlbsim {
@@ -92,22 +92,6 @@ class ThreadPool {
   size_t queued_ GUARDED_BY(mu_) = 0;      // sitting in a deque right now
   size_t next_submit_ GUARDED_BY(mu_) = 0; // round-robin cursor for Submit()
   bool stop_ GUARDED_BY(mu_) = false;
-};
-
-// Adapts ThreadPool to the engine's host-parallelism hook. The sim layer
-// cannot depend on exec/, so Engine only sees the Executor interface; the
-// sharded engine's window barrier is ThreadPool::Drain, whose mutex hand-off
-// provides the happens-before edge between shard windows and the
-// coordinator's mailbox drain (this is what keeps the parallel core
-// TSan-clean without any atomics in shard code).
-class EngineExecutor final : public Engine::Executor {
- public:
-  explicit EngineExecutor(ThreadPool& pool) : pool_(pool) {}
-  void Submit(InlineFn task) override { pool_.Submit(std::move(task)); }
-  void Drain() override { pool_.Drain(); }
-
- private:
-  ThreadPool& pool_;
 };
 
 }  // namespace tlbsim

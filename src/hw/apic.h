@@ -33,16 +33,8 @@ class Apic {
   // Publishes a live wire-latency histogram ("apic.ipi_wire_cycles") into the
   // registry; the handle is cached so Deliver() stays off the map.
   void set_metrics(MetricsRegistry* m) {
-    metrics_ = m;
     wire_hist_ = m != nullptr ? &m->histogram("apic.ipi_wire_cycles") : nullptr;
   }
-
-  // Protocol sharding: banks the send-side counters (and, when a registry is
-  // attached, the wire histogram — "apic.ipi_wire_cycles.socket<k>") by the
-  // sender's socket so concurrent shard windows never share a counter word
-  // and histogram reservoirs fill in a deterministic per-socket order.
-  // banks <= 1 keeps the legacy flat shape and metric names.
-  void ConfigureBanks(int banks, int cpus_per_bank);
 
   // Sends `vector` to every CPU in `targets`. The sender pays one ICR write
   // per addressed cluster (or per target when multicast is disabled) inline
@@ -57,47 +49,19 @@ class Apic {
     uint64_t icr_writes = 0;      // sender-side ICR MSR writes
     uint64_t multicast_messages = 0;
   };
-  // Summed over banks (one bank — the legacy flat counters — by default).
-  Stats stats() const;
-  void ResetStats() {  // tlblint: setup — between runs, engine quiescent
-    for (Stats& b : banks_) {
-      b = Stats{};
-    }
-  }
-
-  // Protocol sharding: route each delivery onto the target CPU's event shard
-  // (ScheduleOnCpu) instead of the sender's current timeline. Off by default:
-  // the serial-protocol sharded mode relies on deliveries landing on the
-  // sender's timeline (the serial queue) exactly as the legacy engine did.
-  void set_shard_delivery(bool on) { shard_delivery_ = on; }
+  const Stats& stats() const { return stats_; }
+  void ResetStats() { stats_ = Stats{}; }
 
  private:
   Cycles WireLatency(int from, int to) const;
   void Deliver(SimCpu& sender, int target, int vector);
-  // tlblint: shard-local — resolves into the sending cpu's own bank
-  Stats& BankFor(int cpu) {
-    if (banks_.size() == 1) return banks_[0];
-    size_t b = static_cast<size_t>(cpu) / static_cast<size_t>(cpus_per_bank_);
-    return banks_[b < banks_.size() ? b : banks_.size() - 1];
-  }
-  // tlblint: shard-local — resolves into the sending cpu's own bank
-  Histogram* WireHistFor(int cpu) {
-    if (wire_hists_.empty()) return wire_hist_;
-    size_t b = static_cast<size_t>(cpu) / static_cast<size_t>(cpus_per_bank_);
-    return wire_hists_[b < wire_hists_.size() ? b : wire_hists_.size() - 1];
-  }
-
   Engine* engine_;
   Topology topo_;
   const CostModel* costs_;
   std::vector<SimCpu*> cpus_;
   bool use_multicast_ = true;
-  bool shard_delivery_ = false;
-  std::vector<Stats> banks_{1};         // tlblint: banked(socket)
-  int cpus_per_bank_ = 1 << 30;
-  MetricsRegistry* metrics_ = nullptr;
+  Stats stats_;
   Histogram* wire_hist_ = nullptr;
-  std::vector<Histogram*> wire_hists_;  // tlblint: banked(socket) per-socket, shard mode only
 };
 
 }  // namespace tlbsim

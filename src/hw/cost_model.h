@@ -10,7 +10,6 @@
 #ifndef TLBSIM_SRC_HW_COST_MODEL_H_
 #define TLBSIM_SRC_HW_COST_MODEL_H_
 
-#include <algorithm>
 
 #include "src/cache/coherence.h"
 #include "src/sim/time.h"
@@ -96,31 +95,6 @@ struct CostModel {
 
   // Fractional jitter applied to wire/entry costs when an Rng is supplied.
   double jitter_frac = 0.03;
-
-  // Conservative lookahead for the sharded event engine (src/sim/engine.h):
-  // the cheapest cross-socket interaction — an APIC IPI on the wire or a
-  // cache-line transfer across the interconnect — bounds how soon one
-  // socket's events can affect another's, so every shard may safely run
-  // `lookahead` cycles past the global minimum event time. Discounted by the
-  // jitter band's lower edge since jittered wire costs can undershoot the
-  // nominal value.
-  Cycles CrossShardLookahead() const {
-    Cycles wire = std::min(ipi_wire_cross_socket, cache.cross_socket_transfer);
-    auto floor = static_cast<Cycles>(static_cast<double>(wire) * (1.0 - jitter_frac));
-    return std::max<Cycles>(1, floor);
-  }
-
-  // Lookahead when the protocol state itself is sharded per socket
-  // (MachineConfig::shard_protocol): the coherence directory is banked by the
-  // acting CPU's socket and mm_cpumask words are per-socket, so a cache-line
-  // transfer no longer crosses shard boundaries. The only remaining
-  // cross-socket edge is an explicit IPI on the wire, whose latency bounds
-  // how soon one socket can affect another. Same jitter discount as above.
-  Cycles ProtocolShardLookahead() const {
-    auto floor = static_cast<Cycles>(static_cast<double>(ipi_wire_cross_socket) *
-                                     (1.0 - jitter_frac));
-    return std::max<Cycles>(1, floor);
-  }
 };
 
 }  // namespace tlbsim

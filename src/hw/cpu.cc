@@ -112,11 +112,7 @@ void SimCpu::Spawn(SimTask task) {
     --scheduled_resumes_;
     handle.resume();
   };
-  if (shard_queue_) {
-    engine_->ScheduleOnCpu(id_, at, std::move(resume));
-  } else {
-    engine_->Schedule(at, std::move(resume));
-  }
+  engine_->Schedule(at, std::move(resume));
 }
 
 void SimCpu::AfterTaskDone(void* cpu) {
@@ -287,9 +283,7 @@ void SimCpu::ExecAwaitable::Arm() {
   started = cpu->now();
   armed_here = true;
   cpu->set_armed(this);
-  event = cpu->shard_queue()
-              ? cpu->engine()->ScheduleOnCpu(cpu->id(), started + remaining, [this] { Fire(); })
-              : cpu->engine()->Schedule(started + remaining, [this] { Fire(); });
+  event = cpu->engine()->Schedule(started + remaining, [this] { Fire(); });
 }
 
 void SimCpu::ExecAwaitable::Fire() {

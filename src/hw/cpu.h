@@ -194,21 +194,8 @@ class SimCpu {
       --scheduled_resumes_;
       fn();
     };
-    if (shard_queue_) {
-      engine_->ScheduleOnCpu(id_, at, std::move(resume));
-    } else {
-      engine_->Schedule(at, std::move(resume));
-    }
+    engine_->Schedule(at, std::move(resume));
   }
-
-  // Protocol sharding: when set, this CPU's self-schedules (Spawn, resume
-  // kicks, Execute completions) land on the event shard that owns the CPU via
-  // ScheduleOnCpu instead of the current timeline. Once a program runs inside
-  // its shard, everything it schedules follows it there, so socket-confined
-  // work never touches the serial queue. On an unsharded engine
-  // ScheduleOnCpu degenerates to Schedule, making the flag a no-op.
-  void set_shard_queue(bool on) { shard_queue_ = on; }
-  bool shard_queue() const { return shard_queue_; }
 
   // Gated on enabled(): the tag would otherwise become a std::string per
   // protocol phase even though only the timeline figure traces.
@@ -299,7 +286,6 @@ class SimCpu {
   uint64_t flag_wait_id_ = 0;
   std::vector<ArmedWait*> post_irq_waiters_;
   int scheduled_resumes_ = 0;  // continuations queued for this CPU
-  bool shard_queue_ = false;   // route self-schedules to this CPU's shard
   HwCheckSink* check_sink_ = nullptr;
 
   Stats stats_;

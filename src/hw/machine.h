@@ -20,9 +20,6 @@
 
 namespace tlbsim {
 
-class ThreadPool;       // src/exec/thread_pool.h; owned here when sim_threads > 1
-class EngineExecutor;   // adapter handing the pool to the engine
-
 struct MachineConfig {
   Topology topo;           // default: 2 sockets x 14 cores x 2 SMT
   CostModel costs;
@@ -31,30 +28,6 @@ struct MachineConfig {
   // pre-NUMA timings exactly. Experiments set numa.nodes = topo.sockets.
   NumaConfig numa;
   uint64_t seed = 1;
-  // Host threads for the sharded event engine (the --sim-threads axis).
-  // 1 (default) keeps the single-heap engine, bit-identical to every
-  // pre-sharding report. >1 splits the engine into per-socket event shards
-  // with conservative-lookahead windows; the shootdown protocol itself still
-  // runs on the serial timeline (see src/sim/engine.h), so simulation
-  // results stay byte-identical at any value — only host-side wall metrics
-  // and shard-confined workloads (ScheduleOnCpu traffic) use the extra
-  // threads.
-  int sim_threads = 1;
-  // Protocol sharding: run the shootdown protocol itself — kernel paths,
-  // coherence directory, APIC delivery, backend state — on per-socket shards
-  // instead of the serial queue. Setup is two-phase: the Machine constructor
-  // only *prepares* the shard plan (processes are created and pre-faulted on
-  // the unsharded serial engine), then the workload calls
-  // System::ActivateProtocolShards() / Machine::ActivateProtocolShards() on
-  // the quiescent engine to split the heap and bank every protocol-state
-  // object per socket. Meaningful on multi-socket topologies only; works at
-  // sim_threads == 1 too (windows run inline on the calling thread), which
-  // is how the equality harness replays a sharded run deterministically.
-  bool shard_protocol = false;
-  // Window width for protocol-shard mode; 0 picks
-  // costs.ProtocolShardLookahead() (IPI wire latency — with the coherence
-  // directory banked, an IPI is the only cross-socket edge left).
-  Cycles protocol_lookahead = 0;
 };
 
 class Machine {
@@ -62,7 +35,6 @@ class Machine {
   explicit Machine(const MachineConfig& config = MachineConfig{});
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
-  ~Machine();  // out of line: sim_pool_ is incomplete here
 
   Engine& engine() { return engine_; }
   CoherenceModel& coherence() { return coherence_; }
@@ -80,37 +52,14 @@ class Machine {
   int num_cpus() const { return static_cast<int>(cpus_.size()); }
   SimCpu& cpu(int id) { return *cpus_.at(static_cast<size_t>(id)); }
 
-  // Protocol sharding, phase 2 (see MachineConfig::shard_protocol): splits
-  // the quiescent engine into per-socket shards and banks the machine-owned
-  // protocol state (coherence directory, APIC counters + delivery, per-CPU
-  // self-schedule routing). Kernel/backend banks are the kernel layer's to
-  // configure — System::ActivateProtocolShards() does both. No-op unless the
-  // config asked for protocol sharding; idempotent.
-  void ActivateProtocolShards();
-  bool protocol_shards_active() const { return protocol_active_; }
-  // Banks protocol-shard mode will use (== sockets), 1 when not configured.
-  int protocol_banks() const {
-    return (protocol_pending_ || protocol_active_) ? config_.topo.sockets : 1;
-  }
-
  private:
   MachineConfig config_;
-  // Host threads backing the engine's parallel windows (sim_threads > 1 on a
-  // multi-socket topology only); declared before engine_ so the executor
-  // outlives every window the engine could still reference.
-  std::unique_ptr<ThreadPool> sim_pool_;
-  std::unique_ptr<EngineExecutor> sim_executor_;
   Engine engine_;
   Trace trace_;
   MetricsRegistry metrics_;  // before coherence/apic/cpus: they hold handles
   CoherenceModel coherence_;
   Apic apic_;
   std::vector<std::unique_ptr<SimCpu>> cpus_;
-  // Deferred shard plan for protocol mode (built in the constructor, applied
-  // by ActivateProtocolShards once setup is done).
-  Engine::ShardPlan pending_plan_;
-  bool protocol_pending_ = false;
-  bool protocol_active_ = false;
 };
 
 }  // namespace tlbsim

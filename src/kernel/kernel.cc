@@ -55,34 +55,6 @@ Kernel::Kernel(Machine* machine, KernelConfig config) : machine_(machine), confi
   frames_.set_reuse_observer([this](uint64_t pfn) { OnFrameReuse(pfn); });
 }
 
-void Kernel::ConfigureStatBanks(int banks, int cpus_per_bank) {
-  if (banks < 1) banks = 1;
-  if (cpus_per_bank < 1) cpus_per_bank = 1;
-  stat_banks_.resize(static_cast<size_t>(banks));
-  cpus_per_stat_bank_ = cpus_per_bank;
-}
-
-Kernel::Stats Kernel::stats() const {
-  Stats sum;
-  for (const Stats& b : stat_banks_) {
-    sum.syscalls += b.syscalls;
-    sum.page_faults += b.page_faults;
-    sum.cow_faults += b.cow_faults;
-    sum.demand_faults += b.demand_faults;
-    sum.flush_requests += b.flush_requests;
-    sum.context_switches += b.context_switches;
-    sum.lazy_entries += b.lazy_entries;
-    sum.compat_iret_full_flushes += b.compat_iret_full_flushes;
-    sum.reuse_elided_flushes += b.reuse_elided_flushes;
-    sum.reuse_elided_pages += b.reuse_elided_pages;
-    sum.reuse_benign_closes += b.reuse_benign_closes;
-    sum.reuse_forced_flushes += b.reuse_forced_flushes;
-    sum.reuse_evictions += b.reuse_evictions;
-    sum.reuse_frame_handoffs += b.reuse_frame_handoffs;
-  }
-  return sum;
-}
-
 void Kernel::SetFlushBackend(TlbFlushBackend* backend) {
   backend_ = backend;
   for (int i = 0; i < machine_->num_cpus(); ++i) {
@@ -112,8 +84,7 @@ void Kernel::SetFlushBackend(TlbFlushBackend* backend) {
 Process* Kernel::CreateProcess() {
   auto p = std::make_unique<Process>();
   p->id = next_process_id_++;
-  p->mm = std::make_unique<MmStruct>(p->id, &machine_->engine(), &machine_->coherence(),
-                                     machine_->topo().cpus_per_socket());
+  p->mm = std::make_unique<MmStruct>(p->id, &machine_->engine(), &machine_->coherence());
   if (machine_->config().numa.enabled() && config_.opts.pt_replication) {
     p->mm->pt.EnableReplication(machine_->config().numa.nodes);
     p->mm->pt.set_skip_replica_propagation(replica_skip_);
@@ -148,7 +119,7 @@ File* Kernel::CreateFile(uint64_t size_bytes) {
 }
 
 Co<void> Kernel::SyscallEnter(Thread& t) {
-  ++StatsFor(t.cpu).syscalls;
+  ++stats_.syscalls;
   c_syscalls_->Inc(t.cpu);
   SimCpu& cpu = machine_->cpu(t.cpu);
   MmStruct& mm = *t.process->mm;
@@ -173,7 +144,7 @@ Co<void> Kernel::SyscallExit(Thread& t) {
   PerCpu& pc = percpu(t.cpu);
   if (config_.pti && t.compat32 && pc.deferred_user.any && !pc.deferred_user.full) {
     pc.deferred_user.MarkFull();
-    ++StatsFor(t.cpu).compat_iret_full_flushes;
+    ++stats_.compat_iret_full_flushes;
   }
   // Deferred user-space flushes run on the way out (§3.4), then the user
   // PCID is live again.
@@ -253,12 +224,12 @@ Co<bool> Kernel::TryReuseElide(SimCpu& cpu, MmStruct& mm, const ZapResult& zr) {
     if (evicted.has_value()) {
       // Eviction forces the flush the evicted record's elision deferred
       // (before its frame can travel any further).
-      ++StatsFor(cpu.id()).reuse_evictions;
+      ++stats_.reuse_evictions;
       if (check_ != nullptr) {
         check_->OnReuseFlushClose(mm, evicted->va, /*stale_dropped=*/true);
       }
       EraseReuseRecord(mm, evicted->va, evicted->pfn);
-      ++StatsFor(cpu.id()).flush_requests;
+      ++stats_.flush_requests;
       co_await backend_->FlushRange(cpu, mm, evicted->va, evicted->va + kPageSize4K,
                                     static_cast<int>(kPageShift), /*freed_tables=*/false);
     }
@@ -278,8 +249,8 @@ Co<bool> Kernel::TryReuseElide(SimCpu& cpu, MmStruct& mm, const ZapResult& zr) {
       check_->OnReuseElided(cpu, mm, l.va, l.pte.pfn());
     }
   }
-  ++StatsFor(cpu.id()).reuse_elided_flushes;
-  StatsFor(cpu.id()).reuse_elided_pages += zr.pages;
+  ++stats_.reuse_elided_flushes;
+  stats_.reuse_elided_pages += zr.pages;
   co_await cpu.Execute(local);
   co_return true;
 }
@@ -302,7 +273,7 @@ Co<void> Kernel::ConsultReuseOnFault(SimCpu& cpu, MmStruct& mm, uint64_t page_va
       size == PageSize::k4K && rec_pfn == pfn && !npte.executable() &&
       (!npte.writable() || opte.writable());
   if (benign) {
-    ++StatsFor(cpu.id()).reuse_benign_closes;
+    ++stats_.reuse_benign_closes;
     if (check_ != nullptr) {
       check_->OnReuseBenignClose(cpu, mm, page_va, pfn);
     }
@@ -313,12 +284,12 @@ Co<void> Kernel::ConsultReuseOnFault(SimCpu& cpu, MmStruct& mm, uint64_t page_va
   } else {
     // Mismatching re-population: the elided flush must happen now, before
     // the new translation goes live under the old one's stale entries.
-    ++StatsFor(cpu.id()).reuse_forced_flushes;
+    ++stats_.reuse_forced_flushes;
     if (check_ != nullptr) {
       check_->OnReuseFlushClose(mm, page_va, /*stale_dropped=*/true);
     }
     EraseReuseRecord(mm, page_va, rec_pfn);
-    ++StatsFor(cpu.id()).flush_requests;
+    ++stats_.flush_requests;
     co_await backend_->FlushRange(cpu, mm, page_va, page_va + kPageSize4K,
                                   static_cast<int>(kPageShift), /*freed_tables=*/false);
   }
@@ -346,7 +317,7 @@ void Kernel::OnFrameReuse(uint64_t pfn) {
     // CPU of the recording mm — a real kernel folds this into the reuse
     // path's shootdown; the model drops the entries directly and charges the
     // allocating CPU one invalidation per CPU and PCID half.
-    ++StatsFor(reuse_alloc_cpu_ != nullptr ? reuse_alloc_cpu_->id() : 0).reuse_frame_handoffs;
+    ++stats_.reuse_frame_handoffs;
     if (check_ != nullptr) {
       check_->OnReuseFlushClose(*mm, va, /*stale_dropped=*/!reuse_elide_unsafe_);
     }
@@ -480,7 +451,7 @@ Co<void> Kernel::SysMunmap(Thread& t, uint64_t addr, uint64_t len) {
   // paging-structure caches hold entries for the freed tables and
   // freed_tables=true is what forces responders to drop them.
   if (!elided && (freed_tables || zr.pages > 0)) {
-    ++StatsFor(cpu.id()).flush_requests;
+    ++stats_.flush_requests;
     co_await backend_->FlushRange(cpu, mm, lo, hi, stride_shift, freed_tables);
   }
   if (BatchingEnabled()) {
@@ -514,7 +485,7 @@ Co<void> Kernel::SysMadviseDontneed(Thread& t, uint64_t addr, uint64_t len) {
     elided = co_await TryReuseElide(cpu, mm, zr);
   }
   if (!elided && zr.pages > 0) {
-    ++StatsFor(cpu.id()).flush_requests;
+    ++stats_.flush_requests;
     co_await backend_->FlushRange(cpu, mm, addr, addr + len, zr.min_stride_shift,
                                   /*freed_tables=*/false);
   }
@@ -559,7 +530,7 @@ Co<void> Kernel::SysMsyncClean(Thread& t, uint64_t addr, uint64_t len) {
     mm.pt.SetPte(va, pte.WithFlags(0, PteFlags::kWrite | PteFlags::kDirty));
     ChargePteUpdate(cpu, mm, va);
     cpu.AdvanceInline(machine_->costs().zap_per_page);
-    ++StatsFor(cpu.id()).flush_requests;
+    ++stats_.flush_requests;
     co_await backend_->FlushRange(cpu, mm, va, va + kPageSize4K, static_cast<int>(kPageShift),
                                   /*freed_tables=*/false);
     // Write the cleaned page back to the (persistent-memory) backing store:
@@ -613,7 +584,7 @@ Co<void> Kernel::SysMprotect(Thread& t, uint64_t addr, uint64_t len, bool writab
     }
   }
   if (changed > 0) {
-    ++StatsFor(cpu.id()).flush_requests;
+    ++stats_.flush_requests;
     co_await backend_->FlushRange(cpu, mm, addr, addr + len, min_stride_shift,
                                   /*freed_tables=*/false);
   }
@@ -709,7 +680,7 @@ Co<Process*> Kernel::SysFork(Thread& t, int child_cpu) {
     cpu.AdvanceInline(costs.zap_per_page);
   }
   if (downgraded > 0) {
-    ++StatsFor(cpu.id()).flush_requests;
+    ++stats_.flush_requests;
     co_await backend_->FlushRange(cpu, mm, lo, hi, static_cast<int>(kPageShift),
                                   /*freed_tables=*/false);
   }
@@ -788,7 +759,7 @@ Co<bool> Kernel::UserExec(Thread& t, uint64_t va) {
 }
 
 Co<void> Kernel::HandlePageFault(Thread& t, uint64_t va, bool write, FaultKind kind) {
-  ++StatsFor(t.cpu).page_faults;
+  ++stats_.page_faults;
   SimCpu& cpu = machine_->cpu(t.cpu);
   MmStruct& mm = *t.process->mm;
   const CostModel& costs = machine_->costs();
@@ -813,7 +784,7 @@ Co<void> Kernel::HandlePageFault(Thread& t, uint64_t va, bool write, FaultKind k
   mm.pt.set_alloc_node(node);
 
   if (kind == FaultKind::kNotPresent) {
-    ++StatsFor(cpu.id()).demand_faults;
+    ++stats_.demand_faults;
     uint64_t frames_per_page = BytesOf(vma->page_size) / kPageSize4K;
     uint64_t flags = PteFlags::kPresent | PteFlags::kUser | PteFlags::kAccessed;
     if (!vma->executable) {
@@ -869,7 +840,7 @@ Co<void> Kernel::HandlePageFault(Thread& t, uint64_t va, bool write, FaultKind k
       // Private file mapping.
       if (write) {
         // Write fault on a never-mapped page: allocate the private copy now.
-        ++StatsFor(cpu.id()).cow_faults;
+        ++stats_.cow_faults;
         uint64_t src = vma->file->GetPage(vma->OffsetOf(page_va));
         (void)src;
         co_await cpu.Execute(costs.copy_page);
@@ -897,7 +868,7 @@ Co<void> Kernel::HandlePageFault(Thread& t, uint64_t va, bool write, FaultKind k
     Pte pte = wr.pte;
     PageSize walk_size = wr.size;
     if (pte.cow()) {
-      ++StatsFor(cpu.id()).cow_faults;
+      ++stats_.cow_faults;
       uint64_t old_pfn = pte.pfn();
       if (frames_.RefCount(old_pfn) == 1) {
         // Sole owner: reuse the page; permission upgrade needs no flush.
@@ -937,7 +908,7 @@ Co<void> Kernel::HandlePageFault(Thread& t, uint64_t va, bool write, FaultKind k
 }
 
 Co<void> Kernel::SwitchTo(int cpu_id, MmStruct* mm) {
-  ++StatsFor(cpu_id).context_switches;
+  ++stats_.context_switches;
   SimCpu& cpu = machine_->cpu(cpu_id);
   PerCpu& pc = percpu(cpu_id);
   co_await cpu.Execute(machine_->costs().context_switch);
@@ -969,7 +940,7 @@ Co<void> Kernel::SwitchTo(int cpu_id, MmStruct* mm) {
 }
 
 Co<void> Kernel::EnterLazyMode(int cpu_id) {
-  ++StatsFor(cpu_id).lazy_entries;
+  ++stats_.lazy_entries;
   SimCpu& cpu = machine_->cpu(cpu_id);
   PerCpu& pc = percpu(cpu_id);
   co_await cpu.Execute(machine_->costs().context_switch);

@@ -88,12 +88,7 @@ class Kernel {
   FrameAllocator& frames() { return frames_; }
   PerCpu& percpu(int cpu) { return *percpu_.at(static_cast<size_t>(cpu)); }
   TlbFlushBackend& backend() { return *backend_; }
-  // Summed over banks (one bank — the legacy flat counters — by default).
-  Stats stats() const;
-
-  // Protocol sharding: banks the kernel counters by the acting CPU's socket
-  // (see ShootdownEngine::ConfigureBanks). banks <= 1 keeps the flat shape.
-  void ConfigureStatBanks(int banks, int cpus_per_bank);
+  const Stats& stats() const { return stats_; }
 
   // --- process / thread management ---
   Process* CreateProcess();
@@ -236,13 +231,7 @@ class Kernel {
   MmStruct* reuse_consult_mm_ = nullptr;
   uint64_t reuse_consult_va_ = 0;
   SimCpu* reuse_alloc_cpu_ = nullptr;
-  Stats& StatsFor(int cpu_id) {
-    if (stat_banks_.size() == 1) return stat_banks_[0];
-    size_t b = static_cast<size_t>(cpu_id) / static_cast<size_t>(cpus_per_stat_bank_);
-    return stat_banks_[b < stat_banks_.size() ? b : stat_banks_.size() - 1];
-  }
-  std::vector<Stats> stat_banks_{1};
-  int cpus_per_stat_bank_ = 1 << 30;
+  Stats stats_;
   PerCpuCounter* c_syscalls_ = nullptr;  // live "kernel.syscalls" handle
 };
 

@@ -15,10 +15,7 @@
 namespace tlbsim {
 
 struct MmStruct {
-  // `cpus_per_socket` shapes the per-socket cpumask words; the kernel passes
-  // the machine topology, direct constructions (tests) default to flat
-  // 64-cpu word sharding, which behaves identically.
-  MmStruct(uint64_t id, Engine* engine, CoherenceModel* coherence, int cpus_per_socket = 64)
+  MmStruct(uint64_t id, Engine* engine, CoherenceModel* coherence)
       : id(id),
         // Root id derived from the kernel-scoped mm id, not the global
         // PageTable counter: the id reaches coherence-line addresses
@@ -29,7 +26,6 @@ struct MmStruct {
         // PCIDs 0/1 are reserved for the init/idle address space.
         kernel_pcid(static_cast<uint16_t>(2 + (id * 2) % 1022)),
         user_pcid(static_cast<uint16_t>(2 + (id * 2 + 1) % 1022)),
-        cpumask(cpus_per_socket),
         mmap_sem(engine, "mmap_sem"),
         // Allocation-free naming: MmStructs are constructed on the bench hot
         // path (one per simulated process per sweep point).
@@ -45,9 +41,8 @@ struct MmStruct {
   uint16_t kernel_pcid;
   uint16_t user_pcid;
 
-  // CPUs on which this mm is loaded (mm_cpumask), sharded into per-socket
-  // words (src/kernel/cpumask.h) so protocol shards touch disjoint memory.
-  SocketMask cpumask;
+  // CPUs on which this mm is loaded (mm_cpumask).
+  CpuBits cpumask;
 
   // Address-space generation (mm->context.tlb_gen): bumped on every PTE
   // change that requires a flush. Responders compare against their local

@@ -274,319 +274,4 @@ std::string Json::Dump(int indent) const {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  std::optional<Json> Run() {
-    SkipWs();
-    Json value;
-    if (!ParseValue(&value)) {
-      return std::nullopt;
-    }
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return std::nullopt;  // trailing garbage
-    }
-    return value;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-        break;
-      }
-      ++pos_;
-    }
-  }
-
-  bool Eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool EatWord(std::string_view w) {
-    if (text_.substr(pos_, w.size()) == w) {
-      pos_ += w.size();
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseValue(Json* out) {
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    switch (text_[pos_]) {
-      case 'n':
-        return EatWord("null") && (*out = Json(), true);
-      case 't':
-        return EatWord("true") && (*out = Json(true), true);
-      case 'f':
-        return EatWord("false") && (*out = Json(false), true);
-      case '"':
-        return ParseString(out);
-      case '[':
-        return ParseArray(out);
-      case '{':
-        return ParseObject(out);
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  bool ParseHex4(uint32_t* v) {
-    if (pos_ + 4 > text_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text_[pos_++];
-      *v <<= 4;
-      if (c >= '0' && c <= '9') {
-        *v |= static_cast<uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        *v |= static_cast<uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        *v |= static_cast<uint32_t>(c - 'A' + 10);
-      } else {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  static void AppendUtf8(std::string* s, uint32_t cp) {
-    if (cp < 0x80) {
-      *s += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      *s += static_cast<char>(0xc0 | (cp >> 6));
-      *s += static_cast<char>(0x80 | (cp & 0x3f));
-    } else if (cp < 0x10000) {
-      *s += static_cast<char>(0xe0 | (cp >> 12));
-      *s += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-      *s += static_cast<char>(0x80 | (cp & 0x3f));
-    } else {
-      *s += static_cast<char>(0xf0 | (cp >> 18));
-      *s += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
-      *s += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-      *s += static_cast<char>(0x80 | (cp & 0x3f));
-    }
-  }
-
-  bool ParseStringRaw(std::string* s) {
-    if (!Eat('"')) {
-      return false;
-    }
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c != '\\') {
-        if (static_cast<unsigned char>(c) < 0x20) {
-          return false;  // control characters must be escaped
-        }
-        *s += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      char e = text_[pos_++];
-      switch (e) {
-        case '"':
-          *s += '"';
-          break;
-        case '\\':
-          *s += '\\';
-          break;
-        case '/':
-          *s += '/';
-          break;
-        case 'b':
-          *s += '\b';
-          break;
-        case 'f':
-          *s += '\f';
-          break;
-        case 'n':
-          *s += '\n';
-          break;
-        case 'r':
-          *s += '\r';
-          break;
-        case 't':
-          *s += '\t';
-          break;
-        case 'u': {
-          uint32_t cp = 0;
-          if (!ParseHex4(&cp)) {
-            return false;
-          }
-          // Surrogate pair.
-          if (cp >= 0xd800 && cp <= 0xdbff) {
-            if (!Eat('\\') || !Eat('u')) {
-              return false;
-            }
-            uint32_t lo = 0;
-            if (!ParseHex4(&lo) || lo < 0xdc00 || lo > 0xdfff) {
-              return false;
-            }
-            cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-          }
-          AppendUtf8(s, cp);
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseString(Json* out) {
-    std::string s;
-    if (!ParseStringRaw(&s)) {
-      return false;
-    }
-    *out = Json(std::move(s));
-    return true;
-  }
-
-  bool ParseNumber(Json* out) {
-    size_t start = pos_;
-    bool negative = Eat('-');
-    bool is_double = false;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start + (negative ? 1 : 0)) {
-      return false;  // no digits
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      is_double = true;
-      ++pos_;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      is_double = true;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    std::string_view tok = text_.substr(start, pos_ - start);
-    if (!is_double) {
-      if (negative) {
-        int64_t v = 0;
-        auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-        if (ec == std::errc() && p == tok.data() + tok.size()) {
-          *out = Json(v);
-          return true;
-        }
-      } else {
-        uint64_t v = 0;
-        auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-        if (ec == std::errc() && p == tok.data() + tok.size()) {
-          *out = Json(v);
-          return true;
-        }
-      }
-      // Out-of-range integer: fall through to double.
-    }
-    double d = 0.0;
-    auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), d);
-    if (ec != std::errc() || p != tok.data() + tok.size()) {
-      return false;
-    }
-    *out = Json(d);
-    return true;
-  }
-
-  bool ParseArray(Json* out) {
-    if (!Eat('[')) {
-      return false;
-    }
-    *out = Json::Array();
-    SkipWs();
-    if (Eat(']')) {
-      return true;
-    }
-    while (true) {
-      Json v;
-      SkipWs();
-      if (!ParseValue(&v)) {
-        return false;
-      }
-      out->Append(std::move(v));
-      SkipWs();
-      if (Eat(']')) {
-        return true;
-      }
-      if (!Eat(',')) {
-        return false;
-      }
-    }
-  }
-
-  bool ParseObject(Json* out) {
-    if (!Eat('{')) {
-      return false;
-    }
-    *out = Json::Object();
-    SkipWs();
-    if (Eat('}')) {
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (!ParseStringRaw(&key)) {
-        return false;
-      }
-      SkipWs();
-      if (!Eat(':')) {
-        return false;
-      }
-      SkipWs();
-      Json v;
-      if (!ParseValue(&v)) {
-        return false;
-      }
-      (*out)[key] = std::move(v);
-      SkipWs();
-      if (Eat('}')) {
-        return true;
-      }
-      if (!Eat(',')) {
-        return false;
-      }
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<Json> Json::Parse(std::string_view text) { return Parser(text).Run(); }
-
 }  // namespace tlbsim

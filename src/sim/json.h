@@ -1,4 +1,4 @@
-// Minimal self-contained JSON document model, serializer and parser.
+// Minimal self-contained JSON document model and serializer.
 //
 // No external dependencies. Built for the metrics/bench-report pipeline,
 // whose hard requirement is *determinism*: two identical seeded simulation
@@ -8,13 +8,10 @@
 //   - numbers are formatted with std::to_chars (shortest round-trip form,
 //     locale-independent);
 //   - non-finite doubles serialize as null (JSON has no NaN/Inf).
-// The parser exists for round-trip tests and tooling; it accepts strict JSON
-// only (no comments, no trailing commas).
 #ifndef TLBSIM_SRC_SIM_JSON_H_
 #define TLBSIM_SRC_SIM_JSON_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -86,9 +83,6 @@ class Json {
   // pretty-prints with that many spaces per level. Output ends without a
   // trailing newline.
   std::string Dump(int indent = 0) const;
-
-  // Strict parser; nullopt on any syntax error or trailing garbage.
-  static std::optional<Json> Parse(std::string_view text);
 
   // Appends the JSON string escape of `s` (without surrounding quotes).
   static void EscapeTo(std::string_view s, std::string* out);

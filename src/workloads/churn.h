@@ -41,7 +41,6 @@ struct ChurnConfig {
   Cycles work_cycles = 4000;
   uint64_t seed = 1;
   FlushBackendKind backend = FlushBackendKind::kIpi;
-  int sim_threads = 1;  // see MicroConfig::sim_threads
 };
 
 struct ChurnResult {

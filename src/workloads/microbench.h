@@ -29,9 +29,6 @@ struct MicroConfig {
   int iterations = 1000;  // madvise calls (scaled down from the paper's 100k)
   uint64_t seed = 1;
   FlushBackendKind backend = FlushBackendKind::kIpi;
-  // Host threads for the sharded event engine (MachineConfig::sim_threads);
-  // the simulated timeline is identical at any value.
-  int sim_threads = 1;
 };
 
 struct MicroResult {
@@ -54,7 +51,6 @@ struct CowConfig {
   int rounds = 5;
   uint64_t seed = 1;
   FlushBackendKind backend = FlushBackendKind::kIpi;
-  int sim_threads = 1;  // see MicroConfig::sim_threads
 };
 
 struct CowResult {

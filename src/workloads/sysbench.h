@@ -29,7 +29,6 @@ struct SysbenchConfig {
   Cycles db_work_cycles = 6000;
   uint64_t seed = 1;
   FlushBackendKind backend = FlushBackendKind::kIpi;
-  int sim_threads = 1;  // see MicroConfig::sim_threads
 };
 
 struct SysbenchResult {

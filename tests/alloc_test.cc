@@ -1,6 +1,10 @@
 // Allocation regression gates. A replacement global operator new counts
 // allocations (this test is its own binary for that reason).
 //
+// - Engine events: a storm of self-rescheduling events must allocate nothing
+//   at all in steady state.
+// - Coroutine frames: awaited Co<> chains under a SimTask must allocate
+//   nothing at all in steady state (frames recycle through FramePool).
 // - Shootdown path: the benchmark's fsync_storm op (sysbench fdatasync, PTI,
 //   16 threads) must not allocate per simulated event, on either flush
 //   backend.
@@ -16,11 +20,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <coroutine>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
 #include "src/core/system.h"
+#include "src/sim/engine.h"
+#include "src/sim/task.h"
 #include "src/workloads/numa_walk.h"
 #include "src/workloads/sysbench.h"
 
@@ -44,6 +51,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace tlbsim {
 namespace {
 
+constexpr uint64_t kPlainEvents = 200000;
+constexpr uint64_t kCoroRounds = 20000;
 constexpr int kWrites = 160;  // N, the op's own; the second point runs 2N
 constexpr double kMaxAllocsPerEvent = 0.05;
 constexpr int kStormIterations = 80;  // walk_sweep's own madvise rounds
@@ -59,6 +68,81 @@ struct Point {
 
 uint64_t CounterOf(const Json& metrics, const char* name) {
   return metrics.Find("counters")->Find(name)->AsUint();
+}
+
+// 64 independent chains of self-rescheduling events: the Schedule/Step loop
+// with a small capture that every Execute, IPI and flag wakeup comes down to.
+TEST(AllocTest, PlainEngineEventsAllocateNothing) {
+  Engine e;
+  uint64_t remaining = kPlainEvents;
+  constexpr int kChains = 64;
+  auto arm = [&](auto&& self, int lane) -> void {
+    if (remaining == 0) {
+      return;
+    }
+    --remaining;
+    e.ScheduleAfter(static_cast<Cycles>(1 + lane % 7), [&, lane] { self(self, lane); });
+  };
+  for (int i = 0; i < kChains; ++i) {
+    arm(arm, i);
+  }
+  // The first events grow the slot pool, free list and heap to their steady
+  // footprint; count only after that.
+  e.RunUntil(2048);
+  uint64_t before_events = e.events_processed();
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  e.Run();
+  uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  uint64_t events = e.events_processed() - before_events;
+  EXPECT_GT(events, kPlainEvents / 2);
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations over " << events << " events";
+}
+
+Co<uint64_t> Leaf(uint64_t x) { co_return x * 2654435761u; }
+
+Co<uint64_t> Branch(uint64_t x) {
+  uint64_t a = co_await Leaf(x);
+  uint64_t b = co_await Leaf(x + 1);
+  co_return a ^ b;
+}
+
+// Suspends and resumes through a zero-delay event, so a long chain of
+// coroutines that never suspend does not grow the native stack without
+// bound (symmetric transfers are not tail calls at -O0).
+struct EngineYield {
+  Engine* e;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    e->ScheduleAfter(0, [h] { h.resume(); });
+  }
+  void await_resume() const noexcept {}
+};
+
+// Root tasks awaiting Branch -> Leaf chains: the "kernel code calling kernel
+// code" shape. A warm-up storm fills FramePool's buckets first.
+TEST(AllocTest, CoroutineFramesAllocateNothing) {
+  Engine e;
+  uint64_t sink = 0;
+  uint64_t frames = 0;
+  auto storm = [&](uint64_t n) -> SimTask {
+    for (uint64_t i = 0; i < n; ++i) {
+      sink ^= co_await Branch(i);
+      frames += 3;  // one Branch + two Leaf frames per iteration
+      if ((i & 255) == 255) {
+        co_await EngineYield{&e};
+      }
+    }
+  };
+  e.Spawn(0, storm(kCoroRounds / 8));
+  e.Run();
+  frames = 0;
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  e.Spawn(e.now(), storm(kCoroRounds));
+  e.Run();
+  uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(frames, 3 * kCoroRounds);
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations over " << frames << " frames (sink " << sink
+                        << ")";
 }
 
 // One fsync_storm op (baseline + optimized run) at `writes` per thread.

@@ -1,6 +1,6 @@
 // Tests for the metrics registry and JSON pipeline: deterministic snapshots
 // across identical seeded runs, histogram percentiles, string escaping and
-// parser round-trips, scoped virtual-cycle timers, registry handle stability.
+// pretty-printing, scoped virtual-cycle timers, registry handle stability.
 #include "src/sim/metrics.h"
 
 #include <string>
@@ -31,46 +31,39 @@ TEST(JsonTest, ObjectKeysKeepInsertionOrder) {
   EXPECT_EQ(doc.Dump(), "{\"zebra\":1,\"apple\":2,\"mango\":3}");
 }
 
-TEST(JsonTest, EscapingRoundTrip) {
-  const std::string nasty = "quote\" backslash\\ newline\n tab\t ctrl\x01 unicode\xc3\xa9";
+TEST(JsonTest, EscapingDump) {
+  const std::string nasty =
+      "quote\" backslash\\ newline\n tab\t cr\r bs\b ff\f ctrl\x01 unicode\xc3\xa9";
   Json doc = Json::Object();
   doc["k\"ey"] = nasty;
-  std::string dumped = doc.Dump();
-  // The serialized form must escape the quote, backslash and control bytes.
-  EXPECT_NE(dumped.find("\\\""), std::string::npos);
-  EXPECT_NE(dumped.find("\\\\"), std::string::npos);
-  EXPECT_NE(dumped.find("\\n"), std::string::npos);
-  EXPECT_NE(dumped.find("\\t"), std::string::npos);
-  EXPECT_NE(dumped.find("\\u0001"), std::string::npos);
-
-  auto parsed = Json::Parse(dumped);
-  ASSERT_TRUE(parsed.has_value());
-  const Json* v = parsed->Find("k\"ey");
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->AsString(), nasty);
-  // Re-dumping the parse reproduces the original bytes.
-  EXPECT_EQ(parsed->Dump(), dumped);
+  // Quote, backslash and control bytes are escaped; UTF-8 passes through.
+  EXPECT_EQ(doc.Dump(), R"({"k\"ey":"quote\" backslash\\ newline\n tab\t cr\r bs\b ff\f )"
+                        R"(ctrl\u0001 unicode)" "\xc3\xa9" R"("})");
 }
 
-TEST(JsonTest, ParseRejectsGarbage) {
-  EXPECT_FALSE(Json::Parse("{").has_value());
-  EXPECT_FALSE(Json::Parse("{\"a\":1,}").has_value());
-  EXPECT_FALSE(Json::Parse("[1,2] trailing").has_value());
-  EXPECT_FALSE(Json::Parse("nul").has_value());
-}
-
-TEST(JsonTest, NestedRoundTrip) {
+TEST(JsonTest, NestedDump) {
   Json doc = Json::Object();
   doc["list"] = Json::Array();
   doc["list"].Append(1);
   doc["list"].Append("two");
   doc["list"].Append(Json());
   doc["nested"]["deep"] = 2.25;
-  std::string pretty = doc.Dump(2);
-  auto parsed = Json::Parse(pretty);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, doc);
-  EXPECT_EQ(parsed->Dump(2), pretty);
+  doc["empty_list"] = Json::Array();
+  doc["empty_object"] = Json::Object();
+  EXPECT_EQ(doc.Dump(),
+            R"({"list":[1,"two",null],"nested":{"deep":2.25},"empty_list":[],"empty_object":{}})");
+  EXPECT_EQ(doc.Dump(2), R"({
+  "list": [
+    1,
+    "two",
+    null
+  ],
+  "nested": {
+    "deep": 2.25
+  },
+  "empty_list": [],
+  "empty_object": {}
+})");
 }
 
 TEST(MetricsTest, CounterBasics) {

@@ -6,7 +6,6 @@
 
 #include "src/check/check_context.h"
 #include "src/core/system.h"
-#include "src/workloads/protocol_storm.h"
 #include "tests/testutil.h"
 
 namespace tlbsim {
@@ -138,39 +137,6 @@ TEST(GenerationInvariantTest, LocalGenNeverExceedsMmGen) {
   sys.machine().engine().Run();
   EXPECT_LE(k.percpu(0).loaded_mm_tlb_gen, p->mm->tlb_gen);
   EXPECT_LE(k.percpu(2).loaded_mm_tlb_gen, p->mm->tlb_gen);
-}
-
-// Protocol sharding rides the property suite: random shootdown masks x
-// host-thread counts x backends must keep the metric snapshot bit-identical
-// across thread counts (the deep per-backend/per-mask sweep lives in
-// protocol_shard_test.cc; this is the cheap always-on guard).
-TEST(DeterminismTest, ProtocolShardingKeepsSnapshotsIdentical) {
-  Rng rng(77);
-  ProtocolStormConfig cfg;
-  cfg.topo = Topology{2, 2, 2};
-  cfg.pages_per_cpu = 2;
-  cfg.iterations = 4;
-  // One random >= 1-cpu mask per socket — a random shootdown target set.
-  int cps = cfg.topo.cpus_per_socket();
-  for (int s = 0; s < cfg.topo.sockets; ++s) {
-    uint64_t bits = rng.UniformInt(1, (1 << cps) - 1);
-    for (int i = 0; i < cps; ++i) {
-      if (bits & (1ull << i)) {
-        cfg.active_cpus.push_back(s * cps + i);
-      }
-    }
-  }
-  for (FlushBackendKind backend : {FlushBackendKind::kIpi, FlushBackendKind::kQueue}) {
-    cfg.backend = backend;
-    cfg.sim_threads = 1;
-    ProtocolStormResult r1 = RunProtocolStorm(cfg);
-    cfg.sim_threads = 2;
-    ProtocolStormResult r2 = RunProtocolStorm(cfg);
-    EXPECT_EQ(r1.checksum, r2.checksum) << FlushBackendName(backend);
-    EXPECT_EQ(r1.end_time, r2.end_time) << FlushBackendName(backend);
-    EXPECT_EQ(r1.metrics, r2.metrics) << FlushBackendName(backend);
-    EXPECT_EQ(r2.par.clamped_deliveries, 0u);
-  }
 }
 
 // Determinism: identical seeds produce identical virtual-time outcomes.

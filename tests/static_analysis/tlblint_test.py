@@ -57,69 +57,6 @@ def by_rule(findings):
 
 
 @case
-def banked_fires_once(lint, errors):
-    with tempfile.TemporaryDirectory() as root:
-        write(root, "src/core/bank.h", """\
-class Banks {
- public:
-  // tlblint: setup
-  void Configure(int n) { banks_ = n; }
-  int Peek() const { return banks_; }  // unblessed reference
- private:
-  int banks_ = 0;  // tlblint: banked(socket)
-};
-""")
-        rc, findings, _ = run_lint(lint, root)
-        counts = by_rule(findings)
-        expect(rc == 1, f"banked: expected exit 1, got {rc}", errors)
-        expect(counts.get("banked") == 1,
-               f"banked: expected exactly 1 finding, got {counts}", errors)
-        expect(findings and findings[0]["line"] == 5,
-               f"banked: expected the Peek() line, got {findings}", errors)
-
-
-@case
-def banked_scope_inheritance(lint, errors):
-    # A lambda / nested block inside a blessed function inherits the blessing.
-    with tempfile.TemporaryDirectory() as root:
-        write(root, "src/core/bank.h", """\
-class Banks {
- public:
-  // tlblint: shard-local
-  int Sum() const {
-    int n = 0;
-    for (int i = 0; i < 4; ++i) {
-      auto add = [&] { n += banks_; };
-      add();
-    }
-    return n;
-  }
- private:
-  int banks_ = 0;  // tlblint: banked(socket)
-};
-""")
-        rc, findings, _ = run_lint(lint, root)
-        expect(rc == 0 and not findings,
-               f"banked-scope: expected clean, got {findings}", errors)
-
-
-@case
-def banked_allow_suppresses(lint, errors):
-    with tempfile.TemporaryDirectory() as root:
-        write(root, "src/core/bank.h", """\
-class Banks {
- public:
-  int Peek() const { return banks_; }  // tlblint: allow(banked) test-only peek
- private:
-  int banks_ = 0;  // tlblint: banked(socket)
-};
-""")
-        rc, findings, _ = run_lint(lint, root)
-        expect(rc == 0 and not findings,
-               f"banked-allow: expected clean, got {findings}", errors)
-
-
-@case
 def layering_fires_once(lint, errors):
     with tempfile.TemporaryDirectory() as root:
         write(root, "src/sim/engine2.h", """\
@@ -133,6 +70,17 @@ def layering_fires_once(lint, errors):
         expect(rc == 1 and counts.get("layering") == 1,
                f"layering: expected exactly 1 finding, got rc={rc} {counts}",
                errors)
+
+
+@case
+def layering_hw_may_not_include_exec(lint, errors):
+    # Machine owns no host threads: the sweep executor sits above hw.
+    with tempfile.TemporaryDirectory() as root:
+        write(root, "src/hw/machine2.h", '#include "src/exec/thread_pool.h"\n')
+        write(root, "src/exec/thread_pool.h", "\n")
+        rc, findings, _ = run_lint(lint, root, ("--rules", "layering"))
+        expect(rc == 1 and by_rule(findings).get("layering") == 1,
+               f"layering-hw-exec: expected 1 finding, got {findings}", errors)
 
 
 @case
@@ -209,10 +157,11 @@ def ts_optout_fires_once(lint, errors):
 @case
 def strict_flags_directive_typo(lint, errors):
     with tempfile.TemporaryDirectory() as root:
-        write(root, "src/mm/typo.h", "int x;  // tlblint: shardlocal\n")
+        write(root, "src/mm/typo.h", "int x;  // tlblint: alow(layering)\n")
+        write(root, "src/mm/gone.h", "int y;  // tlblint: allow(banked)\n")
         rc, findings, _ = run_lint(lint, root, ("--strict",))
-        expect(rc == 1 and by_rule(findings).get("hygiene") == 1,
-               f"hygiene: expected exactly 1 finding, got {findings}", errors)
+        expect(rc == 1 and by_rule(findings).get("hygiene") == 2,
+               f"hygiene: expected exactly 2 findings, got {findings}", errors)
         rc2, findings2, _ = run_lint(lint, root)  # non-strict: tolerated
         expect(rc2 == 0 and not findings2,
                f"hygiene: non-strict should tolerate, got {findings2}", errors)

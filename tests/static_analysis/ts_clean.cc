@@ -1,9 +1,9 @@
-// Positive-compile snippet: the annotated idioms the tree actually uses —
-// MutexLock over GUARDED_BY state, a zero-size capability token with
-// Acquire/Release for barrier-transferred ownership, and AssertHeld as the
-// documented escape for ownership the analysis cannot see. Must compile
-// cleanly under BOTH gcc (annotations are no-ops) and clang with
-// -Wthread-safety -Werror=thread-safety.
+// Positive-compile snippet: the annotated idioms src/base/thread_annotations.h
+// supports — MutexLock over GUARDED_BY state, a zero-size capability token
+// with Acquire/Release for ownership handed over without a lock, and
+// AssertHeld as the documented escape for ownership the analysis cannot see.
+// Must compile cleanly under BOTH gcc (annotations are no-ops) and clang
+// with -Wthread-safety -Werror=thread-safety.
 #include "src/base/mutex.h"
 #include "src/base/thread_annotations.h"
 
@@ -26,22 +26,22 @@ class Counter {
     tlbsim::MutexLock lk(mu_);
     return value_;
   }
-  void WindowWrite() {
+  void TokenWrite() {
     tok_.Acquire();
-    ++banked_;
+    ++owned_;
     tok_.Release();
   }
   void BarrierWrite() {
     // Ownership established by an external barrier, not a lock.
     tok_.AssertHeld();
-    ++banked_;
+    ++owned_;
   }
 
  private:
   mutable tlbsim::Mutex mu_;
   int value_ GUARDED_BY(mu_) = 0;
   Token tok_;
-  int banked_ GUARDED_BY(tok_) = 0;
+  int owned_ GUARDED_BY(tok_) = 0;
 };
 
 }  // namespace
@@ -49,7 +49,7 @@ class Counter {
 int main() {
   Counter c;
   c.Inc();
-  c.WindowWrite();
+  c.TokenWrite();
   c.BarrierWrite();
   return c.Get();
 }

@@ -109,8 +109,8 @@ TEST(TopologyTest, MemoryNodesTrackSockets) {
   EXPECT_EQ(single.NodeOfCpu(3), 0);
 }
 
-// Big-machine presets for the sharded engine: same per-socket shape as the
-// paper testbed, scaled to 4 and 8 sockets.
+// Big-machine presets: same per-socket shape as the paper testbed, scaled to
+// 4 and 8 sockets.
 TEST(TopologyTest, FourSocketPreset) {
   Topology t = Topology::FourSocket();
   EXPECT_EQ(t.sockets, 4);

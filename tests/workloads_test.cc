@@ -199,39 +199,35 @@ TEST(FractureTest, HugePagesReduceMissCounts) {
   EXPECT_LT(huge * 10, small);
 }
 
-ChurnResult Churn(bool pagecache, int threads, FlushBackendKind backend, int sim_threads) {
+ChurnResult Churn(bool pagecache, int threads, FlushBackendKind backend) {
   ChurnConfig cfg;
   cfg.opts = OptimizationSet::AllGeneral();
   cfg.opts.reuse_elision = true;
   cfg.threads = threads;
   cfg.iters = 8;
   cfg.backend = backend;
-  cfg.sim_threads = sim_threads;
   return pagecache ? RunChurnPagecache(cfg) : RunChurnArena(cfg);
 }
 
-TEST(ChurnTest, SeededStormDeterministicAcrossSimThreads) {
-  // Replaying the seeded storm must be cycle-identical, including under the
-  // sharded engine — for every workload shape, backend and thread count.
+TEST(ChurnTest, SeededStormDeterministic) {
+  // Replaying the seeded storm must be cycle-identical for every workload
+  // shape, backend and thread count.
   for (bool pagecache : {false, true}) {
     for (FlushBackendKind backend : {FlushBackendKind::kIpi, FlushBackendKind::kQueue}) {
       for (int threads : {1, 4}) {
         SCOPED_TRACE((pagecache ? std::string("pagecache") : std::string("arena")) + "/" +
                      FlushBackendName(backend) + "/t" + std::to_string(threads));
-        ChurnResult a = Churn(pagecache, threads, backend, /*sim_threads=*/1);
-        ChurnResult replay = Churn(pagecache, threads, backend, /*sim_threads=*/1);
-        ChurnResult sharded = Churn(pagecache, threads, backend, /*sim_threads=*/4);
-        for (const ChurnResult* r : {&replay, &sharded}) {
-          EXPECT_EQ(a.total_cycles, r->total_cycles);
-          EXPECT_EQ(a.flush_requests, r->flush_requests);
-          EXPECT_EQ(a.shootdowns, r->shootdowns);
-          EXPECT_EQ(a.elided_flushes, r->elided_flushes);
-          EXPECT_EQ(a.elided_pages, r->elided_pages);
-          EXPECT_EQ(a.benign_closes, r->benign_closes);
-          EXPECT_EQ(a.forced_flushes, r->forced_flushes);
-          EXPECT_EQ(a.evictions, r->evictions);
-          EXPECT_EQ(a.frame_handoffs, r->frame_handoffs);
-        }
+        ChurnResult a = Churn(pagecache, threads, backend);
+        ChurnResult replay = Churn(pagecache, threads, backend);
+        EXPECT_EQ(a.total_cycles, replay.total_cycles);
+        EXPECT_EQ(a.flush_requests, replay.flush_requests);
+        EXPECT_EQ(a.shootdowns, replay.shootdowns);
+        EXPECT_EQ(a.elided_flushes, replay.elided_flushes);
+        EXPECT_EQ(a.elided_pages, replay.elided_pages);
+        EXPECT_EQ(a.benign_closes, replay.benign_closes);
+        EXPECT_EQ(a.forced_flushes, replay.forced_flushes);
+        EXPECT_EQ(a.evictions, replay.evictions);
+        EXPECT_EQ(a.frame_handoffs, replay.frame_handoffs);
       }
     }
   }
