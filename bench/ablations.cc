@@ -5,7 +5,6 @@
 //   3. the §3.4 (4a) interplay: flush-user-PTEs-until-first-ack vs defer-all;
 //   4. (queue backend) ring size: undersized per-responder rings overflow and
 //      degrade to flush_all fallbacks.
-#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <utility>
@@ -183,7 +182,7 @@ void FourAAblation(SweepRunner* runner, BenchReport* report) {
     row["initiator_cycles"] = r.initiator.mean();
     row["responder_cycles"] = r.responder_cycles_per_op;
     report->AddRow(std::move(row));
-    report->Set("metrics", std::move(r.metrics));  // last: defer-all variant
+    report->SetMetrics(FlushBackendKind::kIpi, std::move(r.metrics));  // last: defer-all variant
   }
   std::printf("\n");
 }
@@ -284,7 +283,7 @@ void QueueRingAblation(SweepRunner* runner, BenchReport* report) {
       overflow_metrics = std::move(r.metrics);
     }
   }
-  report->Set("metrics_queue", std::move(overflow_metrics));
+  report->SetMetrics(FlushBackendKind::kQueue, std::move(overflow_metrics));
   std::printf("\n");
 }
 
@@ -462,14 +461,9 @@ ReuseElisionResult MeasureReuseElision(bool pagecache, FlushBackendKind backend)
   return r;
 }
 
-void ReuseElisionAblation(SweepRunner* runner, BenchReport* report, bool run_ipi,
-                          bool run_queue) {
+void ReuseElisionAblation(SweepRunner* runner, BenchReport* report) {
   std::vector<std::pair<bool, FlushBackendKind>> points;
-  for (FlushBackendKind backend : {FlushBackendKind::kIpi, FlushBackendKind::kQueue}) {
-    if ((backend == FlushBackendKind::kIpi && !run_ipi) ||
-        (backend == FlushBackendKind::kQueue && !run_queue)) {
-      continue;
-    }
+  for (FlushBackendKind backend : report->backends()) {
     for (bool pagecache : {false, true}) {
       points.emplace_back(pagecache, backend);
     }
@@ -522,38 +516,23 @@ void ReuseElisionAblation(SweepRunner* runner, BenchReport* report, bool run_ipi
 int main(int argc, char** argv) {
   using namespace tlbsim;
   BenchReport report("ablations", argc, argv);
-  const std::vector<FlushBackendKind>& backends = report.backends();
-  bool run_ipi = std::find(backends.begin(), backends.end(), FlushBackendKind::kIpi) !=
-                 backends.end();
-  bool run_queue = std::find(backends.begin(), backends.end(), FlushBackendKind::kQueue) !=
-                   backends.end();
-  if (!report.ipi_only()) {
-    Json config = Json::Object();
-    Json list = Json::Array();
-    for (FlushBackendKind b : backends) {
-      list.Append(Json(FlushBackendName(b)));
-    }
-    config["backends"] = std::move(list);
-    report.Set("config", std::move(config));
-  }
+  report.SetConfig(Json::Object());
   // One runner for all ablation sweeps; stats (and the "host" section)
   // accumulate across the Run() calls. Ablations 1-3 probe IPI-protocol
   // design choices; ablation 4 is specific to the queue backend.
   SweepRunner runner(report.threads());
-  if (run_ipi) {
-    MulticastAblation(&runner, &report);
-    ThresholdAblation(&runner, &report);
-    FourAAblation(&runner, &report);
-  }
-  if (run_queue) {
+  MulticastAblation(&runner, &report);
+  ThresholdAblation(&runner, &report);
+  FourAAblation(&runner, &report);
+  if (!report.ipi_only()) {
     QueueRingAblation(&runner, &report);
     // Includes its own IPI-baseline row: the crossover is only meaningful
     // with the queue protocol side by side, so it rides the queue axis.
     QueueCrossoverAblation(&runner, &report);
   }
-  // Runs on whichever backends this invocation requested (the elision is
+  // Runs on every backend of this invocation (the elision is
   // backend-independent, so each axis gets its own off/on pair).
-  ReuseElisionAblation(&runner, &report, run_ipi, run_queue);
+  ReuseElisionAblation(&runner, &report);
   report.SetHost(runner);
   return report.Finish(0);
 }

@@ -71,15 +71,7 @@ int main(int argc, char** argv) {
   BenchReport report("churn", argc, argv);
   const int seeds = report.quick() ? kQuickSeeds : static_cast<int>(std::size(kSeeds));
   const std::vector<FlushBackendKind>& backends = report.backends();
-  if (!report.ipi_only()) {
-    Json config = Json::Object();
-    Json list = Json::Array();
-    for (FlushBackendKind b : backends) {
-      list.Append(Json(FlushBackendName(b)));
-    }
-    config["backends"] = std::move(list);
-    report.Set("config", std::move(config));
-  }
+  report.SetConfig(Json::Object());
 
   // One job per cell, row-major in print order: backend, workload, threads,
   // elision off then on.
@@ -98,13 +90,9 @@ int main(int argc, char** argv) {
   SweepRunner runner(report.threads());
   std::vector<Cell> results = runner.Run(std::move(jobs));
 
-  Json on_metrics_ipi;
-  Json on_metrics_queue;
   size_t next = 0;
   for (FlushBackendKind backend : backends) {
-    if (!report.ipi_only()) {
-      std::printf("== backend: %s ==\n", FlushBackendName(backend));
-    }
+    report.PrintBackendBanner(backend);
     for (bool pagecache : {false, true}) {
       std::printf("# churn/%s: reuse-aware flush elision (all-general opts, safe mode)\n",
                   pagecache ? "pagecache" : "arena");
@@ -124,9 +112,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(on.evictions),
                     static_cast<unsigned long long>(on.frame_handoffs));
         Json row = Json::Object();
-        if (!report.ipi_only()) {
-          row["backend"] = FlushBackendName(backend);
-        }
+        report.MarkBackend(row, backend);
         row["workload"] = pagecache ? "pagecache" : "arena";
         row["threads"] = threads;
         row["off_rounds_per_mcycle"] = off.rounds_per_mcycle;
@@ -143,22 +129,12 @@ int main(int argc, char** argv) {
         row["evictions"] = on.evictions;
         row["frame_handoffs"] = on.frame_handoffs;
         report.AddRow(std::move(row));
-        if (backend == FlushBackendKind::kQueue) {
-          on_metrics_queue = std::move(on.metrics);
-        } else {
-          on_metrics_ipi = std::move(on.metrics);
-        }
+        // Each backend's last elision-on run: the kernel.reuse_* counters in
+        // here are what scripts/check_bench_json.py gates on.
+        report.SetMetrics(backend, std::move(on.metrics));
       }
       std::printf("\n");
     }
-  }
-  // Snapshot from each backend's last elision-on run: the kernel.reuse_*
-  // counters in here are what scripts/check_bench_json.py gates on.
-  if (!on_metrics_ipi.is_null()) {
-    report.Set("metrics", std::move(on_metrics_ipi));
-  }
-  if (!on_metrics_queue.is_null()) {
-    report.Set("metrics_queue", std::move(on_metrics_queue));
   }
   report.SetHost(runner);
   return report.Finish(0);

@@ -59,14 +59,7 @@ int main(int argc, char** argv) {
   config["runs"] = runs;
   config["pages"] = 64;
   config["rounds"] = 4;
-  if (!report.ipi_only()) {
-    Json list = Json::Array();
-    for (FlushBackendKind b : backends) {
-      list.Append(Json(FlushBackendName(b)));
-    }
-    config["backends"] = std::move(list);
-  }
-  report.Set("config", std::move(config));
+  report.SetConfig(std::move(config));
 
   // Jobs in cell-major order per backend: (safe all, safe all+cow, unsafe
   // all, unsafe all+cow), `runs` seeds each.
@@ -94,13 +87,9 @@ int main(int argc, char** argv) {
   std::printf("# Figure 9: CoW page-fault write latency (cycles per event)\n");
   std::printf("# paper: CoW avoidance saves ~130 cycles (~3%% safe, ~5%% unsafe)\n\n");
   int rc = 0;
-  Json last_metrics_ipi;
-  Json last_metrics_queue;
   auto it = results.begin();
   for (FlushBackendKind backend : backends) {
-    if (!report.ipi_only()) {
-      std::printf("== backend: %s ==\n", FlushBackendName(backend));
-    }
+    report.PrintBackendBanner(backend);
     std::printf("%-8s %-10s %12s\n", "mode", "config", "cycles");
     for (bool pti : {true, false}) {
       Measured all = Aggregate(it, runs);
@@ -116,30 +105,18 @@ int main(int argc, char** argv) {
                   100.0 * (1.0 - all_cow.across_runs.mean() / all.across_runs.mean()));
       Json row_all = Row(pti, "all", all);
       Json row_cow = Row(pti, "all+cow", all_cow);
-      if (!report.ipi_only()) {
-        row_all["backend"] = FlushBackendName(backend);
-        row_cow["backend"] = FlushBackendName(backend);
-      }
+      report.MarkBackend(row_all, backend);
+      report.MarkBackend(row_cow, backend);
       report.AddRow(std::move(row_all));
       report.AddRow(std::move(row_cow));
-      if (backend == FlushBackendKind::kQueue) {
-        last_metrics_queue = std::move(all_cow.metrics);
-      } else {
-        last_metrics_ipi = std::move(all_cow.metrics);
-      }
+      // Each backend's last all+cow run: CI probes the cow_flush_avoided
+      // counter of whichever protocol ran.
+      report.SetMetrics(backend, std::move(all_cow.metrics));
       if (all_cow.across_runs.mean() >= all.across_runs.mean()) {
         std::printf("!! CoW avoidance did not help\n");
         rc = 1;
       }
     }
-  }
-  // Snapshot from each backend's last all+cow run: CI probes the
-  // cow_flush_avoided counter of whichever protocol ran.
-  if (!last_metrics_ipi.is_null()) {
-    report.Set("metrics", std::move(last_metrics_ipi));
-  }
-  if (!last_metrics_queue.is_null()) {
-    report.Set("metrics_queue", std::move(last_metrics_queue));
   }
   report.SetHost(runner);
   return report.Finish(rc);

@@ -1,6 +1,6 @@
 // Shared driver for Figures 5-8: runs the madvise microbenchmark across
 // placements and cumulative optimization levels, 5 seeds each, and prints
-// paper-style rows.
+// paper-style rows, plus one queue-backend baseline row per placement.
 #ifndef TLBSIM_BENCH_MICRO_FIGURE_H_
 #define TLBSIM_BENCH_MICRO_FIGURE_H_
 

@@ -31,7 +31,7 @@ std::string ResolvePath(std::string_view raw, std::string_view bench) {
 [[noreturn]] void UsageError(const std::string& bench, const std::string& problem) {
   std::fprintf(stderr,
                "%s: %s\n"
-               "usage: %s [--backend {ipi,queue,both}] [--json PATH] [--threads N]"
+               "usage: %s [--backend {ipi,both}] [--json PATH] [--threads N]"
                " [--quick] [--check]\n",
                bench.c_str(), problem.c_str(), bench.c_str());
   std::exit(2);
@@ -40,12 +40,11 @@ std::string ResolvePath(std::string_view raw, std::string_view bench) {
 // `--backend` is the protocol axis; a typo here silently benchmarking the
 // wrong protocol would poison a whole sweep, so bad values are fatal.
 std::vector<FlushBackendKind> ParseBackends(const std::string& raw, const std::string& bench) {
+  if (raw == "ipi") {
+    return {FlushBackendKind::kIpi};
+  }
   if (raw == "both") {
     return {FlushBackendKind::kIpi, FlushBackendKind::kQueue};
-  }
-  FlushBackendKind kind = FlushBackendKind::kIpi;
-  if (ParseFlushBackend(raw, &kind)) {
-    return {kind};
   }
   UsageError(bench, "unknown --backend value '" + raw + "'");
 }
@@ -116,6 +115,38 @@ void BenchReport::AddRow(Json row) {
     rows = Json::Array();
   }
   rows.Append(std::move(row));
+}
+
+void BenchReport::SetConfig(Json config) {
+  if (!ipi_only()) {
+    Json list = Json::Array();
+    for (FlushBackendKind b : backends_) {
+      list.Append(Json(FlushBackendName(b)));
+    }
+    config["backends"] = std::move(list);
+  }
+  if (config.size() > 0) {
+    root_["config"] = std::move(config);
+  }
+}
+
+void BenchReport::MarkBackend(Json& row, FlushBackendKind backend) const {
+  if (!ipi_only()) {
+    row["backend"] = FlushBackendName(backend);
+  }
+}
+
+void BenchReport::PrintBackendBanner(FlushBackendKind backend) const {
+  if (!ipi_only()) {
+    std::printf("== backend: %s ==\n", FlushBackendName(backend));
+  }
+}
+
+void BenchReport::SetMetrics(FlushBackendKind backend, Json metrics) {
+  if (metrics.is_null()) {
+    return;
+  }
+  root_[backend == FlushBackendKind::kQueue ? "metrics_queue" : "metrics"] = std::move(metrics);
 }
 
 void BenchReport::Snapshot(System& system, const char* key) {

@@ -82,19 +82,29 @@ class BenchReport {
   // True when --check was passed (tlbcheck enabled for every System).
   bool check() const { return check_; }
 
-  // The flush backends this invocation sweeps, in run order. Default is
-  // {ipi, queue} (every figure carries both protocols side by side);
-  // `--backend ipi|queue` narrows to one, `--backend both` is the explicit
-  // default. A bad value prints usage to stderr and exits 2.
+  // The flush backends this invocation runs, in run order: {ipi, queue} by
+  // default (`--backend both`), {ipi} for `--backend ipi`. Every bench runs
+  // the paper's IPI protocol; the queue backend is the comparison axis.
   const std::vector<FlushBackendKind>& backends() const { return backends_; }
 
   // True when this run is the paper's IPI protocol alone (`--backend ipi`).
-  // In that mode benches must emit exactly the single-backend document —
-  // no "backend" keys anywhere — so the output stays byte-identical with
-  // reports produced before the backend axis existed.
-  bool ipi_only() const {
-    return backends_.size() == 1 && backends_[0] == FlushBackendKind::kIpi;
-  }
+  bool ipi_only() const { return backends_.size() == 1; }
+
+  // Backend markers. An ipi-only run emits none of them, so its stdout and
+  // JSON stay byte-identical with reports made before the backend axis
+  // existed; these four methods are the one place that rule lives.
+  //
+  // Sets root()["config"] to `config` plus, unless ipi-only, a trailing
+  // "backends" list. An empty config is left out of the document.
+  void SetConfig(Json config);
+  // Sets row["backend"] unless ipi-only.
+  void MarkBackend(Json& row, FlushBackendKind backend) const;
+  // Prints a "== backend: <name> ==" banner unless ipi-only.
+  void PrintBackendBanner(FlushBackendKind backend) const;
+  // Embeds a registry snapshot of one backend's run: the IPI one under
+  // "metrics", the queue one under "metrics_queue". A null snapshot (that
+  // backend did not run) is left out.
+  void SetMetrics(FlushBackendKind backend, Json metrics);
 
   // Embeds `runner`'s accumulated host-side stats (wall seconds, realized
   // speedup) under root()["host"] — the one non-deterministic section.

@@ -70,8 +70,8 @@ REQUIRED_NONZERO = {
 REUSE_COUNTER_PREFIX = "kernel.reuse_"
 
 # Counters that must be strictly positive in the queue backend's snapshot
-# ("metrics_queue" -> "counters"), present whenever a bench ran with
-# --backend queue or both. The async protocol's vital signs: rings were
+# ("metrics_queue" -> "counters"), present whenever a bench ran without
+# --backend ipi. The async protocol's vital signs: rings were
 # actually occupied, initiators actually spun, and (where drains outlast the
 # initial spin budget) the retry loop actually resent IPIs. The ablations
 # bench additionally proves the overflow -> flush_all safety valve fires

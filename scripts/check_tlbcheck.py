@@ -11,14 +11,7 @@ about) and that every paper configuration ran violation-free. On failure it
 prints the classified reports so the CI log shows WHAT the oracle saw
 (kind, cpu, va, generations, happens-before evidence), not just a count.
 
-With `--backend ipi|queue` it additionally asserts each report really ran
-on that flush backend alone — the backend-matrix CI job uses this so a
-sweep that silently fell back to the default axis cannot pass. An ipi-only
-run is recognized by the *absence* of backend markers (that is the
-byte-compatibility contract with pre-axis reports); a queue-only run must
-say so in config.backends and carry a "metrics_queue" snapshot.
-
-Usage: check_tlbcheck.py [--backend ipi|queue] <BENCH_*.json> [more...]
+Usage: check_tlbcheck.py <BENCH_*.json> [more...]
 Only standard-library Python.
 """
 
@@ -31,25 +24,7 @@ def fail(path, msg):
     return 1
 
 
-def check_backend(path, doc, backend):
-    """Assert the report was produced by a single-backend run of `backend`."""
-    rc = 0
-    backends = doc.get("config", {}).get("backends")
-    if backend == "ipi":
-        # The ipi-only axis emits no backend markers at all.
-        if backends is not None:
-            rc |= fail(path, f"expected an ipi-only report, config.backends is {backends!r}")
-        if "metrics_queue" in doc:
-            rc |= fail(path, 'expected an ipi-only report, found a "metrics_queue" section')
-    elif backend == "queue":
-        if backends != ["queue"]:
-            rc |= fail(path, f'expected config.backends == ["queue"], got {backends!r}')
-        if "metrics" in doc:
-            rc |= fail(path, 'expected a queue-only report, found an ipi "metrics" section')
-    return rc
-
-
-def check(path, backend=None):
+def check(path):
     with open(path) as f:
         doc = json.load(f)
     tc = doc.get("tlbcheck")
@@ -65,31 +40,20 @@ def check(path, backend=None):
             print(f"       {json.dumps(rep, sort_keys=True)}")
     if doc.get("status") != "pass":
         rc |= fail(path, f'status is {doc.get("status")!r}, expected "pass"')
-    if backend is not None:
-        rc |= check_backend(path, doc, backend)
     if rc == 0:
-        tag = f", backend={backend}" if backend else ""
         print(f'OK   {path}: tlbcheck clean (violations=0, '
-              f'suppressed={tc.get("suppressed", 0)}{tag})')
+              f'suppressed={tc.get("suppressed", 0)})')
     return rc
 
 
 def main(argv):
-    args = argv[1:]
-    backend = None
-    if args and args[0] == "--backend":
-        if len(args) < 2 or args[1] not in ("ipi", "queue"):
-            print(__doc__)
-            return 2
-        backend = args[1]
-        args = args[2:]
-    if not args:
+    if len(argv) < 2:
         print(__doc__)
         return 2
     rc = 0
-    for path in args:
+    for path in argv[1:]:
         try:
-            rc |= check(path, backend)
+            rc |= check(path)
         except (OSError, json.JSONDecodeError) as e:
             rc |= fail(path, str(e))
     return rc

@@ -24,7 +24,8 @@ namespace tlbsim {
 
 // Which TLB-flush protocol drives the kernel: the paper's Linux 5.2.8
 // call-function-data IPI engine, or the asynchronous per-CPU-ring queue
-// design (src/core/queue_backend.h). Benches sweep this axis via --backend.
+// design (src/core/queue_backend.h). Benches add the queue to their IPI runs
+// unless passed `--backend ipi`.
 enum class FlushBackendKind {
   kIpi,
   kQueue,
@@ -38,19 +39,6 @@ inline const char* FlushBackendName(FlushBackendKind kind) {
       return "queue";
   }
   return "unknown";
-}
-
-// Parses "ipi" / "queue"; returns false (and leaves *out alone) otherwise.
-inline bool ParseFlushBackend(const std::string& name, FlushBackendKind* out) {
-  if (name == "ipi") {
-    *out = FlushBackendKind::kIpi;
-    return true;
-  }
-  if (name == "queue") {
-    *out = FlushBackendKind::kQueue;
-    return true;
-  }
-  return false;
 }
 
 struct SystemConfig {

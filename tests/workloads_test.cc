@@ -2,6 +2,9 @@
 // family (cheap versions of the bench checks, suitable for CI).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "src/workloads/apache.h"
 #include "src/workloads/churn.h"
 #include "src/workloads/fracture.h"
@@ -75,6 +78,61 @@ TEST(MicrobenchTest, InitiatorLatencyOrdersByDistance) {
 TEST(MicrobenchTest, UnsafeModeFasterThanSafe) {
   EXPECT_LT(Micro(0, 10, Placement::kOtherSocket, /*pti=*/false).initiator.mean(),
             Micro(0, 10, Placement::kOtherSocket, /*pti=*/true).initiator.mean());
+}
+
+// Figs 5-8, 10 and 11 run the queue backend once per row, at None(): it
+// implements none of the optimizations those figures sweep (the IPI engine
+// holds them all; QueueFlushBackend reads only cow_avoidance). Two kernel-side
+// reads could still carry a flag into a queue run: the lazy-flag line chosen
+// by cacheline_consolidation, and the BeginBatch/EndBatch hooks that
+// userspace_batching calls. Each figure configuration below must therefore
+// give the same queue result at None() as at the figure's all-on column; if a
+// change breaks that, the figures have to sweep the queue backend again.
+template <typename Config, typename Run, typename Key>
+void ExpectQueueIgnoresFigureOpts(Config cfg, Run run, Key key) {
+  cfg.backend = FlushBackendKind::kQueue;
+  auto base = run(cfg);
+  cfg.opts = OptimizationSet::Cumulative(cfg.pti ? 4 : 3);
+  cfg.opts.userspace_batching = true;
+  auto all = run(cfg);
+  EXPECT_EQ(key(base), key(all));
+  EXPECT_EQ(base.metrics.Dump(), all.metrics.Dump());
+}
+
+TEST(QueueBaselineTest, FigureWorkloadsIgnoreFigureOptimizations) {
+  for (bool pti : {true, false}) {
+    for (int pages : {1, 10}) {
+      for (Placement place :
+           {Placement::kSameCore, Placement::kSameSocket, Placement::kOtherSocket}) {
+        SCOPED_TRACE(std::string(pti ? "safe/" : "unsafe/") + std::to_string(pages) + "pte/" +
+                     PlacementName(place));
+        MicroConfig cfg;
+        cfg.pti = pti;
+        cfg.pages = pages;
+        cfg.placement = place;
+        cfg.iterations = 20;
+        ExpectQueueIgnoresFigureOpts(cfg, RunMadviseMicrobench, [](const MicroResult& r) {
+          return std::tuple(r.initiator.mean(), r.initiator.stddev(), r.responder_cycles_per_op,
+                            r.shootdowns);
+        });
+      }
+    }
+    SCOPED_TRACE(pti ? "safe" : "unsafe");
+    SysbenchConfig sysbench;
+    sysbench.pti = pti;
+    sysbench.threads = 4;
+    sysbench.writes_per_thread = 32;
+    ExpectQueueIgnoresFigureOpts(sysbench, RunSysbench, [](const SysbenchResult& r) {
+      return std::tuple(r.total_cycles, r.shootdowns, r.responder_full_storm, r.skipped_gen);
+    });
+    ApacheConfig apache;
+    apache.pti = pti;
+    apache.server_cores = 4;
+    apache.requests_per_core = 10;
+    ExpectQueueIgnoresFigureOpts(apache, RunApache, [](const ApacheResult& r) {
+      return std::tuple(r.raw_requests_per_mcycle, r.shootdowns);
+    });
+  }
 }
 
 TEST(CowBenchTest, AvoidanceSavesCycles) {
