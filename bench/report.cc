@@ -63,7 +63,7 @@ int ParseThreads(const std::string& raw, const std::string& bench) {
 }  // namespace
 
 BenchReport::BenchReport(const char* name, int argc, char** argv)
-    : name_(name), threads_(ThreadPool::DefaultThreadCount()) {
+    : name_(name), threads_(SweepRunner::DefaultThreadCount()) {
   for (int i = 1; i < argc; ++i) {
     std::string arg(argv[i]);
     if (arg == "--quick") {

@@ -16,8 +16,9 @@
 //
 // Sweep-shaped benches additionally accept `--threads N` (host threads for
 // the SweepRunner fan-out; default hardware_concurrency; 1 = sequential) and
-// `--quick` (reduced seed count for local iteration — changes the emitted
-// document, so CI never passes it).
+// `--quick` (reduced seed count, for local iteration and CI's `--check`
+// runs; it changes the emitted document, so EXPERIMENTS.md's numbers and
+// CI's determinism gates come from full runs).
 //
 // `--check` turns the tlbcheck analysis subsystem (src/check/) on for every
 // System the bench constructs: the stale-translation oracle, the protocol

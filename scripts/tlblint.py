@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """tlblint: static layering & determinism linter for the tlbsim tree.
 
-Three rule classes, each aimed at an invariant the C++ type system cannot
+Two rule classes, each aimed at an invariant the C++ type system cannot
 state:
 
   layering      Include-direction DAG over src/ subdirectories. The checker
                 (src/check) is observational: nothing outside it may include
-                it. src/sim is the foundation: it includes only src/base.
+                it. src/sim and src/mm are the foundation: they include no
+                other src/ directory.
                 The full allowed-dependency map is ALLOWED_DEPS below; the
                 single historical back-edge (src/kernel/kernel.h ->
                 src/core/optimizations.h) is pinned in LAYERING_WHITELIST as
@@ -18,12 +19,6 @@ state:
                 pointer-keyed ordered containers (std::map/set<T*>: iteration
                 order follows allocation addresses). Suppress a provably
                 order-independent loop with `// det-ok: <why>` on the line.
-
-  no-ts-optout  The clang thread-safety escape hatch NO_THREAD_SAFETY_ANALYSIS
-                must not appear in src/exec, src/sim or src/core: annotated
-                code documents ownership the analysis cannot see with
-                AssertHeld() + a justification comment instead of opting out
-                of the analysis.
 
 Per-line suppression for any rule: `// tlblint: allow(<rule>) <reason>`.
 
@@ -50,24 +45,22 @@ EXTS = (".h", ".cc", ".cpp")
 # --- roots per rule class (relative to repo root) ---------------------------
 DET_ROOTS = ("src", "bench", "examples")
 SRC_ROOT = "src"
-TS_OPTOUT_DIRS = ("src/exec/", "src/sim/", "src/core/")
 
 # --- layering ---------------------------------------------------------------
 # Allowed #include targets per src/ subdirectory (a dir always may include
 # itself). Tight by construction: an edge is added here deliberately, with
 # review, or the build goes red. Keep acyclic.
 ALLOWED_DEPS = {
-    "base": set(),
     "mm": set(),
-    "sim": {"base"},
+    "sim": set(),
     "cache": {"sim"},
-    "exec": {"base", "sim"},
+    "exec": {"sim"},
     "hw": {"cache", "mm", "sim"},
     "virt": {"hw", "mm"},
     "kernel": {"cache", "hw", "mm", "sim"},
     "core": {"hw", "kernel", "sim"},
     "check": {"core", "hw", "kernel", "sim"},
-    "workloads": {"cache", "core", "exec", "mm", "sim", "virt"},
+    "workloads": {"cache", "core", "mm", "sim", "virt"},
 }
 # (including file, included file): historical back-edges pinned at file
 # granularity so they cannot widen into a directory-level cycle.
@@ -77,9 +70,8 @@ LAYERING_WHITELIST = {
 
 # --- determinism ------------------------------------------------------------
 # Paths (dir/ prefixes or exact files) where host clocks are by design:
-# host-side speedup measurement. src/base is
-# the annotated Mutex/CondVar layer (chrono durations for bounded waits).
-CLOCK_ALLOWED = ("src/exec/", "src/base/", "bench/report.cc")
+# host-side speedup measurement.
+CLOCK_ALLOWED = ("src/exec/", "bench/report.cc")
 
 DET_SUPPRESS = "det-ok:"
 CLOCK_RE = re.compile(
@@ -96,9 +88,8 @@ PTRKEY_RE = re.compile(r"\b(?:std::)?(?:map|set|multimap|multiset)\s*<\s*(?:cons
 # --- annotations ------------------------------------------------------------
 TLBLINT_COMMENT_RE = re.compile(r"//\s*tlblint:\s*(\S+)")
 KNOWN_DIRECTIVES_RE = re.compile(r"^allow\([\w-]+\)")
-NO_TS_OPTOUT_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 
-RULES = ("layering", "determinism", "no-ts-optout")
+RULES = ("layering", "determinism")
 
 
 class Finding:
@@ -216,24 +207,6 @@ def check_determinism(root, findings):
     return unordered_vars
 
 
-# --- rule: no-ts-optout -----------------------------------------------------
-
-def check_ts_optout(root, findings):
-    for path in walk(root, (SRC_ROOT,)):
-        r = rel(path, root)
-        if not any(r.startswith(d) for d in TS_OPTOUT_DIRS):
-            continue
-        for lineno, line in enumerate(read_lines(path), 1):
-            if "allow(no-ts-optout)" in line:
-                continue
-            if NO_TS_OPTOUT_RE.search(line):
-                findings.append(Finding(
-                    "no-ts-optout", r, lineno,
-                    "NO_THREAD_SAFETY_ANALYSIS is banned in src/exec, src/sim "
-                    "and src/core; document barrier-transferred ownership with "
-                    "AssertHeld() + a justification comment instead", line))
-
-
 # --- strict-mode hygiene ----------------------------------------------------
 
 def check_directive_hygiene(root, findings):
@@ -281,8 +254,6 @@ def main(argv):
         check_layering(args.root, findings)
     if "determinism" in rules:
         unordered_vars = check_determinism(args.root, findings)
-    if "no-ts-optout" in rules:
-        check_ts_optout(args.root, findings)
     if args.strict:
         check_directive_hygiene(args.root, findings)
 

@@ -1,55 +1,63 @@
 #include "src/exec/sweep.h"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 namespace tlbsim {
 
-SweepRunner::SweepRunner(int threads) : threads_(threads < 1 ? 1 : threads) {}
+namespace {
 
-SweepRunner::~SweepRunner() = default;
+using Clock = std::chrono::steady_clock;
 
-ThreadPool* SweepRunner::EnsurePool() {
-  // The calling thread helps from AwaitAll(), so N requested threads means
-  // N-1 pool workers + the caller.
-  if (!pool_) {
-    pool_ = std::make_unique<ThreadPool>(threads_ - 1);
-  }
-  return pool_.get();
+double Seconds(Clock::time_point a, Clock::time_point b) {
+  return std::chrono::duration<double>(b - a).count();
 }
 
-void SweepRunner::AwaitAll(Fanin* fanin, size_t n) {
-  for (;;) {
-    // Help: execute queued jobs (this sweep's or a concurrent nested one)
-    // on this thread instead of blocking — the no-deadlock guarantee.
-    while (pool_->RunOneTask()) {
-    }
-    MutexLock lk(fanin->mu);
-    if (fanin->done == n) {
-      return;
-    }
-    // Wake on completions, or after 1ms to go help with queued jobs again
-    // (a spurious wakeup just reaches the helping loop early — harmless).
-    fanin->cv.WaitFor(lk, std::chrono::milliseconds(1));
-    if (fanin->done == n) {
-      return;
-    }
-  }
+}  // namespace
+
+int SweepRunner::DefaultThreadCount() {
+  unsigned hc = std::thread::hardware_concurrency();
+  return hc == 0 ? 1 : static_cast<int>(hc);
 }
 
-void SweepRunner::Account(size_t jobs, double wall_seconds, double job_seconds) {
-  MutexLock lk(stats_mu_);
-  stats_.threads = threads_;
-  stats_.jobs += jobs;
-  stats_.wall_seconds += wall_seconds;
-  stats_.job_seconds += job_seconds;
+SweepRunner::SweepRunner(int threads) { stats_.threads = std::max(threads, 1); }
+
+void SweepRunner::FanOut(size_t n, const std::function<void(size_t)>& run) {
+  std::vector<double> job_seconds(n);
+  std::atomic<size_t> next{0};
+  auto claim = [&] {
+    for (size_t i = next++; i < n; i = next++) {
+      Clock::time_point j0 = Clock::now();
+      run(i);
+      job_seconds[i] = Seconds(j0, Clock::now());
+    }
+  };
+  Clock::time_point t0 = Clock::now();
+  {
+    // The caller is one of the min(threads, n) workers.
+    const size_t workers = std::min(static_cast<size_t>(stats_.threads), n);
+    std::vector<std::jthread> helpers;
+    for (size_t h = 1; h < workers; ++h) {
+      helpers.emplace_back(claim);
+    }
+    claim();
+  }  // ~jthread joins every helper: each slot is written before it is read
+  stats_.jobs += n;
+  stats_.wall_seconds += Seconds(t0, Clock::now());
+  for (double s : job_seconds) {
+    stats_.job_seconds += s;
+  }
 }
 
 Json SweepRunner::HostJson() const {
-  SweepStats s = stats();
   Json h = Json::Object();
-  h["threads"] = s.threads;
-  h["jobs"] = s.jobs;
-  h["wall_seconds"] = s.wall_seconds;
-  h["job_seconds"] = s.job_seconds;
-  h["parallel_speedup"] = s.speedup();
+  h["threads"] = stats_.threads;
+  h["jobs"] = stats_.jobs;
+  h["wall_seconds"] = stats_.wall_seconds;
+  h["job_seconds"] = stats_.job_seconds;
+  h["parallel_speedup"] = stats_.speedup();
   return h;
 }
 

@@ -1,14 +1,12 @@
-// SweepRunner: ordered fan-out/fan-in of self-contained simulation jobs.
+// SweepRunner: ordered fan-out of self-contained simulation jobs.
 //
 // A sweep-shaped bench (figs 5-8, sysbench/apache thread sweeps, the
 // ablation matrix) is a list of independent runs: each job constructs its
 // own Machine/Kernel/MetricsRegistry, runs the simulation, and returns its
-// result rows/metrics snapshot *by value*. SweepRunner executes the list on
-// a work-stealing ThreadPool across `threads` host threads and hands the
-// results back **in submission order**, so everything downstream — stdout
-// rows, BENCH_*.json sections — is byte-for-byte identical to the
-// sequential run. `threads == 1` runs the jobs inline on the calling thread
-// (exactly today's sequential behavior, no pool spun up).
+// result rows/metrics snapshot *by value*. SweepRunner executes the list
+// across `threads` host threads and hands the results back **in submission
+// order**, so everything downstream — stdout rows, BENCH_*.json sections —
+// is byte-for-byte identical to the sequential run.
 //
 // Isolation contract for jobs:
 //   - no shared mutable state: build every simulation object inside the job;
@@ -17,10 +15,14 @@
 //   - exceptions are fine: they are captured and rethrown to the Run()
 //     caller (lowest submission index first) after the sweep settles.
 //
-// The calling thread participates: a pool for `threads == N` has N-1
-// workers plus the caller helping from its wait loop, and a job that runs a
-// nested sweep on the same runner helps too (ThreadPool::RunOneTask), so
-// nested submission cannot deadlock.
+// Run() has one code path for every thread count: the calling thread and
+// min(threads, jobs) - 1 helper threads claim job indices from one atomic
+// counter until the list is exhausted. Each job writes only its own result,
+// exception and duration slot, and the helpers are joined before any slot
+// is read, so the join is the only synchronization the results need. At
+// `threads == 1` no thread starts and the caller runs the jobs in order.
+// Call Run() from one thread at a time, and never from inside a job: the
+// accumulated stats are not synchronized.
 //
 // Host-side wall time and the sum of per-job execution times are
 // accumulated across Run() calls; HostJson() packages them as the
@@ -29,18 +31,14 @@
 #ifndef TLBSIM_SRC_EXEC_SWEEP_H_
 #define TLBSIM_SRC_EXEC_SWEEP_H_
 
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "src/base/mutex.h"
-#include "src/base/thread_annotations.h"
-#include "src/exec/thread_pool.h"
 #include "src/sim/json.h"
 
 namespace tlbsim {
@@ -49,7 +47,7 @@ namespace tlbsim {
 struct SweepStats {
   int threads = 1;
   uint64_t jobs = 0;
-  double wall_seconds = 0.0;  // fan-out to last fan-in, summed over sweeps
+  double wall_seconds = 0.0;  // fan-out to last join, summed over sweeps
   double job_seconds = 0.0;   // per-job execution time, summed over jobs
 
   // Parallel speedup actually realized: serial work divided by elapsed
@@ -60,54 +58,34 @@ struct SweepStats {
 
 class SweepRunner {
  public:
-  // `threads` <= 1 means sequential inline execution.
-  explicit SweepRunner(int threads = ThreadPool::DefaultThreadCount());
-  SweepRunner(const SweepRunner&) = delete;
-  SweepRunner& operator=(const SweepRunner&) = delete;
-  ~SweepRunner();
+  // max(1, std::thread::hardware_concurrency()) — the --threads default.
+  static int DefaultThreadCount();
 
-  int threads() const { return threads_; }
+  // `threads` <= 1 means the calling thread runs every job itself.
+  explicit SweepRunner(int threads = DefaultThreadCount());
+
+  int threads() const { return stats_.threads; }
 
   // Executes `jobs` and returns their results in submission order. If any
   // job threw, rethrows the lowest-index exception after every job has
-  // settled. Reentrant: a job may call Run() on its own runner (the nested
-  // sweep shares the pool and the calling job helps execute it).
+  // settled.
   template <typename R>
   std::vector<R> Run(std::vector<std::function<R()>> jobs);
 
-  // Stats accumulated across every Run() on this runner (copied out under
-  // the lock: concurrent nested Run() calls may be accounting).
-  SweepStats stats() const {
-    MutexLock lk(stats_mu_);
-    return stats_;
-  }
+  // Stats accumulated across every Run() on this runner.
+  SweepStats stats() const { return stats_; }
 
   // {"threads": N, "jobs": J, "wall_seconds": W, "job_seconds": S,
   //  "parallel_speedup": S/W} — the report-layer "host" section.
   Json HostJson() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
+  // Calls run(i) once for every i in [0, n) across the caller and its
+  // helpers, joins the helpers, and accounts the sweep in stats_. `run`
+  // must not throw.
+  void FanOut(size_t n, const std::function<void(size_t)>& run);
 
-  struct Fanin {  // one per Run() call; jobs signal completion here
-    Mutex mu;
-    CondVar cv;
-    size_t done GUARDED_BY(mu) = 0;
-    double job_seconds GUARDED_BY(mu) = 0.0;
-  };
-
-  ThreadPool* EnsurePool();
-  void AwaitAll(Fanin* fanin, size_t n);
-  void Account(size_t jobs, double wall_seconds, double job_seconds);
-
-  static double Seconds(Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  }
-
-  int threads_;
-  std::unique_ptr<ThreadPool> pool_;  // created on first parallel Run()
-  mutable Mutex stats_mu_;            // Run() may be entered from a job
-  SweepStats stats_ GUARDED_BY(stats_mu_);
+  SweepStats stats_;
 };
 
 template <typename R>
@@ -115,44 +93,13 @@ std::vector<R> SweepRunner::Run(std::vector<std::function<R()>> jobs) {
   const size_t n = jobs.size();
   std::vector<std::optional<R>> slots(n);
   std::vector<std::exception_ptr> errors(n);
-  Clock::time_point t0 = Clock::now();
-  double job_seconds = 0.0;
-  if (threads_ <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      Clock::time_point j0 = Clock::now();
-      try {
-        slots[i].emplace(jobs[i]());
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-      job_seconds += Seconds(j0, Clock::now());
+  FanOut(n, [&](size_t i) {
+    try {
+      slots[i].emplace(jobs[i]());
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-  } else {
-    ThreadPool* pool = EnsurePool();
-    Fanin fanin;
-    for (size_t i = 0; i < n; ++i) {
-      std::function<R()>* job = &jobs[i];
-      std::optional<R>* slot = &slots[i];
-      std::exception_ptr* error = &errors[i];
-      Fanin* fi = &fanin;
-      pool->Submit([job, slot, error, fi] {
-        Clock::time_point j0 = Clock::now();
-        try {
-          slot->emplace((*job)());
-        } catch (...) {
-          *error = std::current_exception();
-        }
-        double secs = Seconds(j0, Clock::now());
-        MutexLock lk(fi->mu);
-        fi->job_seconds += secs;
-        ++fi->done;
-        fi->cv.NotifyAll();
-      });
-    }
-    AwaitAll(&fanin, n);
-    job_seconds = fanin.job_seconds;
-  }
-  Account(n, Seconds(t0, Clock::now()), job_seconds);
+  });
   for (size_t i = 0; i < n; ++i) {
     if (errors[i]) {
       std::rethrow_exception(errors[i]);

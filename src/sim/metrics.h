@@ -14,7 +14,8 @@
 //   registry's lifetime (node-based map), so hot paths look a metric up once
 //   and bump a plain integer afterwards. Histograms keep exact moments
 //   (Welford) for every sample but cap the percentile reservoir at
-//   kMaxSamples values (first-N, deterministic) to bound memory.
+//   kMaxSamples values (decimated by arrival stride, deterministic; see
+//   Histogram) to bound memory.
 //
 // Scoped timers measure *virtual* cycles: they capture a clock functor at
 // construction and record the delta at destruction, which in a coroutine

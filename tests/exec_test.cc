@@ -1,10 +1,9 @@
-// Tests for the host-side sweep executor (src/exec): ThreadPool work
-// distribution, SweepRunner ordering/exception/nesting semantics, and the
-// contract the converted benches rely on — results independent of the host
-// thread count.
-#include <atomic>
+// Tests for the host-side sweep executor (src/exec): SweepRunner ordering,
+// exception and concurrency semantics, and the contract the converted
+// benches rely on — results independent of the host thread count.
 #include <chrono>
 #include <functional>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -13,53 +12,13 @@
 #include <gtest/gtest.h>
 
 #include "src/exec/sweep.h"
-#include "src/exec/thread_pool.h"
 #include "src/workloads/microbench.h"
 
 namespace tlbsim {
 namespace {
 
-TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
-}
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Drain();
-    EXPECT_EQ(pool.pending(), 0u);
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ZeroWorkersRunsTasksOnCallingThread) {
-  ThreadPool pool(0);
-  int count = 0;
-  for (int i = 0; i < 5; ++i) {
-    pool.Submit([&count] { ++count; });
-  }
-  while (pool.RunOneTask()) {
-  }
-  EXPECT_EQ(count, 5);
-  EXPECT_EQ(pool.pending(), 0u);
-  EXPECT_FALSE(pool.RunOneTask());
-}
-
-TEST(ThreadPoolTest, NestedSubmissionIsDrained) {
-  std::atomic<int> count{0};
-  ThreadPool pool(2);
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&pool, &count] {
-      count.fetch_add(1, std::memory_order_relaxed);
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    });
-  }
-  pool.Drain();
-  EXPECT_EQ(count.load(), 16);
+TEST(SweepRunnerTest, DefaultThreadCountIsPositive) {
+  EXPECT_GE(SweepRunner::DefaultThreadCount(), 1);
 }
 
 TEST(SweepRunnerTest, ReturnsResultsInSubmissionOrder) {
@@ -115,27 +74,29 @@ TEST(SweepRunnerTest, RethrowsLowestIndexException) {
   }
 }
 
-TEST(SweepRunnerTest, NestedRunOnSameRunnerDoesNotDeadlock) {
-  SweepRunner runner(2);
-  std::vector<std::function<int()>> outer;
-  for (int i = 0; i < 2; ++i) {
-    outer.emplace_back([&runner, i] {
-      std::vector<std::function<int()>> inner;
-      for (int j = 0; j < 4; ++j) {
-        inner.emplace_back([i, j] { return 10 * i + j; });
+// Four jobs on four threads must all be in flight at once: each one arrives
+// at a shared latch and then waits for the other three. A fan-out that runs
+// the jobs one at a time lets the first three waits time out, so the test
+// fails after ~30 s instead of hanging.
+TEST(SweepRunnerTest, RunsJobsConcurrently) {
+  constexpr int kJobs = 4;
+  std::latch all_started(kJobs);
+  std::vector<std::function<bool()>> jobs;
+  for (int i = 0; i < kJobs; ++i) {
+    jobs.emplace_back([&all_started] {
+      all_started.count_down();
+      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!all_started.try_wait()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          return false;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      std::vector<int> r = runner.Run(std::move(inner));
-      int sum = 0;
-      for (int v : r) {
-        sum += v;
-      }
-      return sum;
+      return true;
     });
   }
-  std::vector<int> results = runner.Run(std::move(outer));
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0], 0 + 1 + 2 + 3);
-  EXPECT_EQ(results[1], 10 + 11 + 12 + 13);
+  SweepRunner runner(kJobs);
+  EXPECT_EQ(runner.Run(std::move(jobs)), std::vector<bool>(kJobs, true));
 }
 
 TEST(SweepRunnerTest, HostJsonReportsAccumulatedStats) {

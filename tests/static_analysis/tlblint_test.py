@@ -58,13 +58,14 @@ def by_rule(findings):
 
 @case
 def layering_fires_once(lint, errors):
+    # exec -> core is not an edge; exec -> sim is.
     with tempfile.TemporaryDirectory() as root:
-        write(root, "src/sim/engine2.h", """\
+        write(root, "src/exec/sweep2.h", """\
 #include "src/core/shootdown2.h"
-#include "src/base/ok.h"
+#include "src/sim/json.h"
 """)
         write(root, "src/core/shootdown2.h", "\n")
-        write(root, "src/base/ok.h", "\n")
+        write(root, "src/sim/json.h", "\n")
         rc, findings, _ = run_lint(lint, root, ("--rules", "layering"))
         counts = by_rule(findings)
         expect(rc == 1 and counts.get("layering") == 1,
@@ -76,8 +77,8 @@ def layering_fires_once(lint, errors):
 def layering_hw_may_not_include_exec(lint, errors):
     # Machine owns no host threads: the sweep executor sits above hw.
     with tempfile.TemporaryDirectory() as root:
-        write(root, "src/hw/machine2.h", '#include "src/exec/thread_pool.h"\n')
-        write(root, "src/exec/thread_pool.h", "\n")
+        write(root, "src/hw/machine2.h", '#include "src/exec/sweep.h"\n')
+        write(root, "src/exec/sweep.h", "\n")
         rc, findings, _ = run_lint(lint, root, ("--rules", "layering"))
         expect(rc == 1 and by_rule(findings).get("layering") == 1,
                f"layering-hw-exec: expected 1 finding, got {findings}", errors)
@@ -136,22 +137,6 @@ def determinism_clock_allowed_in_exec(lint, errors):
         rc, findings, _ = run_lint(lint, root, ("--rules", "determinism"))
         expect(rc == 0 and not findings,
                f"clock-allowed: expected clean, got {findings}", errors)
-
-
-@case
-def ts_optout_fires_once(lint, errors):
-    with tempfile.TemporaryDirectory() as root:
-        write(root, "src/sim/sneaky.h",
-              "void F() NO_THREAD_SAFETY_ANALYSIS;\n")
-        write(root, "src/hw/fine.h",
-              "void G() NO_THREAD_SAFETY_ANALYSIS;\n")  # outside banned dirs
-        rc, findings, _ = run_lint(lint, root, ("--rules", "no-ts-optout"))
-        counts = by_rule(findings)
-        expect(rc == 1 and counts.get("no-ts-optout") == 1,
-               f"no-ts-optout: expected exactly 1 finding, got {counts}",
-               errors)
-        expect(findings and findings[0]["file"] == "src/sim/sneaky.h",
-               f"no-ts-optout: wrong file: {findings}", errors)
 
 
 @case
