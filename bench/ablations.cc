@@ -4,142 +4,91 @@
 //   2. the in-context flush-merge threshold (Linux's 33-entry ceiling);
 //   3. the §3.4 (4a) interplay: flush-user-PTEs-until-first-ack vs defer-all;
 //   4. (queue backend) ring size: undersized per-responder rings overflow and
-//      degrade to flush_all fallbacks.
+//      degrade to flush_all fallbacks;
+//   5. (queue backend) the queue cost knobs' crossover against IPI;
+//   6. reuse-aware flush elision (Optimization #7) on the churn workloads.
+// Ablations 1-5 are runs of the §5.1 madvise microbenchmark.
 #include <cstdio>
 #include <functional>
 #include <utility>
 #include <vector>
 
 #include "bench/report.h"
-#include "src/core/snapshot.h"
 #include "src/exec/sweep.h"
 #include "src/workloads/churn.h"
 #include "src/workloads/microbench.h"
-#include "src/workloads/sysbench.h"
 
 namespace tlbsim {
 namespace {
 
-struct MulticastResult {
-  Cycles madvise_cycles = 0;
-  uint64_t icr_writes = 0;
-};
-
-MulticastResult MeasureMulticast(bool multicast) {
-  SystemConfig cfg;
-  cfg.kernel.pti = true;
-  cfg.kernel.opts = OptimizationSet::AllGeneral();
-  cfg.machine.seed = 5;
-  System sys(cfg);
-  sys.machine().apic().set_use_multicast(multicast);
-  Process* p = sys.kernel().CreateProcess();
-  Thread* ti = sys.kernel().CreateThread(p, 0);
-  // 20 responder threads spread over both sockets.
-  bool stop = false;
-  for (int i = 1; i <= 20; ++i) {
-    int cpu = i < 11 ? i : 17 + i;
-    sys.kernel().CreateThread(p, cpu);
-    SimCpu& c = sys.machine().cpu(cpu);
-    c.Spawn([](SimCpu& cc, const bool* s) -> SimTask {
-      while (!*s) {
-        co_await cc.Execute(500);
-      }
-    }(c, &stop));
+// Runs one madvise microbenchmark per config; results in config order.
+std::vector<MicroResult> RunMicro(SweepRunner* runner, const std::vector<MicroConfig>& configs) {
+  std::vector<std::function<MicroResult()>> jobs;
+  for (const MicroConfig& cfg : configs) {
+    jobs.emplace_back([cfg] { return RunMadviseMicrobench(cfg); });
   }
-  Cycles dur = 0;
-  sys.machine().cpu(0).Spawn([](System& s, Thread& t, Cycles* out, bool* st) -> SimTask {
-    Kernel& k = s.kernel();
-    uint64_t a = co_await k.SysMmap(t, 10 * kPageSize4K, true, false);
-    RunningStat stat;
-    for (int it = 0; it < 100; ++it) {
-      for (int i = 0; i < 10; ++i) {
-        co_await k.UserAccess(t, a + static_cast<uint64_t>(i) * kPageSize4K, true);
-      }
-      Cycles t0 = s.machine().cpu(0).now();
-      co_await k.SysMadviseDontneed(t, a, 10 * kPageSize4K);
-      stat.Add(static_cast<double>(s.machine().cpu(0).now() - t0));
-    }
-    *out = static_cast<Cycles>(stat.mean());
-    *st = true;
-  }(sys, *ti, &dur, &stop));
-  sys.machine().engine().Run();
-  return MulticastResult{dur, sys.machine().apic().stats().icr_writes};
+  return runner->Run(std::move(jobs));
 }
 
+// The storm ablations 1-5 vary: madvise of `pages` PTEs x100 against a
+// cross-socket responder, all-general opts, safe mode, seed 5.
+MicroConfig Storm(int pages) {
+  MicroConfig cfg;
+  cfg.system.kernel.opts = OptimizationSet::AllGeneral();
+  cfg.system.machine.seed = 5;
+  cfg.pages = pages;
+  cfg.iterations = 100;
+  return cfg;
+}
+
+Cycles MadviseCycles(const MicroResult& r) { return static_cast<Cycles>(r.initiator.mean()); }
+
 void MulticastAblation(SweepRunner* runner, BenchReport* report) {
-  std::vector<std::function<MulticastResult()>> jobs;
+  std::vector<MicroConfig> configs;
   for (bool multicast : {true, false}) {
-    jobs.emplace_back([multicast] { return MeasureMulticast(multicast); });
+    MicroConfig cfg = Storm(10);
+    // 20 responder threads spread over both sockets.
+    cfg.responders.clear();
+    for (int i = 1; i <= 20; ++i) {
+      cfg.responders.push_back(i < 11 ? i : 17 + i);
+    }
+    cfg.ipi_multicast = multicast;
+    configs.push_back(std::move(cfg));
   }
-  std::vector<MulticastResult> results = runner->Run(std::move(jobs));
+  std::vector<MicroResult> results = RunMicro(runner, configs);
 
   std::printf("== Ablation 1: multicast vs unicast IPIs (the §2.3.2 caveat) ==\n");
-  size_t next = 0;
-  for (bool multicast : {true, false}) {
-    MulticastResult& r = results[next++];
+  for (size_t i = 0; i < configs.size(); ++i) {
+    bool multicast = configs[i].ipi_multicast;
+    Cycles cycles = MadviseCycles(results[i]);
+    uint64_t icr_writes = BenchReport::Counter(results[i].metrics, "apic.icr_writes");
     std::printf("  %-10s madvise over 20 remote CPUs: %lld cycles, ICR writes: %llu\n",
-                multicast ? "multicast:" : "unicast:", static_cast<long long>(r.madvise_cycles),
-                static_cast<unsigned long long>(r.icr_writes));
+                multicast ? "multicast:" : "unicast:", static_cast<long long>(cycles),
+                static_cast<unsigned long long>(icr_writes));
     Json row = Json::Object();
     row["ablation"] = "multicast_vs_unicast";
     row["multicast"] = multicast;
-    row["madvise_cycles"] = static_cast<int64_t>(r.madvise_cycles);
-    row["icr_writes"] = r.icr_writes;
+    row["madvise_cycles"] = static_cast<int64_t>(cycles);
+    row["icr_writes"] = icr_writes;
     report->AddRow(std::move(row));
   }
   std::printf("\n");
 }
 
-Cycles MeasureThreshold(uint64_t threshold) {
-  SystemConfig cfg;
-  cfg.kernel.pti = true;
-  cfg.kernel.opts = OptimizationSet::AllGeneral();
-  cfg.kernel.flush_full_threshold = threshold;
-  cfg.machine.seed = 5;
-  System sys(cfg);
-  Process* p = sys.kernel().CreateProcess();
-  Thread* ti = sys.kernel().CreateThread(p, 0);
-  sys.kernel().CreateThread(p, 30);
-  bool stop = false;
-  SimCpu& rc = sys.machine().cpu(30);
-  rc.Spawn([](SimCpu& cc, const bool* s) -> SimTask {
-    while (!*s) {
-      co_await cc.Execute(500);
-    }
-  }(rc, &stop));
-  Cycles dur = 0;
-  sys.machine().cpu(0).Spawn([](System& s, Thread& t, Cycles* out, bool* st) -> SimTask {
-    Kernel& k = s.kernel();
-    uint64_t a = co_await k.SysMmap(t, 24 * kPageSize4K, true, false);
-    RunningStat stat;
-    for (int it = 0; it < 100; ++it) {
-      for (int i = 0; i < 24; ++i) {
-        co_await k.UserAccess(t, a + static_cast<uint64_t>(i) * kPageSize4K, true);
-      }
-      Cycles t0 = s.machine().cpu(0).now();
-      co_await k.SysMadviseDontneed(t, a, 24 * kPageSize4K);
-      stat.Add(static_cast<double>(s.machine().cpu(0).now() - t0));
-    }
-    *out = static_cast<Cycles>(stat.mean());
-    *st = true;
-  }(sys, *ti, &dur, &stop));
-  sys.machine().engine().Run();
-  return dur;
-}
-
 void ThresholdAblation(SweepRunner* runner, BenchReport* report) {
-  constexpr uint64_t kThresholds[] = {4, 8, 16, 33, 64};
-  std::vector<std::function<Cycles()>> jobs;
-  for (uint64_t threshold : kThresholds) {
-    jobs.emplace_back([threshold] { return MeasureThreshold(threshold); });
+  std::vector<MicroConfig> configs;
+  for (uint64_t threshold : {4, 8, 16, 33, 64}) {
+    MicroConfig cfg = Storm(24);
+    cfg.system.kernel.flush_full_threshold = threshold;
+    configs.push_back(std::move(cfg));
   }
-  std::vector<Cycles> results = runner->Run(std::move(jobs));
+  std::vector<MicroResult> results = RunMicro(runner, configs);
 
   std::printf("== Ablation 2: full-flush threshold (tlb_single_page_flush_ceiling) ==\n");
   std::printf("  madvise of 24 PTEs, cross-socket responder, all-general opts, safe\n");
-  size_t next = 0;
-  for (uint64_t threshold : kThresholds) {
-    Cycles dur = results[next++];
+  for (size_t i = 0; i < configs.size(); ++i) {
+    uint64_t threshold = configs[i].system.kernel.flush_full_threshold;
+    Cycles dur = MadviseCycles(results[i]);
     std::printf("  threshold %2llu: madvise %lld cycles (%s)\n",
                 static_cast<unsigned long long>(threshold), static_cast<long long>(dur),
                 threshold < 24 ? "full flushes" : "selective");
@@ -154,26 +103,20 @@ void ThresholdAblation(SweepRunner* runner, BenchReport* report) {
 }
 
 void FourAAblation(SweepRunner* runner, BenchReport* report) {
-  std::vector<std::function<MicroResult()>> jobs;
+  std::vector<MicroConfig> configs;
   for (bool concurrent : {true, false}) {
-    jobs.emplace_back([concurrent] {
-      MicroConfig cfg;
-      cfg.pti = true;
-      cfg.pages = 10;
-      cfg.placement = Placement::kOtherSocket;
-      cfg.iterations = 300;
-      cfg.opts = OptimizationSet::AllGeneral();
-      cfg.opts.concurrent_flush = concurrent;  // off: defer-all, no spare cycles
-      cfg.seed = 9;
-      return RunMadviseMicrobench(cfg);
-    });
+    MicroConfig cfg = Storm(10);
+    cfg.system.kernel.opts.concurrent_flush = concurrent;  // off: defer-all, no spare cycles
+    cfg.system.machine.seed = 9;
+    cfg.iterations = 300;
+    configs.push_back(std::move(cfg));
   }
-  std::vector<MicroResult> results = runner->Run(std::move(jobs));
+  std::vector<MicroResult> results = RunMicro(runner, configs);
 
   std::printf("== Ablation 3: in-context 4a interplay (eager-until-first-ack) ==\n");
-  size_t next = 0;
-  for (bool concurrent : {true, false}) {
-    MicroResult& r = results[next++];
+  for (size_t i = 0; i < configs.size(); ++i) {
+    bool concurrent = configs[i].system.kernel.opts.concurrent_flush;
+    MicroResult& r = results[i];
     std::printf("  concurrent=%d: initiator %.0f cyc, responder %.0f cyc\n", concurrent,
                 r.initiator.mean(), r.responder_cycles_per_op);
     Json row = Json::Object();
@@ -187,103 +130,50 @@ void FourAAblation(SweepRunner* runner, BenchReport* report) {
   std::printf("\n");
 }
 
-struct QueueRingResult {
-  Cycles madvise_cycles = 0;
-  uint64_t ring_overflows = 0;
-  uint64_t fallbacks = 0;
-  uint64_t resends = 0;
-  uint64_t max_occupancy = 0;
-  Json metrics;
-};
-
-// 24-PTE madvise storm against one cross-socket responder, queue backend:
-// rings smaller than the flush batch overflow on every iteration and fall
-// back to flush_all, while the default 64-entry ring absorbs it selectively.
-QueueRingResult MeasureQueueRing(int ring_entries) {
-  SystemConfig cfg;
-  cfg.kernel.pti = true;
-  cfg.kernel.opts = OptimizationSet::AllGeneral();
-  cfg.machine.costs.queue_ring_entries = ring_entries;
-  cfg.machine.seed = 5;
-  cfg.backend = FlushBackendKind::kQueue;
-  System sys(cfg);
-  Process* p = sys.kernel().CreateProcess();
-  Thread* ti = sys.kernel().CreateThread(p, 0);
-  sys.kernel().CreateThread(p, 30);
-  bool stop = false;
-  SimCpu& rc = sys.machine().cpu(30);
-  rc.Spawn([](SimCpu& cc, const bool* s) -> SimTask {
-    while (!*s) {
-      co_await cc.Execute(500);
-    }
-  }(rc, &stop));
-  Cycles dur = 0;
-  sys.machine().cpu(0).Spawn([](System& s, Thread& t, Cycles* out, bool* st) -> SimTask {
-    Kernel& k = s.kernel();
-    uint64_t a = co_await k.SysMmap(t, 24 * kPageSize4K, true, false);
-    RunningStat stat;
-    for (int it = 0; it < 100; ++it) {
-      for (int i = 0; i < 24; ++i) {
-        co_await k.UserAccess(t, a + static_cast<uint64_t>(i) * kPageSize4K, true);
-      }
-      Cycles t0 = s.machine().cpu(0).now();
-      co_await k.SysMadviseDontneed(t, a, 24 * kPageSize4K);
-      stat.Add(static_cast<double>(s.machine().cpu(0).now() - t0));
-    }
-    *out = static_cast<Cycles>(stat.mean());
-    *st = true;
-  }(sys, *ti, &dur, &stop));
-  sys.machine().engine().Run();
-  const QueueFlushBackend::Stats& qs = sys.queue()->stats();
-  QueueRingResult r;
-  r.madvise_cycles = dur;
-  r.ring_overflows = qs.ring_overflows;
-  r.fallbacks = qs.flush_all_fallbacks;
-  r.resends = qs.ipi_resends;
-  r.max_occupancy = qs.max_ring_occupancy;
-  r.metrics = SystemMetricsJson(sys);
-  return r;
-}
-
+// 24-PTE madvise storm on the queue backend: rings smaller than the flush
+// batch overflow on every iteration and fall back to flush_all, while the
+// default 64-entry ring absorbs it selectively.
 void QueueRingAblation(SweepRunner* runner, BenchReport* report) {
-  constexpr int kRings[] = {8, 16, 64};
-  std::vector<std::function<QueueRingResult()>> jobs;
-  for (int ring : kRings) {
-    jobs.emplace_back([ring] { return MeasureQueueRing(ring); });
+  std::vector<MicroConfig> configs;
+  for (int ring : {8, 16, 64}) {
+    MicroConfig cfg = Storm(24);
+    cfg.system.backend = FlushBackendKind::kQueue;
+    cfg.system.machine.costs.queue_ring_entries = ring;
+    configs.push_back(std::move(cfg));
   }
-  std::vector<QueueRingResult> results = runner->Run(std::move(jobs));
+  std::vector<MicroResult> results = RunMicro(runner, configs);
 
   std::printf("== Ablation 4: queue backend ring size (overflow -> flush_all) ==\n");
   std::printf("  madvise of 24 PTEs x100, cross-socket responder, queue backend\n");
-  size_t next = 0;
-  Json overflow_metrics;
-  for (int ring : kRings) {
-    QueueRingResult& r = results[next++];
+  for (size_t i = 0; i < configs.size(); ++i) {
+    int ring = configs[i].system.machine.costs.queue_ring_entries;
+    const Json& m = results[i].metrics;
+    Cycles cycles = MadviseCycles(results[i]);
+    uint64_t overflows = BenchReport::Counter(m, "queue.ring_overflows");
+    uint64_t fallbacks = BenchReport::Counter(m, "queue.flush_all_fallbacks");
+    uint64_t resends = BenchReport::Counter(m, "queue.ipi_resends");
+    uint64_t max_occupancy = BenchReport::Counter(m, "queue.max_ring_occupancy");
     std::printf("  ring %2d: madvise %lld cycles, overflows %llu, fallbacks %llu,"
                 " resends %llu, max occupancy %llu\n",
-                ring, static_cast<long long>(r.madvise_cycles),
-                static_cast<unsigned long long>(r.ring_overflows),
-                static_cast<unsigned long long>(r.fallbacks),
-                static_cast<unsigned long long>(r.resends),
-                static_cast<unsigned long long>(r.max_occupancy));
+                ring, static_cast<long long>(cycles), static_cast<unsigned long long>(overflows),
+                static_cast<unsigned long long>(fallbacks),
+                static_cast<unsigned long long>(resends),
+                static_cast<unsigned long long>(max_occupancy));
     Json row = Json::Object();
     row["ablation"] = "queue_ring_size";
     row["backend"] = "queue";
     row["ring_entries"] = ring;
-    row["madvise_cycles"] = static_cast<int64_t>(r.madvise_cycles);
-    row["ring_overflows"] = r.ring_overflows;
-    row["flush_all_fallbacks"] = r.fallbacks;
-    row["ipi_resends"] = r.resends;
-    row["max_ring_occupancy"] = r.max_occupancy;
+    row["madvise_cycles"] = static_cast<int64_t>(cycles);
+    row["ring_overflows"] = overflows;
+    row["flush_all_fallbacks"] = fallbacks;
+    row["ipi_resends"] = resends;
+    row["max_ring_occupancy"] = max_occupancy;
     report->AddRow(std::move(row));
-    if (ring == kRings[0]) {
-      // Smallest ring: every madvise overflows, so this snapshot is the one
-      // whose queue.ring_overflows / queue.flush_all_fallbacks counters the
-      // CI gate requires to be nonzero.
-      overflow_metrics = std::move(r.metrics);
-    }
   }
-  report->SetMetrics(FlushBackendKind::kQueue, std::move(overflow_metrics));
+  // Smallest ring: every madvise overflows, so this snapshot is the one
+  // whose queue.ring_overflows / queue.flush_all_fallbacks counters the CI
+  // gate requires to be nonzero.
+  report->SetMetrics(FlushBackendKind::kQueue, std::move(results[0].metrics));
   std::printf("\n");
 }
 
@@ -292,129 +182,60 @@ void QueueRingAblation(SweepRunner* runner, BenchReport* report) {
 // multiplier); this sweep runs the 24-PTE madvise storm across their grid
 // and puts the IPI protocol's cost on the same storm next to it, exposing
 // where the async protocol crosses over the synchronous one.
-struct CrossoverPoint {
-  FlushBackendKind backend = FlushBackendKind::kQueue;
-  int ring_entries = 64;
-  Cycles initial_spin = 2000;
-  int backoff_mult = 4;
-};
-
-struct CrossoverResult {
-  Cycles madvise_cycles = 0;
-  uint64_t spin_polls = 0;
-  uint64_t spin_cycles = 0;
-  uint64_t ipi_resends = 0;
-  uint64_t fallbacks = 0;
-  uint64_t ack_timeouts = 0;
-};
-
-CrossoverResult MeasureCrossover(const CrossoverPoint& pt) {
-  SystemConfig cfg;
-  cfg.kernel.pti = true;
-  cfg.kernel.opts = OptimizationSet::AllGeneral();
-  cfg.machine.seed = 5;
-  cfg.backend = pt.backend;
-  cfg.machine.costs.queue_ring_entries = pt.ring_entries;
-  cfg.machine.costs.queue_initial_spin = pt.initial_spin;
-  cfg.machine.costs.queue_backoff_mult = pt.backoff_mult;
-  System sys(cfg);
-  Process* p = sys.kernel().CreateProcess();
-  Thread* ti = sys.kernel().CreateThread(p, 0);
-  sys.kernel().CreateThread(p, 30);
-  bool stop = false;
-  SimCpu& rc = sys.machine().cpu(30);
-  rc.Spawn([](SimCpu& cc, const bool* s) -> SimTask {
-    while (!*s) {
-      co_await cc.Execute(500);
-    }
-  }(rc, &stop));
-  Cycles dur = 0;
-  sys.machine().cpu(0).Spawn([](System& s, Thread& t, Cycles* out, bool* st) -> SimTask {
-    Kernel& k = s.kernel();
-    uint64_t a = co_await k.SysMmap(t, 24 * kPageSize4K, true, false);
-    RunningStat stat;
-    for (int it = 0; it < 100; ++it) {
-      for (int i = 0; i < 24; ++i) {
-        co_await k.UserAccess(t, a + static_cast<uint64_t>(i) * kPageSize4K, true);
-      }
-      Cycles t0 = s.machine().cpu(0).now();
-      co_await k.SysMadviseDontneed(t, a, 24 * kPageSize4K);
-      stat.Add(static_cast<double>(s.machine().cpu(0).now() - t0));
-    }
-    *out = static_cast<Cycles>(stat.mean());
-    *st = true;
-  }(sys, *ti, &dur, &stop));
-  sys.machine().engine().Run();
-  CrossoverResult r;
-  r.madvise_cycles = dur;
-  if (sys.queue() != nullptr) {
-    const QueueFlushBackend::Stats& qs = sys.queue()->stats();
-    r.spin_polls = qs.spin_polls;
-    r.spin_cycles = qs.spin_cycles;
-    r.ipi_resends = qs.ipi_resends;
-    r.fallbacks = qs.flush_all_fallbacks;
-    r.ack_timeouts = qs.ack_timeouts;
-  }
-  return r;
-}
-
 void QueueCrossoverAblation(SweepRunner* runner, BenchReport* report) {
-  constexpr int kRings[] = {8, 64};
-  constexpr Cycles kSpins[] = {500, 2000, 8000};
-  constexpr int kBackoffs[] = {2, 4};
-
-  std::vector<CrossoverPoint> points;
-  points.push_back(CrossoverPoint{FlushBackendKind::kIpi, 64, 2000, 4});  // baseline
-  for (int ring : kRings) {
-    for (Cycles spin : kSpins) {
-      for (int backoff : kBackoffs) {
-        points.push_back(CrossoverPoint{FlushBackendKind::kQueue, ring, spin, backoff});
+  std::vector<MicroConfig> configs = {Storm(24)};  // IPI baseline
+  for (int ring : {8, 64}) {
+    for (Cycles spin : {500, 2000, 8000}) {
+      for (int backoff : {2, 4}) {
+        MicroConfig cfg = Storm(24);
+        cfg.system.backend = FlushBackendKind::kQueue;
+        cfg.system.machine.costs.queue_ring_entries = ring;
+        cfg.system.machine.costs.queue_initial_spin = spin;
+        cfg.system.machine.costs.queue_backoff_mult = backoff;
+        configs.push_back(std::move(cfg));
       }
     }
   }
-  std::vector<std::function<CrossoverResult()>> jobs;
-  for (const CrossoverPoint& pt : points) {
-    jobs.emplace_back([pt] { return MeasureCrossover(pt); });
-  }
-  std::vector<CrossoverResult> results = runner->Run(std::move(jobs));
+  std::vector<MicroResult> results = RunMicro(runner, configs);
 
   std::printf("== Ablation 5: queue cost-knob crossover vs IPI ==\n");
   std::printf("  madvise of 24 PTEs x100, cross-socket responder\n");
-  Cycles ipi_cycles = results[0].madvise_cycles;
-  for (size_t i = 0; i < points.size(); ++i) {
-    const CrossoverPoint& pt = points[i];
-    const CrossoverResult& r = results[i];
-    bool queue = pt.backend == FlushBackendKind::kQueue;
-    double vs_ipi = ipi_cycles > 0
-                        ? static_cast<double>(r.madvise_cycles) / static_cast<double>(ipi_cycles)
-                        : 0.0;
+  Cycles ipi_cycles = MadviseCycles(results[0]);
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const CostModel& costs = configs[i].system.machine.costs;
+    const Json& m = results[i].metrics;
+    bool queue = configs[i].system.backend == FlushBackendKind::kQueue;
+    Cycles cycles = MadviseCycles(results[i]);
+    double vs_ipi =
+        ipi_cycles > 0 ? static_cast<double>(cycles) / static_cast<double>(ipi_cycles) : 0.0;
     if (queue) {
       std::printf("  queue ring %2d spin %4lld backoff %d: %lld cycles (%.2fx IPI),"
                   " polls %llu, resends %llu, fallbacks %llu\n",
-                  pt.ring_entries, static_cast<long long>(pt.initial_spin), pt.backoff_mult,
-                  static_cast<long long>(r.madvise_cycles), vs_ipi,
-                  static_cast<unsigned long long>(r.spin_polls),
-                  static_cast<unsigned long long>(r.ipi_resends),
-                  static_cast<unsigned long long>(r.fallbacks));
+                  costs.queue_ring_entries, static_cast<long long>(costs.queue_initial_spin),
+                  costs.queue_backoff_mult, static_cast<long long>(cycles), vs_ipi,
+                  static_cast<unsigned long long>(BenchReport::Counter(m, "queue.spin_polls")),
+                  static_cast<unsigned long long>(BenchReport::Counter(m, "queue.ipi_resends")),
+                  static_cast<unsigned long long>(
+                      BenchReport::Counter(m, "queue.flush_all_fallbacks")));
     } else {
-      std::printf("  ipi baseline: %lld cycles\n", static_cast<long long>(r.madvise_cycles));
+      std::printf("  ipi baseline: %lld cycles\n", static_cast<long long>(cycles));
     }
     Json row = Json::Object();
     row["ablation"] = "queue_cost_crossover";
     row["backend"] = queue ? "queue" : "ipi";
     if (queue) {
-      row["ring_entries"] = pt.ring_entries;
-      row["initial_spin"] = static_cast<int64_t>(pt.initial_spin);
-      row["backoff_mult"] = pt.backoff_mult;
+      row["ring_entries"] = costs.queue_ring_entries;
+      row["initial_spin"] = static_cast<int64_t>(costs.queue_initial_spin);
+      row["backoff_mult"] = costs.queue_backoff_mult;
     }
-    row["madvise_cycles"] = static_cast<int64_t>(r.madvise_cycles);
+    row["madvise_cycles"] = static_cast<int64_t>(cycles);
     row["vs_ipi"] = vs_ipi;
     if (queue) {
-      row["spin_polls"] = r.spin_polls;
-      row["spin_cycles"] = r.spin_cycles;
-      row["ipi_resends"] = r.ipi_resends;
-      row["flush_all_fallbacks"] = r.fallbacks;
-      row["ack_timeouts"] = r.ack_timeouts;
+      row["spin_polls"] = BenchReport::Counter(m, "queue.spin_polls");
+      row["spin_cycles"] = BenchReport::Counter(m, "queue.spin_cycles");
+      row["ipi_resends"] = BenchReport::Counter(m, "queue.ipi_resends");
+      row["flush_all_fallbacks"] = BenchReport::Counter(m, "queue.flush_all_fallbacks");
+      row["ack_timeouts"] = BenchReport::Counter(m, "queue.ack_timeouts");
     }
     report->AddRow(std::move(row));
   }

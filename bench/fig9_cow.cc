@@ -69,13 +69,13 @@ int main(int argc, char** argv) {
       for (bool cow_avoidance : {false, true}) {
         for (int run = 0; run < runs; ++run) {
           CowConfig cfg;
-          cfg.pti = pti;
-          cfg.opts = OptimizationSet::AllGeneral();
-          cfg.opts.cow_avoidance = cow_avoidance;
+          cfg.system.kernel.pti = pti;
+          cfg.system.kernel.opts = OptimizationSet::AllGeneral();
+          cfg.system.kernel.opts.cow_avoidance = cow_avoidance;
+          cfg.system.machine.seed = 40 + static_cast<uint64_t>(run);
+          cfg.system.backend = backend;
           cfg.pages = 64;
           cfg.rounds = 4;
-          cfg.seed = 40 + static_cast<uint64_t>(run);
-          cfg.backend = backend;
           jobs.emplace_back([cfg] { return RunCowMicrobench(cfg); });
         }
       }

@@ -51,13 +51,13 @@ int RunMicroFigure(const char* bench_name, const char* figure_name, bool pti, in
       for (int level = 0; level <= (queue ? 0 : max_level); ++level) {
         for (int run = 0; run < runs; ++run) {
           MicroConfig cfg;
-          cfg.pti = pti;
-          cfg.opts = OptimizationSet::Cumulative(level);
+          cfg.system.kernel.pti = pti;
+          cfg.system.kernel.opts = OptimizationSet::Cumulative(level);
+          cfg.system.machine.seed = 1000 + static_cast<uint64_t>(run);
+          cfg.system.backend = backend;
           cfg.pages = pages;
-          cfg.placement = place;
+          cfg.responders = {PlacementCpu(place)};
           cfg.iterations = kIterations;
-          cfg.seed = 1000 + static_cast<uint64_t>(run);
-          cfg.backend = backend;
           jobs.emplace_back([cfg] { return RunMadviseMicrobench(cfg); });
         }
       }

@@ -155,6 +155,12 @@ void BenchReport::Snapshot(System& system, const char* key) {
 
 void BenchReport::Set(const char* key, Json value) { root_[key] = std::move(value); }
 
+uint64_t BenchReport::Counter(const Json& metrics, const char* name) {
+  const Json* counters = metrics.Find("counters");
+  const Json* v = counters != nullptr ? counters->Find(name) : nullptr;
+  return v != nullptr ? v->AsUint() : 0;
+}
+
 int BenchReport::Finish(int rc) {
   if (check_) {
     root_["tlbcheck"] = GlobalTlbCheckReport();

@@ -72,6 +72,10 @@ class BenchReport {
   // Sets root()[key] = value (convenience for config/ablation sections).
   void Set(const char* key, Json value);
 
+  // Counter `name` of a registry snapshot (SystemMetricsJson, a workload
+  // result's `metrics`); 0 when the snapshot does not carry it.
+  static uint64_t Counter(const Json& metrics, const char* name);
+
   // Host threads requested via --threads (defaults to the machine's
   // hardware concurrency). Feed this to a SweepRunner.
   int threads() const { return threads_; }

@@ -36,16 +36,15 @@ Cell Measure(bool pti, int pages) {
   Json metrics;
   for (int run = 0; run < kRuns; ++run) {
     MicroConfig cfg;
-    cfg.pti = pti;
+    cfg.system.kernel.pti = pti;
+    cfg.system.kernel.opts = OptimizationSet::None();
+    cfg.system.machine.seed = 500 + static_cast<uint64_t>(run);
     cfg.pages = pages;
-    cfg.placement = Placement::kOtherSocket;
     cfg.iterations = kIterations;
-    cfg.seed = 500 + static_cast<uint64_t>(run);
-    cfg.opts = OptimizationSet::None();
     MicroResult b = RunMadviseMicrobench(cfg);
     base_i.Add(b.initiator.mean());
     base_r.Add(b.responder_cycles_per_op);
-    cfg.opts = OptimizationSet::AllGeneral();  // the four §3 techniques
+    cfg.system.kernel.opts = OptimizationSet::AllGeneral();  // the four §3 techniques
     MicroResult o = RunMadviseMicrobench(cfg);
     opt_i.Add(o.initiator.mean());
     opt_r.Add(o.responder_cycles_per_op);
@@ -55,22 +54,14 @@ Cell Measure(bool pti, int pages) {
               std::move(metrics)};
 }
 
-uint64_t MetricCounter(const Json& metrics, const char* name) {
-  const Json* counters = metrics.Find("counters");
-  const Json* v = counters != nullptr ? counters->Find(name) : nullptr;
-  return v != nullptr ? v->AsUint() : 0;
-}
-
 // One madvise-microbenchmark run with exactly `opts` enabled; cross-socket
 // responder, safe mode.
 MicroResult SingleOptRun(OptimizationSet opts) {
   MicroConfig cfg;
-  cfg.pti = true;
+  cfg.system.kernel.opts = opts;
+  cfg.system.machine.seed = 500;
   cfg.pages = 10;
-  cfg.placement = Placement::kOtherSocket;
   cfg.iterations = kIterations;
-  cfg.seed = 500;
-  cfg.opts = opts;
   return RunMadviseMicrobench(cfg);
 }
 
@@ -105,20 +96,18 @@ uint64_t MsyncIpis(bool batching) {
     *st = true;
   }(sys, *t, f, &stop));
   sys.machine().engine().Run();
-  return MetricCounter(SystemMetricsJson(sys), "apic.ipis_sent");
+  return BenchReport::Counter(SystemMetricsJson(sys), "apic.ipis_sent");
 }
 
 // The §4.1 CoW scenario; returns "shootdown.cow_flushes" from the snapshot.
 uint64_t CowFlushes(bool avoidance) {
   CowConfig cfg;
-  cfg.pti = true;
-  cfg.opts = OptimizationSet();
-  cfg.opts.cow_avoidance = avoidance;
+  cfg.system.kernel.opts.cow_avoidance = avoidance;
+  cfg.system.machine.seed = 500;
   cfg.pages = 64;
   cfg.rounds = 4;
-  cfg.seed = 500;
   CowResult r = RunCowMicrobench(cfg);
-  return MetricCounter(r.metrics, "shootdown.cow_flushes");
+  return BenchReport::Counter(r.metrics, "shootdown.cow_flushes");
 }
 
 struct Ablation {
@@ -138,26 +127,25 @@ std::vector<Ablation> RunAblations() {
   out.push_back({"concurrent_flush", "initiator_cycles_mean", base.initiator.mean(),
                  SingleOptRun(concurrent).initiator.mean()});
 
+  // An optimization against a counter of the madvise runs' snapshots.
+  auto madvise_counter = [&](const char* optimization, const char* counter,
+                             OptimizationSet opts) {
+    out.push_back({optimization, counter,
+                   static_cast<double>(BenchReport::Counter(base.metrics, counter)),
+                   static_cast<double>(BenchReport::Counter(SingleOptRun(opts).metrics, counter))});
+  };
+
   OptimizationSet early;
   early.early_ack = true;
-  out.push_back({"early_ack", "shootdown.late_acks",
-                 static_cast<double>(MetricCounter(base.metrics, "shootdown.late_acks")),
-                 static_cast<double>(
-                     MetricCounter(SingleOptRun(early).metrics, "shootdown.late_acks"))});
+  madvise_counter("early_ack", "shootdown.late_acks", early);
 
   OptimizationSet cacheline;
   cacheline.cacheline_consolidation = true;
-  out.push_back({"cacheline_consolidation", "coherence.transfers",
-                 static_cast<double>(MetricCounter(base.metrics, "coherence.transfers")),
-                 static_cast<double>(
-                     MetricCounter(SingleOptRun(cacheline).metrics, "coherence.transfers"))});
+  madvise_counter("cacheline_consolidation", "coherence.transfers", cacheline);
 
   OptimizationSet in_context;
   in_context.in_context_flush = true;
-  out.push_back({"in_context_flush", "shootdown.invpcid_issued",
-                 static_cast<double>(MetricCounter(base.metrics, "shootdown.invpcid_issued")),
-                 static_cast<double>(
-                     MetricCounter(SingleOptRun(in_context).metrics, "shootdown.invpcid_issued"))});
+  madvise_counter("in_context_flush", "shootdown.invpcid_issued", in_context);
 
   out.push_back({"cow_avoidance", "shootdown.cow_flushes", static_cast<double>(CowFlushes(false)),
                  static_cast<double>(CowFlushes(true))});
@@ -185,6 +173,8 @@ int main(int argc, char** argv) {
   std::printf("%-9s %-22s %-22s\n", "", "Safe Mode", "Unsafe Mode");
   int rc = 0;
   Json last_metrics;
+  double one_pte_safe = 0;  // 1-PTE initiator reductions
+  double one_pte_unsafe = 0;
   for (int pages : {1, 10}) {
     Cell safe = Measure(true, pages);
     Cell unsafe = Measure(false, pages);
@@ -203,6 +193,14 @@ int main(int argc, char** argv) {
     last_metrics = std::move(safe.metrics);
     // Shape checks: reductions positive; 10-PTE initiator gain exceeds 1-PTE.
     if (safe.initiator_reduction <= 0 || unsafe.initiator_reduction <= 0) {
+      rc = 1;
+    }
+    if (pages == 1) {
+      one_pte_safe = safe.initiator_reduction;
+      one_pte_unsafe = unsafe.initiator_reduction;
+    } else if (safe.initiator_reduction <= one_pte_safe ||
+               unsafe.initiator_reduction <= one_pte_unsafe) {
+      std::printf("!! 10-PTE initiator gain does not exceed 1-PTE\n");
       rc = 1;
     }
   }

@@ -27,15 +27,11 @@ ctest --test-dir build --output-on-failure
 mkdir -p results
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
-  case "$(basename "$b")" in
-    prim_ops) bench_args="" ;;  # google-benchmark harness owns its CLI
-    # Every BenchReport bench accepts these flags; sweep-shaped ones fan out
-    # across host threads, the rest ignore --threads and --quick.
-    *) bench_args="--json results/ --threads $nproc_val $quick" ;;
-  esac
   echo "===== $b ====="
+  # Every bench accepts these flags; sweep-shaped ones fan out across host
+  # threads, the rest ignore --threads and --quick.
   # shellcheck disable=SC2086
-  "$b" $bench_args
+  "$b" --json results/ --threads "$nproc_val" $quick
 done
 # 224-cpu preset smoke: two runs of the 8-socket scenario must replay
 # identically (exits nonzero otherwise).

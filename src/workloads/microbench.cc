@@ -16,9 +16,7 @@ const char* PlacementName(Placement p) {
   return "?";
 }
 
-namespace {
-
-int ResponderCpu(Placement p) {
+int PlacementCpu(Placement p) {
   switch (p) {
     case Placement::kSameCore:
       return 1;  // SMT sibling of cpu 0
@@ -29,6 +27,8 @@ int ResponderCpu(Placement p) {
   }
   return 30;
 }
+
+namespace {
 
 SimTask ResponderLoop(SimCpu& cpu, const bool* stop) {
   while (!*stop) {
@@ -57,27 +57,27 @@ SimTask InitiatorProgram(System& sys, Thread& t, const MicroConfig& cfg, MicroRe
 }  // namespace
 
 MicroResult RunMadviseMicrobench(const MicroConfig& cfg) {
-  SystemConfig sys_cfg;
-  sys_cfg.kernel.pti = cfg.pti;
-  sys_cfg.kernel.opts = cfg.opts;
-  sys_cfg.machine.seed = cfg.seed;
-  sys_cfg.backend = cfg.backend;
-  System sys(sys_cfg);
+  System sys(cfg.system);
+  sys.machine().apic().set_use_multicast(cfg.ipi_multicast);
 
   Process* p = sys.kernel().CreateProcess();
   Thread* initiator = sys.kernel().CreateThread(p, 0);
-  int rcpu = ResponderCpu(cfg.placement);
-  sys.kernel().CreateThread(p, rcpu);
-
   MicroResult out;
   bool stop = false;
-  SimCpu& responder = sys.machine().cpu(rcpu);
-  responder.Spawn(ResponderLoop(responder, &stop));
+  for (int rcpu : cfg.responders) {
+    sys.kernel().CreateThread(p, rcpu);
+    SimCpu& responder = sys.machine().cpu(rcpu);
+    responder.Spawn(ResponderLoop(responder, &stop));
+  }
   sys.machine().cpu(0).Spawn(InitiatorProgram(sys, *initiator, cfg, &out, &stop));
   sys.machine().engine().Run();
 
-  out.responder_cycles_per_op =
-      static_cast<double>(responder.stats().cycles_in_irq) / cfg.iterations;
+  Cycles irq_cycles = 0;
+  for (int rcpu : cfg.responders) {
+    irq_cycles += sys.machine().cpu(rcpu).stats().cycles_in_irq;
+  }
+  out.responder_cycles_per_op = static_cast<double>(irq_cycles) /
+                                static_cast<double>(cfg.responders.size()) / cfg.iterations;
   if (sys.queue() != nullptr) {
     // Queue protocol has no early acks; the resend count is the analogous
     // "protocol pressure" signal figures report alongside shootdowns.
@@ -117,12 +117,7 @@ SimTask CowProgram(System& sys, Thread& t, const CowConfig& cfg, CowResult* out)
 }  // namespace
 
 CowResult RunCowMicrobench(const CowConfig& cfg) {
-  SystemConfig sys_cfg;
-  sys_cfg.kernel.pti = cfg.pti;
-  sys_cfg.kernel.opts = cfg.opts;
-  sys_cfg.machine.seed = cfg.seed;
-  sys_cfg.backend = cfg.backend;
-  System sys(sys_cfg);
+  System sys(cfg.system);
 
   Process* p = sys.kernel().CreateProcess();
   Thread* t = sys.kernel().CreateThread(p, 0);

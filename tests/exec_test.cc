@@ -121,12 +121,10 @@ TEST(SweepRunnerTest, SimulationSweepIsThreadCountInvariant) {
     for (Placement place : {Placement::kSameSocket, Placement::kOtherSocket}) {
       for (int run = 0; run < 2; ++run, ++i) {
         MicroConfig cfg;
-        cfg.pti = true;
-        cfg.opts = OptimizationSet::AllGeneral();
-        cfg.pages = 1;
-        cfg.placement = place;
+        cfg.system.kernel.opts = OptimizationSet::AllGeneral();
+        cfg.system.machine.seed = 100 + static_cast<uint64_t>(run);
+        cfg.responders = {PlacementCpu(place)};
         cfg.iterations = 20;
-        cfg.seed = 100 + static_cast<uint64_t>(run);
         jobs.emplace_back([cfg] { return RunMadviseMicrobench(cfg); });
       }
     }

@@ -202,12 +202,10 @@ TEST(MetricsTest, RegistryToJsonShapeAndReset) {
 TEST(MetricsTest, IdenticalSeededRunsProduceByteIdenticalJson) {
   auto run = [] {
     MicroConfig cfg;
-    cfg.pti = true;
+    cfg.system.kernel.opts = OptimizationSet::AllGeneral();
+    cfg.system.machine.seed = 1234;
     cfg.pages = 2;
-    cfg.placement = Placement::kOtherSocket;
     cfg.iterations = 30;
-    cfg.seed = 1234;
-    cfg.opts = OptimizationSet::AllGeneral();
     return RunMadviseMicrobench(cfg).metrics.Dump(2);
   };
   std::string first = run();
@@ -221,12 +219,10 @@ TEST(MetricsTest, IdenticalSeededRunsProduceByteIdenticalJson) {
 TEST(MetricsTest, DifferentSeedsProduceDifferentJson) {
   auto run = [](uint64_t seed) {
     MicroConfig cfg;
-    cfg.pti = true;
+    cfg.system.kernel.opts = OptimizationSet::AllGeneral();
+    cfg.system.machine.seed = seed;
     cfg.pages = 2;
-    cfg.placement = Placement::kOtherSocket;
     cfg.iterations = 30;
-    cfg.seed = seed;
-    cfg.opts = OptimizationSet::AllGeneral();
     return RunMadviseMicrobench(cfg).metrics.Dump(2);
   };
   EXPECT_NE(run(1), run(2));

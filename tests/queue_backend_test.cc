@@ -179,13 +179,11 @@ TEST(QueueBackendTest, ConcurrentShootdownsCoalesceIntoOneFlush) {
 
 TEST(QueueBackendTest, SeededStormIsDeterministic) {
   MicroConfig cfg;
-  cfg.pti = true;
-  cfg.opts = OptimizationSet::AllGeneral();
+  cfg.system.kernel.opts = OptimizationSet::AllGeneral();
+  cfg.system.machine.seed = 123;
+  cfg.system.backend = FlushBackendKind::kQueue;
   cfg.pages = 4;
-  cfg.placement = Placement::kOtherSocket;
   cfg.iterations = 50;
-  cfg.seed = 123;
-  cfg.backend = FlushBackendKind::kQueue;
   MicroResult a = RunMadviseMicrobench(cfg);
   MicroResult b = RunMadviseMicrobench(cfg);
   EXPECT_EQ(a.initiator.mean(), b.initiator.mean());

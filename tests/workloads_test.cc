@@ -2,7 +2,9 @@
 // family (cheap versions of the bench checks, suitable for CI).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "src/workloads/apache.h"
@@ -16,13 +18,26 @@ namespace {
 
 MicroResult Micro(int level, int pages, Placement p, bool pti = true, uint64_t seed = 1) {
   MicroConfig cfg;
-  cfg.pti = pti;
-  cfg.opts = OptimizationSet::Cumulative(level);
+  cfg.system.kernel.pti = pti;
+  cfg.system.kernel.opts = OptimizationSet::Cumulative(level);
+  cfg.system.machine.seed = seed;
   cfg.pages = pages;
-  cfg.placement = p;
+  cfg.responders = {PlacementCpu(p)};
   cfg.iterations = 100;
-  cfg.seed = seed;
   return RunMadviseMicrobench(cfg);
+}
+
+// The value at `path` in a registry snapshot, e.g. {"counters", "apic.ipis_sent"}.
+uint64_t MetricAt(const Json& metrics, std::initializer_list<std::string_view> path) {
+  const Json* v = &metrics;
+  for (std::string_view key : path) {
+    v = v->Find(key);
+    if (v == nullptr) {
+      ADD_FAILURE() << "no metric " << key;
+      return 0;
+    }
+  }
+  return v->AsUint();
 }
 
 TEST(MicrobenchTest, Deterministic) {
@@ -36,6 +51,33 @@ TEST(MicrobenchTest, EveryIterationShootsDown) {
   MicroResult r = Micro(0, 1, Placement::kSameSocket);
   EXPECT_EQ(r.shootdowns, 100u);
   EXPECT_EQ(r.initiator.count(), 100u);
+}
+
+// Responders on the SMT sibling, the same socket and the other socket. Each
+// shootdown sends one IPI per responder; with x2APIC multicast cpus 1 and 4
+// share cluster 0 and cpu 30 sits in cluster 1, so it costs two ICR writes,
+// and one per IPI without.
+TEST(MicrobenchTest, EveryResponderGetsAnIpi) {
+  for (bool multicast : {true, false}) {
+    SCOPED_TRACE(multicast ? "multicast" : "unicast");
+    MicroConfig cfg;
+    cfg.system.kernel.opts = OptimizationSet::None();
+    cfg.pages = 2;
+    cfg.responders = {1, 4, 30};
+    cfg.iterations = 20;
+    cfg.ipi_multicast = multicast;
+    MicroResult r = RunMadviseMicrobench(cfg);
+    EXPECT_EQ(r.shootdowns, 20u);
+    EXPECT_EQ(MetricAt(r.metrics, {"counters", "apic.ipis_sent"}), 60u);
+    EXPECT_EQ(MetricAt(r.metrics, {"counters", "apic.icr_writes"}), multicast ? 40u : 60u);
+    uint64_t irq_cycles = 0;
+    for (std::string_view cpu : {"1", "4", "30"}) {
+      uint64_t c = MetricAt(r.metrics, {"per_cpu", "cpu.cycles_in_irq", "by_cpu", cpu});
+      EXPECT_GT(c, 0u) << "cpu " << cpu;
+      irq_cycles += c;
+    }
+    EXPECT_DOUBLE_EQ(r.responder_cycles_per_op, static_cast<double>(irq_cycles) / 3 / 20);
+  }
 }
 
 TEST(MicrobenchTest, ConcurrentFlushingHelpsInitiator) {
@@ -80,6 +122,15 @@ TEST(MicrobenchTest, UnsafeModeFasterThanSafe) {
             Micro(0, 10, Placement::kOtherSocket, /*pti=*/true).initiator.mean());
 }
 
+// The backend, opts and pti a workload config runs with.
+std::tuple<FlushBackendKind&, OptimizationSet&, bool&> Knobs(MicroConfig& c) {
+  return {c.system.backend, c.system.kernel.opts, c.system.kernel.pti};
+}
+template <typename Config>
+std::tuple<FlushBackendKind&, OptimizationSet&, bool&> Knobs(Config& c) {
+  return {c.backend, c.opts, c.pti};
+}
+
 // Figs 5-8, 10 and 11 run the queue backend once per row, at None(): it
 // implements none of the optimizations those figures sweep (the IPI engine
 // holds them all; QueueFlushBackend reads only cow_avoidance). Two kernel-side
@@ -90,10 +141,11 @@ TEST(MicrobenchTest, UnsafeModeFasterThanSafe) {
 // change breaks that, the figures have to sweep the queue backend again.
 template <typename Config, typename Run, typename Key>
 void ExpectQueueIgnoresFigureOpts(Config cfg, Run run, Key key) {
-  cfg.backend = FlushBackendKind::kQueue;
+  auto [backend, opts, pti] = Knobs(cfg);
+  backend = FlushBackendKind::kQueue;
   auto base = run(cfg);
-  cfg.opts = OptimizationSet::Cumulative(cfg.pti ? 4 : 3);
-  cfg.opts.userspace_batching = true;
+  opts = OptimizationSet::Cumulative(pti ? 4 : 3);
+  opts.userspace_batching = true;
   auto all = run(cfg);
   EXPECT_EQ(key(base), key(all));
   EXPECT_EQ(base.metrics.Dump(), all.metrics.Dump());
@@ -107,9 +159,9 @@ TEST(QueueBaselineTest, FigureWorkloadsIgnoreFigureOptimizations) {
         SCOPED_TRACE(std::string(pti ? "safe/" : "unsafe/") + std::to_string(pages) + "pte/" +
                      PlacementName(place));
         MicroConfig cfg;
-        cfg.pti = pti;
+        cfg.system.kernel.pti = pti;
         cfg.pages = pages;
-        cfg.placement = place;
+        cfg.responders = {PlacementCpu(place)};
         cfg.iterations = 20;
         ExpectQueueIgnoresFigureOpts(cfg, RunMadviseMicrobench, [](const MicroResult& r) {
           return std::tuple(r.initiator.mean(), r.initiator.stddev(), r.responder_cycles_per_op,
@@ -137,11 +189,11 @@ TEST(QueueBaselineTest, FigureWorkloadsIgnoreFigureOptimizations) {
 
 TEST(CowBenchTest, AvoidanceSavesCycles) {
   CowConfig cfg;
+  cfg.system.kernel.opts = OptimizationSet::AllGeneral();
   cfg.pages = 32;
   cfg.rounds = 2;
-  cfg.opts = OptimizationSet::AllGeneral();
   CowResult base = RunCowMicrobench(cfg);
-  cfg.opts.cow_avoidance = true;
+  cfg.system.kernel.opts.cow_avoidance = true;
   CowResult opt = RunCowMicrobench(cfg);
   EXPECT_LT(opt.write_cycles.mean(), base.write_cycles.mean());
   EXPECT_EQ(opt.flushes_avoided, 64u);  // 32 pages x 2 rounds
