@@ -71,7 +71,20 @@ void SimCpu::ArchFlushAll(bool keep_globals) {
 }
 
 void SimCpu::RegisterIrqHandler(int vector, IrqHandler handler) {
-  handlers_[vector] = std::move(handler);
+  if (IrqHandler* h = HandlerFor(vector)) {
+    *h = std::move(handler);
+    return;
+  }
+  handlers_.push_back(VectorHandler{vector, std::make_unique<IrqHandler>(std::move(handler))});
+}
+
+SimCpu::IrqHandler* SimCpu::HandlerFor(int vector) {
+  for (VectorHandler& h : handlers_) {
+    if (h.vector == vector) {
+      return h.handler.get();
+    }
+  }
+  return nullptr;
 }
 
 Cycles SimCpu::AccessLine(LineId line, AccessType type) {
@@ -235,9 +248,8 @@ SimTask SimCpu::IrqTask(int vector) {
   }
   TracePhase(is_nmi ? "nmi: enter" : "irq: enter handler");
 
-  auto it = handlers_.find(vector);
-  if (it != handlers_.end()) {
-    co_await it->second(*this);
+  if (IrqHandler* handler = HandlerFor(vector)) {
+    co_await (*handler)(*this);
   }
 
   if (from_user && !is_nmi && return_to_user_hook_) {

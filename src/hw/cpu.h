@@ -32,8 +32,9 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "src/cache/coherence.h"
 #include "src/hw/cost_model.h"
@@ -231,6 +232,8 @@ class SimCpu {
   void DeliverPending(ArmedWait* after);
   void DrainIrqs();
   SimTask IrqTask(int vector);
+  // The handler registered for `vector`, or null.
+  IrqHandler* HandlerFor(int vector);
   void TryPreempt();
   // Spawned-task completion hook (SimTask::promise_type::then).
   static void AfterTaskDone(void* cpu);
@@ -273,7 +276,14 @@ class SimCpu {
   uint16_t active_pcid_ = 0;
   PageTable* active_pt_ = nullptr;
 
-  std::map<int, IrqHandler> handlers_;
+  // A few registered vectors, scanned in order: cheaper per IRQ than a map.
+  // Each handler is boxed so a running handler's closure (which its
+  // coroutine frame points into) never moves when another is registered.
+  struct VectorHandler {
+    int vector;
+    std::unique_ptr<IrqHandler> handler;
+  };
+  std::vector<VectorHandler> handlers_;
   std::function<void(SimCpu&)> kernel_entry_hook_;
   std::function<Co<void>(SimCpu&)> return_to_user_hook_;
   std::vector<int> pending_irqs_;  // a vector: a few entries; keeps its capacity

@@ -35,6 +35,9 @@ int StrideShiftFor(MmStruct& mm, uint64_t addr) {
   return static_cast<int>(kPageShift);
 }
 
+// Return-to-user path of a CPU with no user address space loaded.
+Co<void> NoMmToReturnTo() { co_return; }
+
 }  // namespace
 
 Kernel::Kernel(Machine* machine, KernelConfig config) : machine_(machine), config_(config) {
@@ -68,11 +71,13 @@ void Kernel::SetFlushBackend(TlbFlushBackend* backend) {
         c.LoadAddressSpace(&pc.loaded_mm->pt, pc.loaded_mm->kernel_pcid);
       }
     });
+    // Hands back the backend's coroutine itself: no wrapper frame per IRQ.
     cpu.set_return_to_user_hook([this](SimCpu& c) -> Co<void> {
       PerCpu& pc = percpu(c.id());
-      if (pc.loaded_mm != nullptr) {
-        co_await backend_->OnReturnToUser(c, *pc.loaded_mm);
+      if (pc.loaded_mm == nullptr) {
+        return NoMmToReturnTo();
       }
+      return backend_->OnReturnToUser(c, *pc.loaded_mm);
     });
     // Default NMI handler: just the uaccess check (tests install richer ones).
     cpu.RegisterIrqHandler(kNmiVector, [this](SimCpu& c) -> Co<void> {
@@ -510,11 +515,8 @@ Co<void> Kernel::SysMsyncClean(Thread& t, uint64_t addr, uint64_t len) {
   co_await cpu.Execute(machine_->costs().vma_op_body);
 
   std::vector<uint64_t> dirty;
-  mm.pt.ForEachPresent(addr, addr + len, [&](uint64_t va, Pte pte, PageSize) {
-    if (pte.dirty() && pte.writable()) {
-      dirty.push_back(va);
-    }
-  });
+  mm.pt.ForEachLeafWith(PteFlags::kPresent | PteFlags::kWrite | PteFlags::kDirty, addr,
+                        addr + len, [&](uint64_t va, Pte, PageSize) { dirty.push_back(va); });
 
   if (BatchingEnabled()) {
     backend_->BeginBatch(cpu, mm);

@@ -257,7 +257,7 @@ bool PageTable::FindReplicaDivergence(uint64_t* va, int* node) const {
         dva = leaf_va;
       }
     };
-    VisitPresent(*root_, kPtLevels - 1, 0, 0, ~0ULL, in_replica);
+    VisitLeaves(*root_, kPtLevels - 1, 0, 0, ~0ULL, PteFlags::kPresent, in_replica);
     // ...and the replica must not hold extra (stale) leaves.
     if (!diverged) {
       auto in_primary = [&](uint64_t leaf_va, Pte pte, PageSize) {
@@ -270,7 +270,7 @@ bool PageTable::FindReplicaDivergence(uint64_t* va, int* node) const {
           dva = leaf_va;
         }
       };
-      VisitPresent(*rep.root, kPtLevels - 1, 0, 0, ~0ULL, in_primary);
+      VisitLeaves(*rep.root, kPtLevels - 1, 0, 0, ~0ULL, PteFlags::kPresent, in_primary);
     }
     if (diverged) {
       *va = dva;

@@ -1,6 +1,7 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -21,12 +22,13 @@ uint32_t Engine::AllocSlot() {
     slot = pool_size_++;
     if ((slot & (kChunkSize - 1)) == 0) {
       chunks_.push_back(std::make_unique<InlineFn[]>(kChunkSize));
-      // Both the heap and the free list are bounded by the pool size (every
-      // pending event owns a slot; every free-list entry is a slot), so
+      // The heap, the free list and the lane are bounded by the pool size
+      // (every pending event owns a slot; every free-list entry is a slot), so
       // reserving here makes their push_backs allocation-free between pool
       // growths — the steady state performs no allocation at all.
       heap_.reserve(pool_size_ + kChunkSize);
       free_.reserve(pool_size_ + kChunkSize);
+      GrowLane(pool_size_ + kChunkSize);  // the lane too (engine.h)
     }
     pos_.push_back(-1);
     gen_.push_back(0);
@@ -37,10 +39,33 @@ uint32_t Engine::AllocSlot() {
 
 Engine::EventId Engine::Enqueue(Cycles at, uint32_t slot) {
   assert(at >= now_ && "scheduling into the past");
-  assert(next_seq_ < (uint64_t{1} << (64 - kSlotBits)) && "seq overflow");
-  heap_.push_back(HeapItem{at, (next_seq_++ << kSlotBits) | slot});
-  SiftUp(heap_.size() - 1);
+  if (at == now_) {
+    const uint32_t mask = static_cast<uint32_t>(lane_.size()) - 1;
+    assert(lane_tail_ - lane_head_ <= mask && "lane ring full");
+    lane_[lane_tail_++ & mask] = slot;
+    pos_[slot] = kInLane;
+    ++lane_live_;
+  } else {
+    assert(next_seq_ < (uint64_t{1} << (64 - kSlotBits)) && "seq overflow");
+    heap_.push_back(HeapItem{at, (next_seq_++ << kSlotBits) | slot});
+    SiftUp(heap_.size() - 1);
+  }
   return MakeId(gen_[slot], slot);
+}
+
+void Engine::GrowLane(size_t min_capacity) {
+  if (lane_.size() >= min_capacity) {
+    return;
+  }
+  std::vector<uint32_t> ring(std::bit_ceil(min_capacity));
+  const uint32_t mask = static_cast<uint32_t>(lane_.size()) - 1;
+  const uint32_t n = lane_tail_ - lane_head_;
+  for (uint32_t i = 0; i < n; ++i) {
+    ring[i] = lane_[(lane_head_ + i) & mask];
+  }
+  lane_ = std::move(ring);
+  lane_head_ = 0;
+  lane_tail_ = n;
 }
 
 void Engine::Cancel(EventId id) {
@@ -52,10 +77,28 @@ void Engine::Cancel(EventId id) {
   if (slot >= pool_size_) {
     return;
   }
-  if (gen_[slot] != gen || pos_[slot] < 0) {
+  if (gen_[slot] != gen) {
     return;  // already fired or already cancelled
   }
-  RemoveAt(static_cast<size_t>(pos_[slot]));
+  const int32_t pos = pos_[slot];
+  if (pos >= 0) {
+    RemoveAt(static_cast<size_t>(pos));
+    return;
+  }
+  if (pos != kInLane) {
+    return;  // mid-fire: the callback cancelled its own event
+  }
+  // Drop the callback and invalidate the id now; the slot stays in the ring
+  // and is recycled when the lane head passes it.
+  FnAt(slot).Reset();
+  pos_[slot] = -1;
+  ++gen_[slot];
+  if (--lane_live_ == 0) {
+    const uint32_t mask = static_cast<uint32_t>(lane_.size()) - 1;
+    for (; lane_head_ != lane_tail_; ++lane_head_) {
+      free_.push_back(lane_[lane_head_ & mask]);
+    }
+  }
 }
 
 void Engine::Spawn(Cycles at, SimTask task) {
@@ -115,7 +158,7 @@ void Engine::SiftDown(size_t i) {
 }
 
 void Engine::FreeSlot(uint32_t slot) {
-  FnAt(slot) = InlineFn();
+  FnAt(slot).Reset();
   pos_[slot] = -1;
   ++gen_[slot];  // invalidate any EventId still referring to this slot
   free_.push_back(slot);
@@ -134,14 +177,11 @@ void Engine::RemoveAt(size_t i) {
   SiftDown(static_cast<size_t>(pos_[SlotOf(last)]));
 }
 
-void Engine::Step() {
+uint32_t Engine::PopHeap() {
   uint32_t slot = SlotOf(heap_[0]);
   now_ = heap_[0].at;
-  ++events_processed_;
-  // Unlink from the heap but do NOT free the slot yet: the callback runs in
-  // place from its stable chunk storage, so the slot must not be handed out
-  // to events it schedules. pos == -1 makes a self-Cancel during the
-  // callback a no-op (the event is no longer pending).
+  // pos == -1 makes a self-Cancel during the callback a no-op (the event is
+  // no longer pending).
   pos_[slot] = -1;
   HeapItem last = heap_.back();
   heap_.pop_back();
@@ -150,25 +190,50 @@ void Engine::Step() {
     pos_[SlotOf(last)] = 0;
     SiftDown(0);
   }
+  return slot;
+}
+
+uint32_t Engine::PopLane() {
+  const uint32_t mask = static_cast<uint32_t>(lane_.size()) - 1;
+  for (;;) {
+    uint32_t slot = lane_[lane_head_++ & mask];
+    if (pos_[slot] == kInLane) {
+      pos_[slot] = -1;
+      --lane_live_;
+      return slot;
+    }
+    free_.push_back(slot);  // cancelled while queued
+  }
+}
+
+void Engine::Step() {
+  // Heap events due now were scheduled before the clock got here, so they
+  // precede the lane; the lane drains before the heap moves the clock.
+  bool from_lane = lane_live_ != 0 && (heap_.empty() || heap_[0].at != now_);
+  uint32_t slot = from_lane ? PopLane() : PopHeap();
+  ++events_processed_;
+  // The slot is freed only after the callback: it runs in place from its
+  // stable chunk storage, so the slot must not be handed out to events it
+  // schedules.
   FnAt(slot)();
   FreeSlot(slot);
 }
 
 Cycles Engine::Run() {
-  while (!heap_.empty()) {
+  while (!empty()) {
     Step();
   }
   return now_;
 }
 
 bool Engine::RunUntil(Cycles deadline) {
-  while (!heap_.empty() && heap_[0].at <= deadline) {
+  while (!empty() && NextAt() <= deadline) {
     Step();
   }
-  if (heap_.empty()) {
+  if (empty()) {
     return true;
   }
-  now_ = deadline;
+  now_ = std::max(now_, deadline);
   return false;
 }
 

@@ -18,6 +18,12 @@
 //     position, so Cancel() removes the entry in O(log n) directly instead of
 //     lazily skipping it at pop time. Heap entries carry (at, seq) inline, so
 //     sift comparisons never chase into the pool.
+//   - Events scheduled for the current cycle (delay 0: IRQ-task starts,
+//     delivery kicks, wake-ups) bypass the heap through a FIFO *lane*. A heap
+//     event due at now() was necessarily scheduled before the clock reached
+//     now(), so it precedes every lane event in (at, seq) order: the lane
+//     runs after the heap's events due this cycle and drains before the
+//     clock moves. The firing order is exactly the heap-only engine's.
 //
 // One simulation runs on one host thread. Host parallelism lives above the
 // engine, in the sweep executor (src/exec/sweep.h), which runs independent
@@ -72,8 +78,9 @@ class Engine {
     return Schedule(now() + delay, std::forward<F>(f));
   }
 
-  // Cancels a pending event in O(log n). Cancelling kInvalidEvent, an
-  // already-fired id, or an already-cancelled id is a no-op.
+  // Cancels a pending event (O(log n) in the heap, O(1) in the lane).
+  // Cancelling kInvalidEvent, an already-fired id, or an already-cancelled id
+  // is a no-op.
   void Cancel(EventId id);
 
   // Starts a detached root task at time `at`.
@@ -83,19 +90,21 @@ class Engine {
   Cycles Run();
 
   // Runs events with time <= `deadline` (inclusive: an event scheduled
-  // exactly at `deadline` fires). Returns true if the queue drained.
+  // exactly at `deadline` fires), then advances the clock to `deadline`
+  // unless the queue drained or the deadline is already past: the clock
+  // never moves backwards. Returns true if the queue drained.
   bool RunUntil(Cycles deadline);
 
   Cycles now() const { return now_; }
 
   uint64_t events_processed() const { return events_processed_; }
 
-  // True when no live events remain. Cancelled events are removed eagerly,
-  // so this is O(1).
-  bool empty() const { return heap_.empty(); }
+  // True when no live events remain. O(1): cancelled heap events are removed
+  // eagerly and the lane counts its live entries.
+  bool empty() const { return size() == 0; }
 
   // Number of pending events.
-  size_t size() const { return heap_.size(); }
+  size_t size() const { return heap_.size() + lane_live_; }
 
  private:
   // Heap entry, 16 bytes: the ordering key inline (no pool chase during
@@ -141,17 +150,40 @@ class Engine {
   void FreeSlot(uint32_t slot);
   void RemoveAt(size_t i);
 
-  // Pops and runs the next event. Precondition: heap_ non-empty.
+  // Time of the next event. Precondition: !empty(). A live lane entry is
+  // due now, and so is any heap event that precedes it.
+  Cycles NextAt() const { return lane_live_ != 0 ? now_ : heap_[0].at; }
+  // Unlink the next event of the heap (advancing the clock to it) or of the
+  // lane, returning its slot, which stays allocated while the callback runs.
+  uint32_t PopHeap();
+  uint32_t PopLane();
+  // Resizes the lane ring to a power of two >= `min_capacity`, keeping its
+  // entries in order.
+  void GrowLane(size_t min_capacity);
+
+  // Pops and runs the next event. Precondition: !empty().
   void Step();
 
+  // pos_ marker for a slot queued in the lane.
+  static constexpr int32_t kInLane = -2;
+
   std::vector<HeapItem> heap_;  // 4-ary min-heap by (at, seq)
+  // Same-cycle lane: a ring of slots in FIFO order, indexed by free-running
+  // head/tail counters masked by the (power-of-two) ring size. A cancelled
+  // entry stays in the ring, its slot withheld from free_ until the head
+  // passes it, so each ring entry holds a distinct slot and the ring never
+  // needs more room than the pool has slots.
+  std::vector<uint32_t> lane_;
+  uint32_t lane_head_ = 0;
+  uint32_t lane_tail_ = 0;
+  uint32_t lane_live_ = 0;  // entries not cancelled
   // Callbacks, slot-indexed, in fixed-size chunks: addresses are stable
   // across pool growth, so Step() runs a callback directly from its slot (no
   // copy out) even if the callback schedules new events. The sift-path
   // bookkeeping lives in flat dense arrays instead, keeping heap maintenance
   // free of chunk chasing:
   std::vector<std::unique_ptr<InlineFn[]>> chunks_;
-  std::vector<int32_t> pos_;   // slot -> heap index; -1: free or fired
+  std::vector<int32_t> pos_;   // slot -> heap index; kInLane; -1: free, fired or cancelled
   std::vector<uint32_t> gen_;  // slot -> generation; stale ids fail this
   uint32_t pool_size_ = 0;     // slots handed out so far
   std::vector<uint32_t> free_;  // recycled pool slots (LIFO)

@@ -81,6 +81,18 @@ class InlineFn {
 
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
+  // Destroys the target, leaving this empty. Cheaper than assigning an empty
+  // InlineFn, which builds and relocates a temporary: the engine frees a
+  // slot this way after every event.
+  void Reset() noexcept {
+    if (vt_ != nullptr) {
+      if (vt_->destroy != nullptr) {
+        vt_->destroy(buf_);
+      }
+      vt_ = nullptr;
+    }
+  }
+
   // Const like std::function's: the target is logically owned state, and
   // call sites hold captured InlineFns inside const lambdas.
   void operator()() const { vt_->call(buf_); }
@@ -125,15 +137,6 @@ class InlineFn {
       vt->relocate(from, to);
     } else {
       std::memcpy(to, from, kInlineSize);
-    }
-  }
-
-  void Reset() noexcept {
-    if (vt_ != nullptr) {
-      if (vt_->destroy != nullptr) {
-        vt_->destroy(buf_);
-      }
-      vt_ = nullptr;
     }
   }
 

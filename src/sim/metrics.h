@@ -108,7 +108,7 @@ class Histogram {
   void Record(double x) {
     stat_.Add(x);
     uint64_t idx = arrivals_++;
-    if (idx % stride_ != 0) {
+    if ((idx & (stride_ - 1)) != 0) {  // stride_ is a power of two
       return;
     }
     if (reservoir_.size() >= kMaxSamples) {
@@ -123,7 +123,7 @@ class Histogram {
       }
       reservoir_.resize(keep);
       stride_ *= 2;
-      if (idx % stride_ != 0) {
+      if ((idx & (stride_ - 1)) != 0) {
         return;
       }
     }

@@ -72,23 +72,32 @@ uint64_t CounterOf(const Json& metrics, const char* name) {
 
 // 64 independent chains of self-rescheduling events: the Schedule/Step loop
 // with a small capture that every Execute, IPI and flag wakeup comes down to.
+// Each chain first hops a few times at delay 0, as IRQ-task starts and
+// delivery kicks do, and cancels a same-cycle decoy on each hop, so the
+// engine's same-cycle lane and its cancelled entries are counted too.
 TEST(AllocTest, PlainEngineEventsAllocateNothing) {
   Engine e;
   uint64_t remaining = kPlainEvents;
   constexpr int kChains = 64;
-  auto arm = [&](auto&& self, int lane) -> void {
+  auto arm = [&](auto&& self, int chain, int hops) -> void {
     if (remaining == 0) {
       return;
     }
     --remaining;
-    e.ScheduleAfter(static_cast<Cycles>(1 + lane % 7), [&, lane] { self(self, lane); });
+    if (hops > 0) {
+      e.Cancel(e.ScheduleAfter(0, [] {}));
+      e.ScheduleAfter(0, [&, chain, hops] { self(self, chain, hops - 1); });
+      return;
+    }
+    e.ScheduleAfter(static_cast<Cycles>(1 + chain % 7),
+                    [&, chain] { self(self, chain, chain % 4); });
   };
   for (int i = 0; i < kChains; ++i) {
-    arm(arm, i);
+    arm(arm, i, i % 4);
   }
-  // The first events grow the slot pool, free list and heap to their steady
-  // footprint; count only after that.
-  e.RunUntil(2048);
+  // The first events grow the slot pool, free list, heap and lane to their
+  // steady footprint; count only after that.
+  e.RunUntil(1024);
   uint64_t before_events = e.events_processed();
   uint64_t before = g_allocs.load(std::memory_order_relaxed);
   e.Run();

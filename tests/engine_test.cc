@@ -1,9 +1,12 @@
-// Engine: event ordering, cancellation, spawn, RunUntil semantics.
+// Engine: event ordering, cancellation, spawn, RunUntil semantics, and a
+// differential test against a reference queue keyed by (at, seq).
 #include "src/sim/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/core/system.h"
@@ -220,6 +223,35 @@ TEST(EngineTest, RunUntilLandingExactlyOnEventTimestamp) {
   EXPECT_EQ(e.now(), 51);
 }
 
+// A deadline already behind the clock runs nothing and leaves the clock
+// where it is; scheduling at now() stays legal, and RunUntil(now()) then
+// drains everything due now, same-cycle lane included.
+TEST(EngineTest, RunUntilNeverMovesTheClockBackwards) {
+  Engine e;
+  std::vector<int> order;
+  e.Schedule(30, [&] { order.push_back(30); });
+  EXPECT_FALSE(e.RunUntil(20));
+  EXPECT_EQ(e.now(), 20);
+  EXPECT_FALSE(e.RunUntil(5));
+  EXPECT_EQ(e.now(), 20);
+  e.Schedule(20, [&] {
+    order.push_back(1);
+    e.ScheduleAfter(0, [&] { order.push_back(3); });
+  });
+  e.ScheduleAfter(0, [&] { order.push_back(2); });
+  EXPECT_EQ(e.size(), 3u);
+  EXPECT_FALSE(e.RunUntil(5));
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(e.now(), 20);
+  EXPECT_FALSE(e.RunUntil(e.now()));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(e.now(), 20);
+  EXPECT_EQ(e.size(), 1u);
+  EXPECT_EQ(e.events_processed(), 3u);
+  EXPECT_TRUE(e.RunUntil(30));
+  EXPECT_EQ(order.back(), 30);
+}
+
 TEST(EngineTest, SizeTracksPendingEvents) {
   Engine e;
   EXPECT_EQ(e.size(), 0u);
@@ -321,6 +353,137 @@ TEST(EnginePropertyTest, TimeMonotoneAndExactlyOnce) {
     } else {
       EXPECT_EQ(fired[static_cast<size_t>(i)], 1) << i;
     }
+  }
+}
+
+// Differential property: the engine fires exactly what a reference queue
+// ordered by (at, seq) fires, in the same order, under random Schedule and
+// ScheduleAfter calls (a third or more at delay 0, which the engine routes
+// through its same-cycle lane), callbacks that schedule more events, and
+// Cancel of pending, fired and self ids, both inside callbacks and between
+// RunUntil calls. now(), size() and events_processed() are checked
+// throughout. TimeMonotoneAndExactlyOnce above would pass an engine that
+// reorders events within one cycle; this test does not.
+class EngineDifferential {
+ public:
+  explicit EngineDifferential(uint64_t seed) : rng_(seed) {}
+
+  void Run() {
+    for (int i = 0; i < 200; ++i) {
+      ScheduleRandom(rng_.UniformInt(0, 300));
+    }
+    while (!engine_.empty() && !::testing::Test::HasFatalFailure()) {
+      if (rng_.Chance(0.2)) {
+        engine_.Run();
+        now_ = last_fired_at_;
+        Check();
+        break;
+      }
+      Cycles deadline = engine_.now() + rng_.UniformInt(-20, 60);
+      bool drained = engine_.RunUntil(deadline);
+      ASSERT_EQ(drained, model_.empty());
+      if (!drained) {
+        now_ = std::max(now_, deadline);  // the clock never moves backwards
+      }
+      Check();
+      // Between runs: schedule (delay 0 lands at now()) and cancel.
+      for (int k = static_cast<int>(rng_.UniformInt(0, 3)); k > 0; --k) {
+        ScheduleRandom(RandomDelay());
+      }
+      CancelRandom();
+      Check();
+    }
+    ASSERT_TRUE(model_.empty());
+    EXPECT_GT(fired_, 2000u);
+    EXPECT_GT(lane_schedules_, fired_ / 4);
+  }
+
+ private:
+  using Key = std::pair<Cycles, uint64_t>;  // (at, seq)
+
+  Cycles RandomDelay() {
+    return rng_.Chance(0.4) ? 0 : rng_.UniformInt(1, 12);
+  }
+
+  void ScheduleRandom(Cycles delay) {
+    int tag = static_cast<int>(ids_.size());
+    Cycles at = engine_.now() + delay;
+    lane_schedules_ += delay == 0 ? 1 : 0;
+    auto fire = [this, tag] { Fire(tag); };
+    Engine::EventId id =
+        rng_.Chance(0.5) ? engine_.Schedule(at, fire) : engine_.ScheduleAfter(delay, fire);
+    ids_.push_back(id);
+    keys_.push_back({at, next_seq_++});
+    model_.emplace(keys_.back(), tag);
+  }
+
+  // A fired or cancelled tag is no longer in the model: a no-op on both.
+  void Cancel(int tag) {
+    engine_.Cancel(ids_[static_cast<size_t>(tag)]);
+    model_.erase(keys_[static_cast<size_t>(tag)]);
+  }
+
+  // Cancels a pending id, or a fired or cancelled one (a no-op).
+  void CancelRandom() {
+    if (ids_.empty()) {
+      return;
+    }
+    if (!model_.empty() && rng_.Chance(0.6)) {
+      auto it = model_.lower_bound(
+          {engine_.now() + rng_.UniformInt(0, 12), 0});  // often a lane entry
+      Cancel(it == model_.end() ? model_.begin()->second : it->second);
+      return;
+    }
+    Cancel(static_cast<int>(rng_.UniformInt(0, static_cast<int64_t>(ids_.size()) - 1)));
+  }
+
+  void Fire(int tag) {
+    if (::testing::Test::HasFatalFailure()) {
+      return;  // report the first divergence only
+    }
+    ASSERT_FALSE(model_.empty()) << "fired " << tag << " with nothing pending";
+    ASSERT_EQ(model_.begin()->second, tag) << "expected " << model_.begin()->second;
+    model_.erase(model_.begin());
+    ++fired_;
+    now_ = keys_[static_cast<size_t>(tag)].first;
+    last_fired_at_ = now_;
+    Check();
+    if (ids_.size() < 4000) {
+      for (int k = static_cast<int>(rng_.UniformInt(0, 3)); k > 0; --k) {
+        ScheduleRandom(RandomDelay());
+      }
+    }
+    if (rng_.Chance(0.3)) {
+      CancelRandom();
+    }
+    if (rng_.Chance(0.1)) {
+      Cancel(tag);  // self: mid-fire, a no-op
+    }
+    Check();
+  }
+
+  void Check() {
+    ASSERT_EQ(engine_.now(), now_);
+    ASSERT_EQ(engine_.size(), model_.size());
+    ASSERT_EQ(engine_.events_processed(), fired_);
+  }
+
+  Rng rng_;
+  Engine engine_;
+  std::map<Key, int> model_;  // pending events, in firing order
+  std::vector<Engine::EventId> ids_;
+  std::vector<Key> keys_;
+  uint64_t next_seq_ = 0;
+  uint64_t fired_ = 0;
+  uint64_t lane_schedules_ = 0;
+  Cycles now_ = 0;
+  Cycles last_fired_at_ = 0;
+};
+
+TEST(EnginePropertyTest, MatchesReferenceQueueKeyedByTimeAndSeq) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    EngineDifferential(seed).Run();
   }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include "src/sim/rng.h"
 
@@ -193,6 +195,77 @@ TEST(PageTablePropertyTest, AgreesWithShadowModel) {
     ++found;
   });
   EXPECT_EQ(found, shadow.size());
+}
+
+// Property: the flag-filtered leaf walk visits exactly the leaves that the
+// present walk plus the same mask test visits, in the same ascending order,
+// and those are the shadow model's leaves overlapping the range. Random 4K
+// and 2M maps carry random flag bits; the ranges start and end mid-table
+// and cross a page-directory boundary.
+TEST(PageTablePropertyTest, FlagFilteredWalkMatchesFilteredPresentWalk) {
+  constexpr uint64_t kFlagBits[] = {PteFlags::kWrite,    PteFlags::kUser,   PteFlags::kAccessed,
+                                    PteFlags::kDirty,    PteFlags::kGlobal, PteFlags::kCow,
+                                    PteFlags::kNx};
+  constexpr int kRegions = 8;  // 2M regions; the middle one starts a new PD
+  const uint64_t first = kBase + (1ULL << 30) - (kRegions / 2) * kPageSize2M;
+  using Leaf = std::tuple<uint64_t, uint64_t, PageSize>;  // va, raw pte, size
+  Rng rng(2024);
+  auto random_flags = [&] {
+    uint64_t flags = PteFlags::kPresent;
+    for (uint64_t bit : kFlagBits) {
+      flags |= rng.Chance(0.5) ? bit : 0;
+    }
+    return flags;
+  };
+  size_t matched = 0;
+  for (int round = 0; round < 20; ++round) {
+    PageTable pt;
+    std::map<uint64_t, std::pair<Pte, PageSize>> shadow;
+    for (int r = 0; r < kRegions; ++r) {
+      uint64_t region = first + static_cast<uint64_t>(r) * kPageSize2M;
+      uint64_t pfn = static_cast<uint64_t>(rng.UniformInt(1, 1 << 20));
+      if (rng.Chance(0.25)) {
+        pt.Map(region, pfn, random_flags(), PageSize::k2M);
+        shadow[region] = {pt.Walk(region).pte, PageSize::k2M};
+        continue;
+      }
+      for (int i = 0; i < 64; ++i) {
+        uint64_t va = region + static_cast<uint64_t>(rng.UniformInt(0, 511)) * kPageSize4K;
+        pt.Map(va, pfn + static_cast<uint64_t>(i), random_flags());
+        shadow[va] = {pt.Walk(va).pte, PageSize::k4K};
+      }
+    }
+    for (int q = 0; q < 50; ++q) {
+      constexpr int64_t kPages = kRegions * 512;
+      uint64_t lo = first + static_cast<uint64_t>(rng.UniformInt(0, kPages)) * kPageSize4K;
+      uint64_t hi = lo + static_cast<uint64_t>(rng.UniformInt(0, kPages)) * kPageSize4K;
+      uint64_t mask = PteFlags::kPresent;
+      for (uint64_t bit : kFlagBits) {
+        mask |= rng.Chance(0.3) ? bit : 0;
+      }
+      std::vector<Leaf> want;
+      pt.ForEachPresent(lo, hi, [&](uint64_t va, Pte pte, PageSize size) {
+        if ((pte.raw() & mask) == mask) {
+          want.emplace_back(va, pte.raw(), size);
+        }
+      });
+      std::vector<Leaf> got;
+      pt.ForEachLeafWith(mask, lo, hi, [&](uint64_t va, Pte pte, PageSize size) {
+        got.emplace_back(va, pte.raw(), size);
+      });
+      std::vector<Leaf> model;
+      for (const auto& [va, leaf] : shadow) {
+        bool overlaps = va < hi && va + BytesOf(leaf.second) > lo;
+        if (overlaps && (leaf.first.raw() & mask) == mask) {
+          model.emplace_back(va, leaf.first.raw(), leaf.second);
+        }
+      }
+      ASSERT_EQ(got, want) << "round " << round << " query " << q;
+      ASSERT_EQ(got, model) << "round " << round << " query " << q;
+      matched += got.size();
+    }
+  }
+  EXPECT_GT(matched, 1000u);  // the masks are not so strict that nothing matches
 }
 
 // --- NUMA homing & Mitosis-style replication ---
