@@ -125,7 +125,7 @@ void FourAAblation(SweepRunner* runner, BenchReport* report) {
     row["initiator_cycles"] = r.initiator.mean();
     row["responder_cycles"] = r.responder_cycles_per_op;
     report->AddRow(std::move(row));
-    report->SetMetrics(FlushBackendKind::kIpi, std::move(r.metrics));  // last: defer-all variant
+    report->Set("metrics", std::move(r.metrics));  // last: defer-all variant
   }
   std::printf("\n");
 }
@@ -170,10 +170,6 @@ void QueueRingAblation(SweepRunner* runner, BenchReport* report) {
     row["max_ring_occupancy"] = max_occupancy;
     report->AddRow(std::move(row));
   }
-  // Smallest ring: every madvise overflows, so this snapshot is the one
-  // whose queue.ring_overflows / queue.flush_all_fallbacks counters the CI
-  // gate requires to be nonzero.
-  report->SetMetrics(FlushBackendKind::kQueue, std::move(results[0].metrics));
   std::printf("\n");
 }
 
@@ -242,10 +238,11 @@ void QueueCrossoverAblation(SweepRunner* runner, BenchReport* report) {
   std::printf("\n");
 }
 
-// Ablation 6: reuse-aware flush elision (Optimization #7). The two high-churn
-// workloads from src/workloads/churn.h run with the flag off and on; the on
-// rows surface how many zap-time shootdowns were elided and how the deferred
-// obligations closed (benign refault / forced flush / allocator hand-off).
+// Ablation 6: reuse-aware flush elision (Optimization #7) on the IPI
+// protocol. The two high-churn workloads from src/workloads/churn.h run with
+// the flag off and on; the on rows surface how many zap-time shootdowns were
+// elided and how the deferred obligations closed (benign refault / forced
+// flush / allocator hand-off).
 struct ReuseElisionResult {
   double off_rounds_per_mcycle = 0.0;
   double on_rounds_per_mcycle = 0.0;
@@ -257,7 +254,7 @@ struct ReuseElisionResult {
   uint64_t frame_handoffs = 0;
 };
 
-ReuseElisionResult MeasureReuseElision(bool pagecache, FlushBackendKind backend) {
+ReuseElisionResult MeasureReuseElision(bool pagecache) {
   ReuseElisionResult r;
   for (bool elision : {false, true}) {
     ChurnConfig cfg;
@@ -265,7 +262,6 @@ ReuseElisionResult MeasureReuseElision(bool pagecache, FlushBackendKind backend)
     cfg.opts = OptimizationSet::AllGeneral();
     cfg.opts.reuse_elision = elision;
     cfg.seed = 21;
-    cfg.backend = backend;
     ChurnResult cr = pagecache ? RunChurnPagecache(cfg) : RunChurnArena(cfg);
     if (elision) {
       r.on_rounds_per_mcycle = cr.rounds_per_mcycle;
@@ -283,39 +279,31 @@ ReuseElisionResult MeasureReuseElision(bool pagecache, FlushBackendKind backend)
 }
 
 void ReuseElisionAblation(SweepRunner* runner, BenchReport* report) {
-  std::vector<std::pair<bool, FlushBackendKind>> points;
-  for (FlushBackendKind backend : report->backends()) {
-    for (bool pagecache : {false, true}) {
-      points.emplace_back(pagecache, backend);
-    }
-  }
   std::vector<std::function<ReuseElisionResult()>> jobs;
-  for (auto& [pagecache, backend] : points) {
-    bool pc = pagecache;
-    FlushBackendKind b = backend;
-    jobs.emplace_back([pc, b] { return MeasureReuseElision(pc, b); });
+  for (bool pagecache : {false, true}) {
+    jobs.emplace_back([pagecache] { return MeasureReuseElision(pagecache); });
   }
   std::vector<ReuseElisionResult> results = runner->Run(std::move(jobs));
 
   std::printf("== Ablation 6: reuse-aware flush elision (Optimization #7) ==\n");
   std::printf("  high-churn workloads, 4 threads, all-general opts, safe mode\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    auto& [pagecache, backend] = points[i];
+  for (size_t i = 0; i < results.size(); ++i) {
+    bool pagecache = i == 1;
     ReuseElisionResult& r = results[i];
     double speedup = r.off_rounds_per_mcycle > 0.0
                          ? r.on_rounds_per_mcycle / r.off_rounds_per_mcycle
                          : 0.0;
-    std::printf("  %-5s %-9s off %8.2f on %8.2f rnd/Mcyc (%.2fx), elided %llu,"
+    std::printf("  ipi   %-9s off %8.2f on %8.2f rnd/Mcyc (%.2fx), elided %llu,"
                 " benign %llu, forced %llu, handoffs %llu\n",
-                FlushBackendName(backend), pagecache ? "pagecache" : "arena",
-                r.off_rounds_per_mcycle, r.on_rounds_per_mcycle, speedup,
+                pagecache ? "pagecache" : "arena", r.off_rounds_per_mcycle,
+                r.on_rounds_per_mcycle, speedup,
                 static_cast<unsigned long long>(r.elided_flushes),
                 static_cast<unsigned long long>(r.benign_closes),
                 static_cast<unsigned long long>(r.forced_flushes),
                 static_cast<unsigned long long>(r.frame_handoffs));
     Json row = Json::Object();
     row["ablation"] = "reuse_elision_churn";
-    row["backend"] = FlushBackendName(backend);
+    row["backend"] = "ipi";
     row["workload"] = pagecache ? "pagecache" : "arena";
     row["off_rounds_per_mcycle"] = r.off_rounds_per_mcycle;
     row["on_rounds_per_mcycle"] = r.on_rounds_per_mcycle;
@@ -337,22 +325,15 @@ void ReuseElisionAblation(SweepRunner* runner, BenchReport* report) {
 int main(int argc, char** argv) {
   using namespace tlbsim;
   BenchReport report("ablations", argc, argv);
-  report.SetConfig(Json::Object());
   // One runner for all ablation sweeps; stats (and the "host" section)
   // accumulate across the Run() calls. Ablations 1-3 probe IPI-protocol
-  // design choices; ablation 4 is specific to the queue backend.
+  // design choices; ablations 4-5 are specific to the queue backend.
   SweepRunner runner(report.threads());
   MulticastAblation(&runner, &report);
   ThresholdAblation(&runner, &report);
   FourAAblation(&runner, &report);
-  if (!report.ipi_only()) {
-    QueueRingAblation(&runner, &report);
-    // Includes its own IPI-baseline row: the crossover is only meaningful
-    // with the queue protocol side by side, so it rides the queue axis.
-    QueueCrossoverAblation(&runner, &report);
-  }
-  // Runs on every backend of this invocation (the elision is
-  // backend-independent, so each axis gets its own off/on pair).
+  QueueRingAblation(&runner, &report);
+  QueueCrossoverAblation(&runner, &report);
   ReuseElisionAblation(&runner, &report);
   report.SetHost(runner);
   return report.Finish(0);

@@ -2,9 +2,9 @@
 // "Skip TLB flushes for reused pages within mmap's").
 //
 // Two workloads (src/workloads/churn.h) run with the optimization off and on,
-// across thread counts, on each requested backend: arena recycling (anonymous
-// madvise(DONTNEED) + retouch, plus a munmap/mmap scratch loop) and page-cache
-// turnover (file-backed reclaim + refault). The off rows are the baseline the
+// across thread counts: arena recycling (anonymous madvise(DONTNEED) +
+// retouch, plus a munmap/mmap scratch loop) and page-cache turnover
+// (file-backed reclaim + refault). The off rows are the baseline the
 // elision's speedup is measured against; the on rows carry the reuse counters
 // (elided/benign/forced/hand-offs) that quantify how often churned frames come
 // back under a provably benign translation.
@@ -37,7 +37,7 @@ struct Cell {
   Json metrics;
 };
 
-Cell MeasureCell(bool pagecache, int threads, bool elision, int seeds, FlushBackendKind backend) {
+Cell MeasureCell(bool pagecache, int threads, bool elision, int seeds) {
   Cell cell;
   double sum = 0.0;
   for (int s = 0; s < seeds; ++s) {
@@ -46,7 +46,6 @@ Cell MeasureCell(bool pagecache, int threads, bool elision, int seeds, FlushBack
     cfg.opts = OptimizationSet::AllGeneral();
     cfg.opts.reuse_elision = elision;
     cfg.seed = kSeeds[s];
-    cfg.backend = backend;
     ChurnResult r = pagecache ? RunChurnPagecache(cfg) : RunChurnArena(cfg);
     sum += r.rounds_per_mcycle;
     cell.flush_requests = r.flush_requests;
@@ -70,20 +69,16 @@ int main(int argc, char** argv) {
   using namespace tlbsim;
   BenchReport report("churn", argc, argv);
   const int seeds = report.quick() ? kQuickSeeds : static_cast<int>(std::size(kSeeds));
-  const std::vector<FlushBackendKind>& backends = report.backends();
-  report.SetConfig(Json::Object());
 
-  // One job per cell, row-major in print order: backend, workload, threads,
-  // elision off then on.
+  // One job per cell, row-major in print order: workload, threads, elision
+  // off then on.
   std::vector<std::function<Cell()>> jobs;
-  for (FlushBackendKind backend : backends) {
-    for (bool pagecache : {false, true}) {
-      for (int threads : kThreadCounts) {
-        for (bool elision : {false, true}) {
-          jobs.emplace_back([pagecache, threads, elision, seeds, backend] {
-            return MeasureCell(pagecache, threads, elision, seeds, backend);
-          });
-        }
+  for (bool pagecache : {false, true}) {
+    for (int threads : kThreadCounts) {
+      for (bool elision : {false, true}) {
+        jobs.emplace_back([pagecache, threads, elision, seeds] {
+          return MeasureCell(pagecache, threads, elision, seeds);
+        });
       }
     }
   }
@@ -91,50 +86,45 @@ int main(int argc, char** argv) {
   std::vector<Cell> results = runner.Run(std::move(jobs));
 
   size_t next = 0;
-  for (FlushBackendKind backend : backends) {
-    report.PrintBackendBanner(backend);
-    for (bool pagecache : {false, true}) {
-      std::printf("# churn/%s: reuse-aware flush elision (all-general opts, safe mode)\n",
-                  pagecache ? "pagecache" : "arena");
-      std::printf("%-8s %14s %14s %8s %8s %8s %8s %8s %8s\n", "threads", "off rnd/Mcyc",
-                  "on rnd/Mcyc", "speedup", "elided", "benign", "forced", "evict", "handoff");
-      for (int threads : kThreadCounts) {
-        Cell& off = results[next++];
-        Cell& on = results[next++];
-        double speedup = off.rounds_per_mcycle > 0.0
-                             ? on.rounds_per_mcycle / off.rounds_per_mcycle
-                             : 0.0;
-        std::printf("%-8d %14.2f %14.2f %7.2fx %8llu %8llu %8llu %8llu %8llu\n", threads,
-                    off.rounds_per_mcycle, on.rounds_per_mcycle, speedup,
-                    static_cast<unsigned long long>(on.elided_flushes),
-                    static_cast<unsigned long long>(on.benign_closes),
-                    static_cast<unsigned long long>(on.forced_flushes),
-                    static_cast<unsigned long long>(on.evictions),
-                    static_cast<unsigned long long>(on.frame_handoffs));
-        Json row = Json::Object();
-        report.MarkBackend(row, backend);
-        row["workload"] = pagecache ? "pagecache" : "arena";
-        row["threads"] = threads;
-        row["off_rounds_per_mcycle"] = off.rounds_per_mcycle;
-        row["on_rounds_per_mcycle"] = on.rounds_per_mcycle;
-        row["speedup"] = speedup;
-        row["off_flush_requests"] = off.flush_requests;
-        row["on_flush_requests"] = on.flush_requests;
-        row["off_shootdowns"] = off.shootdowns;
-        row["on_shootdowns"] = on.shootdowns;
-        row["elided_flushes"] = on.elided_flushes;
-        row["elided_pages"] = on.elided_pages;
-        row["benign_closes"] = on.benign_closes;
-        row["forced_flushes"] = on.forced_flushes;
-        row["evictions"] = on.evictions;
-        row["frame_handoffs"] = on.frame_handoffs;
-        report.AddRow(std::move(row));
-        // Each backend's last elision-on run: the kernel.reuse_* counters in
-        // here are what scripts/check_bench_json.py gates on.
-        report.SetMetrics(backend, std::move(on.metrics));
-      }
-      std::printf("\n");
+  for (bool pagecache : {false, true}) {
+    std::printf("# churn/%s: reuse-aware flush elision (all-general opts, safe mode)\n",
+                pagecache ? "pagecache" : "arena");
+    std::printf("%-8s %14s %14s %8s %8s %8s %8s %8s %8s\n", "threads", "off rnd/Mcyc",
+                "on rnd/Mcyc", "speedup", "elided", "benign", "forced", "evict", "handoff");
+    for (int threads : kThreadCounts) {
+      Cell& off = results[next++];
+      Cell& on = results[next++];
+      double speedup =
+          off.rounds_per_mcycle > 0.0 ? on.rounds_per_mcycle / off.rounds_per_mcycle : 0.0;
+      std::printf("%-8d %14.2f %14.2f %7.2fx %8llu %8llu %8llu %8llu %8llu\n", threads,
+                  off.rounds_per_mcycle, on.rounds_per_mcycle, speedup,
+                  static_cast<unsigned long long>(on.elided_flushes),
+                  static_cast<unsigned long long>(on.benign_closes),
+                  static_cast<unsigned long long>(on.forced_flushes),
+                  static_cast<unsigned long long>(on.evictions),
+                  static_cast<unsigned long long>(on.frame_handoffs));
+      Json row = Json::Object();
+      row["workload"] = pagecache ? "pagecache" : "arena";
+      row["threads"] = threads;
+      row["off_rounds_per_mcycle"] = off.rounds_per_mcycle;
+      row["on_rounds_per_mcycle"] = on.rounds_per_mcycle;
+      row["speedup"] = speedup;
+      row["off_flush_requests"] = off.flush_requests;
+      row["on_flush_requests"] = on.flush_requests;
+      row["off_shootdowns"] = off.shootdowns;
+      row["on_shootdowns"] = on.shootdowns;
+      row["elided_flushes"] = on.elided_flushes;
+      row["elided_pages"] = on.elided_pages;
+      row["benign_closes"] = on.benign_closes;
+      row["forced_flushes"] = on.forced_flushes;
+      row["evictions"] = on.evictions;
+      row["frame_handoffs"] = on.frame_handoffs;
+      report.AddRow(std::move(row));
+      // The last elision-on run: the kernel.reuse_* counters in here are
+      // what scripts/check_bench_json.py gates on.
+      report.Set("metrics", std::move(on.metrics));
     }
+    std::printf("\n");
   }
   report.SetHost(runner);
   return report.Finish(0);

@@ -1,7 +1,6 @@
 // Regenerates Figure 10: Sysbench-like random writes to a memory-mapped file
 // with periodic fdatasync, speedup over baseline as optimizations are added
-// cumulatively (batching last), threads 1..16 on one NUMA node, plus the
-// queue backend's baseline per row.
+// cumulatively (batching last), threads 1..16 on one NUMA node.
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -41,8 +40,7 @@ struct Cell {
   Json metrics;
 };
 
-Cell MeasureCell(bool pti, int threads, const OptimizationSet& opts, int seeds,
-                 FlushBackendKind backend) {
+Cell MeasureCell(bool pti, int threads, const OptimizationSet& opts, int seeds) {
   Cell cell;
   double sum = 0.0;
   for (int s = 0; s < seeds; ++s) {
@@ -51,7 +49,6 @@ Cell MeasureCell(bool pti, int threads, const OptimizationSet& opts, int seeds,
     cfg.threads = threads;
     cfg.opts = opts;
     cfg.seed = kSeeds[s];
-    cfg.backend = backend;
     SysbenchResult r = RunSysbench(cfg);
     sum += r.writes_per_mcycle;
     cell.metrics = std::move(r.metrics);
@@ -67,36 +64,27 @@ int main(int argc, char** argv) {
   using namespace tlbsim;
   BenchReport report("fig10_sysbench", argc, argv);
   const int seeds = report.quick() ? kQuickSeeds : static_cast<int>(std::size(kSeeds));
-  const bool queue = !report.ipi_only();
-  report.SetConfig(Json::Object());
 
   // One job per table cell, row-major with the baseline first — the exact
-  // order the sequential loops measured in. Unless ipi-only, each row ends
-  // with one queue cell at the baseline: the queue backend implements none
-  // of the paper's optimizations, so every column would repeat it
-  // (workloads_test pins that).
+  // order the sequential loops measured in.
   std::vector<std::function<Cell()>> jobs;
   for (bool pti : {true, false}) {
     for (int threads : kThreadCounts) {
-      auto add = [&](const OptimizationSet& opts, FlushBackendKind backend) {
-        jobs.emplace_back([pti, threads, opts, seeds, backend] {
-          return MeasureCell(pti, threads, opts, seeds, backend);
+      auto add = [&](const OptimizationSet& opts) {
+        jobs.emplace_back([pti, threads, opts, seeds] {
+          return MeasureCell(pti, threads, opts, seeds);
         });
       };
-      add(OptimizationSet::None(), FlushBackendKind::kIpi);
+      add(OptimizationSet::None());
       for (auto& [name, opts] : Columns(pti)) {
-        add(opts, FlushBackendKind::kIpi);
-      }
-      if (queue) {
-        add(OptimizationSet::None(), FlushBackendKind::kQueue);
+        add(opts);
       }
     }
   }
   SweepRunner runner(report.threads());
   std::vector<Cell> results = runner.Run(std::move(jobs));
 
-  Json last_metrics_ipi;
-  Json last_metrics_queue;
+  Json last_metrics;
   size_t next = 0;
   for (bool pti : {true, false}) {
     std::printf("# Figure 10 (%s mode): speedup over baseline, cumulative optimizations\n",
@@ -105,9 +93,6 @@ int main(int argc, char** argv) {
     std::printf("%-8s", "threads");
     for (auto& [name, opts] : cols) {
       std::printf(" %12s", name.c_str());
-    }
-    if (queue) {
-      std::printf(" %12s %12s", "queue", "queue/all-on");
     }
     std::printf("\n");
     for (int threads : kThreadCounts) {
@@ -119,34 +104,19 @@ int main(int argc, char** argv) {
       row["base_writes_per_mcycle"] = base;
       Json& speedups = row["speedup"];
       speedups = Json::Object();
-      double all_on = 0.0;
       for (auto& [name, opts] : cols) {
         Cell& cell = results[next++];
         std::printf(" %11.2fx", cell.writes_per_mcycle / base);
         speedups[name] = cell.writes_per_mcycle / base;
-        all_on = cell.writes_per_mcycle;
-        last_metrics_ipi = std::move(cell.metrics);
-      }
-      if (queue) {
-        // The queue baseline against the IPI baseline and the IPI cell with
-        // every optimization on.
-        Cell& cell = results[next++];
-        std::printf(" %11.2fx %11.2fx", cell.writes_per_mcycle / base,
-                    cell.writes_per_mcycle / all_on);
-        row["queue_writes_per_mcycle"] = cell.writes_per_mcycle;
-        row["queue_vs_ipi_base"] = cell.writes_per_mcycle / base;
-        row["queue_vs_ipi_all"] = cell.writes_per_mcycle / all_on;
-        last_metrics_queue = std::move(cell.metrics);
+        last_metrics = std::move(cell.metrics);
       }
       std::printf("\n");
       report.AddRow(std::move(row));
     }
     std::printf("\n");
   }
-  // Snapshots from the last 16-thread unsafe row: the IPI one fully
-  // optimized, the queue one at its baseline.
-  report.SetMetrics(FlushBackendKind::kIpi, std::move(last_metrics_ipi));
-  report.SetMetrics(FlushBackendKind::kQueue, std::move(last_metrics_queue));
+  // Snapshot from the last 16-thread unsafe row, fully optimized.
+  report.Set("metrics", std::move(last_metrics));
   report.SetHost(runner);
   return report.Finish(0);
 }

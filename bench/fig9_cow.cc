@@ -54,30 +54,26 @@ int main(int argc, char** argv) {
   using namespace tlbsim;
   BenchReport report("fig9_cow", argc, argv);
   const int runs = report.quick() ? kQuickRuns : kRuns;
-  const std::vector<FlushBackendKind>& backends = report.backends();
   Json config = Json::Object();
   config["runs"] = runs;
   config["pages"] = 64;
   config["rounds"] = 4;
-  report.SetConfig(std::move(config));
+  report.Set("config", std::move(config));
 
-  // Jobs in cell-major order per backend: (safe all, safe all+cow, unsafe
-  // all, unsafe all+cow), `runs` seeds each.
+  // Jobs in cell-major order: (safe all, safe all+cow, unsafe all, unsafe
+  // all+cow), `runs` seeds each.
   std::vector<std::function<CowResult()>> jobs;
-  for (FlushBackendKind backend : backends) {
-    for (bool pti : {true, false}) {
-      for (bool cow_avoidance : {false, true}) {
-        for (int run = 0; run < runs; ++run) {
-          CowConfig cfg;
-          cfg.system.kernel.pti = pti;
-          cfg.system.kernel.opts = OptimizationSet::AllGeneral();
-          cfg.system.kernel.opts.cow_avoidance = cow_avoidance;
-          cfg.system.machine.seed = 40 + static_cast<uint64_t>(run);
-          cfg.system.backend = backend;
-          cfg.pages = 64;
-          cfg.rounds = 4;
-          jobs.emplace_back([cfg] { return RunCowMicrobench(cfg); });
-        }
+  for (bool pti : {true, false}) {
+    for (bool cow_avoidance : {false, true}) {
+      for (int run = 0; run < runs; ++run) {
+        CowConfig cfg;
+        cfg.system.kernel.pti = pti;
+        cfg.system.kernel.opts = OptimizationSet::AllGeneral();
+        cfg.system.kernel.opts.cow_avoidance = cow_avoidance;
+        cfg.system.machine.seed = 40 + static_cast<uint64_t>(run);
+        cfg.pages = 64;
+        cfg.rounds = 4;
+        jobs.emplace_back([cfg] { return RunCowMicrobench(cfg); });
       }
     }
   }
@@ -88,34 +84,25 @@ int main(int argc, char** argv) {
   std::printf("# paper: CoW avoidance saves ~130 cycles (~3%% safe, ~5%% unsafe)\n\n");
   int rc = 0;
   auto it = results.begin();
-  for (FlushBackendKind backend : backends) {
-    report.PrintBackendBanner(backend);
-    std::printf("%-8s %-10s %12s\n", "mode", "config", "cycles");
-    for (bool pti : {true, false}) {
-      Measured all = Aggregate(it, runs);
-      it += runs;
-      Measured all_cow = Aggregate(it, runs);
-      it += runs;
-      std::printf("%-8s %-10s %8.0f +-%3.0f\n", pti ? "safe" : "unsafe", "all",
-                  all.across_runs.mean(), all.across_runs.stddev());
-      std::printf("%-8s %-10s %8.0f +-%3.0f   (saves %.0f cycles, %.1f%%)\n",
-                  pti ? "safe" : "unsafe", "all+cow", all_cow.across_runs.mean(),
-                  all_cow.across_runs.stddev(),
-                  all.across_runs.mean() - all_cow.across_runs.mean(),
-                  100.0 * (1.0 - all_cow.across_runs.mean() / all.across_runs.mean()));
-      Json row_all = Row(pti, "all", all);
-      Json row_cow = Row(pti, "all+cow", all_cow);
-      report.MarkBackend(row_all, backend);
-      report.MarkBackend(row_cow, backend);
-      report.AddRow(std::move(row_all));
-      report.AddRow(std::move(row_cow));
-      // Each backend's last all+cow run: CI probes the cow_flush_avoided
-      // counter of whichever protocol ran.
-      report.SetMetrics(backend, std::move(all_cow.metrics));
-      if (all_cow.across_runs.mean() >= all.across_runs.mean()) {
-        std::printf("!! CoW avoidance did not help\n");
-        rc = 1;
-      }
+  std::printf("%-8s %-10s %12s\n", "mode", "config", "cycles");
+  for (bool pti : {true, false}) {
+    Measured all = Aggregate(it, runs);
+    it += runs;
+    Measured all_cow = Aggregate(it, runs);
+    it += runs;
+    std::printf("%-8s %-10s %8.0f +-%3.0f\n", pti ? "safe" : "unsafe", "all",
+                all.across_runs.mean(), all.across_runs.stddev());
+    std::printf("%-8s %-10s %8.0f +-%3.0f   (saves %.0f cycles, %.1f%%)\n",
+                pti ? "safe" : "unsafe", "all+cow", all_cow.across_runs.mean(),
+                all_cow.across_runs.stddev(), all.across_runs.mean() - all_cow.across_runs.mean(),
+                100.0 * (1.0 - all_cow.across_runs.mean() / all.across_runs.mean()));
+    report.AddRow(Row(pti, "all", all));
+    report.AddRow(Row(pti, "all+cow", all_cow));
+    // The last all+cow run: CI probes its cow_flush_avoided counter.
+    report.Set("metrics", std::move(all_cow.metrics));
+    if (all_cow.across_runs.mean() >= all.across_runs.mean()) {
+      std::printf("!! CoW avoidance did not help\n");
+      rc = 1;
     }
   }
   report.SetHost(runner);

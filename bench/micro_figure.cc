@@ -33,33 +33,26 @@ int RunMicroFigure(const char* bench_name, const char* figure_name, bool pti, in
   config["pages"] = pages;
   config["runs"] = runs;
   config["iterations"] = kIterations;
-  report.SetConfig(std::move(config));
+  report.Set("config", std::move(config));
 
   // In unsafe mode there is no PTI, hence no in-context flushing bar.
   const int max_level = pti ? 4 : 3;
 
-  // One job per (placement, backend, level, run): each constructs and runs
-  // its own simulation, returning the result by value. The IPI protocol runs
-  // every cumulative level; the queue backend runs the baseline only, since
-  // it implements none of the paper's optimizations and every level would
-  // repeat it (workloads_test pins that). SweepRunner collects in submission
-  // order, which is the print order below.
+  // One job per (placement, level, run): each constructs and runs its own
+  // simulation, returning the result by value. SweepRunner collects in
+  // submission order, which is the print order below.
   std::vector<std::function<MicroResult()>> jobs;
   for (Placement place : kPlacements) {
-    for (FlushBackendKind backend : report.backends()) {
-      const bool queue = backend == FlushBackendKind::kQueue;
-      for (int level = 0; level <= (queue ? 0 : max_level); ++level) {
-        for (int run = 0; run < runs; ++run) {
-          MicroConfig cfg;
-          cfg.system.kernel.pti = pti;
-          cfg.system.kernel.opts = OptimizationSet::Cumulative(level);
-          cfg.system.machine.seed = 1000 + static_cast<uint64_t>(run);
-          cfg.system.backend = backend;
-          cfg.pages = pages;
-          cfg.responders = {PlacementCpu(place)};
-          cfg.iterations = kIterations;
-          jobs.emplace_back([cfg] { return RunMadviseMicrobench(cfg); });
-        }
+    for (int level = 0; level <= max_level; ++level) {
+      for (int run = 0; run < runs; ++run) {
+        MicroConfig cfg;
+        cfg.system.kernel.pti = pti;
+        cfg.system.kernel.opts = OptimizationSet::Cumulative(level);
+        cfg.system.machine.seed = 1000 + static_cast<uint64_t>(run);
+        cfg.pages = pages;
+        cfg.responders = {PlacementCpu(place)};
+        cfg.iterations = kIterations;
+        jobs.emplace_back([cfg] { return RunMadviseMicrobench(cfg); });
       }
     }
   }
@@ -76,68 +69,49 @@ int RunMicroFigure(const char* bench_name, const char* figure_name, bool pti, in
   int rc = 0;
   size_t next = 0;
   for (Placement place : kPlacements) {
-    // The queue row compares against the IPI baseline and the IPI row with
-    // every optimization on.
     double base_initiator = 0.0;
-    double all_initiator = 0.0;
-    for (FlushBackendKind backend : report.backends()) {
-      const bool queue = backend == FlushBackendKind::kQueue;
-      for (int level = 0; level <= (queue ? 0 : max_level); ++level) {
-        RunningStat initiator_runs;
-        RunningStat responder_runs;
-        uint64_t shootdowns = 0;
-        uint64_t early_acks = 0;
-        Json metrics;
-        for (int run = 0; run < runs; ++run) {
-          MicroResult& r = results[next++];
-          initiator_runs.Add(r.initiator.mean());
-          responder_runs.Add(r.responder_cycles_per_op);
-          shootdowns = r.shootdowns;
-          early_acks = r.early_acks;
-          metrics = std::move(r.metrics);
-        }
-        const double mean = initiator_runs.mean();
-        if (!queue) {
-          if (level == 0) {
-            base_initiator = mean;
-          }
-          all_initiator = mean;
-        }
-        const char* opts_name = OptimizationSet::kCumulativeNames[static_cast<size_t>(level)];
-        std::printf("%-13s %-12s %8.0f +-%4.0f %8.0f +-%4.0f", PlacementName(place),
-                    queue ? "queue" : opts_name, mean, initiator_runs.stddev(),
-                    responder_runs.mean(), responder_runs.stddev());
-        Json row = Json::Object();
-        report.MarkBackend(row, backend);
-        row["placement"] = PlacementName(place);
-        row["level"] = level;
-        row["opts"] = opts_name;
-        row["initiator_mean"] = mean;
-        row["initiator_stddev"] = initiator_runs.stddev();
-        row["responder_mean"] = responder_runs.mean();
-        row["responder_stddev"] = responder_runs.stddev();
-        if (queue) {
-          std::printf(" %9.2fx base, %.2fx all-on\n", mean / base_initiator,
-                      mean / all_initiator);
-          row["initiator_vs_ipi_base"] = mean / base_initiator;
-          row["initiator_vs_ipi_all"] = mean / all_initiator;
-        } else {
-          double speed = base_initiator > 0 ? (1.0 - mean / base_initiator) : 0.0;
-          std::printf(" %9.1f%%\n", 100.0 * speed);
-          row["reduction_vs_base"] = speed;
-        }
-        row["shootdowns"] = shootdowns;
-        row["early_acks"] = early_acks;
-        report.AddRow(std::move(row));
-        // Ends on each backend's last cross-socket run (IPI: all
-        // optimizations): the configurations CI probes for nonzero counters.
-        report.SetMetrics(backend, std::move(metrics));
-        // Sanity: optimizations must not regress the initiator by > 5%. The
-        // queue row is another protocol, not an optimization, so it is exempt.
-        if (!queue && mean > base_initiator * 1.05) {
-          std::printf("!! regression at level %d\n", level);
-          rc = 1;
-        }
+    for (int level = 0; level <= max_level; ++level) {
+      RunningStat initiator_runs;
+      RunningStat responder_runs;
+      uint64_t shootdowns = 0;
+      uint64_t early_acks = 0;
+      Json metrics;
+      for (int run = 0; run < runs; ++run) {
+        MicroResult& r = results[next++];
+        initiator_runs.Add(r.initiator.mean());
+        responder_runs.Add(r.responder_cycles_per_op);
+        shootdowns = r.shootdowns;
+        early_acks = r.early_acks;
+        metrics = std::move(r.metrics);
+      }
+      const double mean = initiator_runs.mean();
+      if (level == 0) {
+        base_initiator = mean;
+      }
+      const char* opts_name = OptimizationSet::kCumulativeNames[static_cast<size_t>(level)];
+      double speed = base_initiator > 0 ? (1.0 - mean / base_initiator) : 0.0;
+      std::printf("%-13s %-12s %8.0f +-%4.0f %8.0f +-%4.0f %9.1f%%\n", PlacementName(place),
+                  opts_name, mean, initiator_runs.stddev(), responder_runs.mean(),
+                  responder_runs.stddev(), 100.0 * speed);
+      Json row = Json::Object();
+      row["placement"] = PlacementName(place);
+      row["level"] = level;
+      row["opts"] = opts_name;
+      row["initiator_mean"] = mean;
+      row["initiator_stddev"] = initiator_runs.stddev();
+      row["responder_mean"] = responder_runs.mean();
+      row["responder_stddev"] = responder_runs.stddev();
+      row["reduction_vs_base"] = speed;
+      row["shootdowns"] = shootdowns;
+      row["early_acks"] = early_acks;
+      report.AddRow(std::move(row));
+      // Ends on the last cross-socket run, all optimizations on: the
+      // configuration CI probes for nonzero counters.
+      report.Set("metrics", std::move(metrics));
+      // Sanity: optimizations must not regress the initiator by > 5%.
+      if (mean > base_initiator * 1.05) {
+        std::printf("!! regression at level %d\n", level);
+        rc = 1;
       }
     }
     std::printf("\n");

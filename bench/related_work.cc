@@ -1,123 +1,63 @@
 // Related-work comparison (paper §2.3): the baseline Linux 5.2.8 protocol,
-// the paper's optimized protocol, FreeBSD's globally-serialized protocol and
-// a LATR-like lazy protocol on the same madvise microbenchmark, plus a
-// multi-initiator stress that exposes FreeBSD's smp_ipi_mtx serialization
-// and LATR's asynchrony.
+// the paper's optimized protocol, FreeBSD's globally-serialized protocol, a
+// LATR-like lazy protocol and the charmos-style queue on the same madvise
+// microbenchmark, plus a multi-initiator stress that exposes FreeBSD's
+// smp_ipi_mtx serialization and LATR's asynchrony.
+#include <algorithm>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "bench/report.h"
-#include "src/core/alternatives.h"
-#include "src/core/snapshot.h"
 #include "src/core/system.h"
 #include "src/exec/sweep.h"
-#include "src/sim/stats.h"
+#include "src/workloads/microbench.h"
 
 namespace tlbsim {
 namespace {
 
-SimTask Busy(SimCpu& cpu, const bool* stop) {
-  while (!*stop) {
-    co_await cpu.Execute(500);
-  }
-}
-
-SimTask Go(std::function<Co<void>()> body) {
-  return [](std::function<Co<void>()> b) -> SimTask { co_await b(); }(std::move(body));
-}
-
-struct Measured {
-  double initiator = 0.0;
-  double responder = 0.0;
-  uint64_t ipis = 0;
-  Json metrics;  // machine-level registry snapshot
+struct Design {
+  const char* name;
+  FlushBackendKind backend;
+  OptimizationSet opts;  // read by the IPI engine only
 };
 
-// One initiator (cpu0), one cross-socket responder (cpu30), 10-PTE madvise.
-template <typename MakeBackend>
-Measured RunMicro(MakeBackend make_backend, bool pti) {
-  MachineConfig mc;
-  Machine machine(mc);
-  KernelConfig kc;
-  kc.pti = pti;
-  Kernel kernel(&machine, kc);
-  auto backend = make_backend(&kernel);
-  (void)backend;
-
-  auto* p = kernel.CreateProcess();
-  auto* t = kernel.CreateThread(p, 0);
-  kernel.CreateThread(p, 30);
-  bool stop = false;
-  machine.cpu(30).Spawn(Busy(machine.cpu(30), &stop));
-  RunningStat stat;
-  machine.cpu(0).Spawn(Go([&]() -> Co<void> {
-    uint64_t a = co_await kernel.SysMmap(*t, 10 * kPageSize4K, true, false);
-    for (int it = 0; it < 200; ++it) {
-      for (int i = 0; i < 10; ++i) {
-        co_await kernel.UserAccess(*t, a + static_cast<uint64_t>(i) * kPageSize4K, true);
-      }
-      Cycles t0 = machine.cpu(0).now();
-      co_await kernel.SysMadviseDontneed(*t, a, 10 * kPageSize4K);
-      stat.Add(static_cast<double>(machine.cpu(0).now() - t0));
-    }
-    stop = true;
-  }));
-  machine.engine().Run();
-  Measured out;
-  out.initiator = stat.mean();
-  out.responder = static_cast<double>(machine.cpu(30).stats().cycles_in_irq) / 200.0;
-  out.ipis = machine.apic().stats().ipis_sent;
-  CollectMachineMetrics(machine);
-  CollectKernelMetrics(kernel);
-  out.metrics = machine.metrics().ToJson();
-  return out;
-}
+const Design kDesigns[] = {
+    {"Linux 5.2.8 baseline", FlushBackendKind::kIpi, OptimizationSet::None()},
+    {"This paper (all four)", FlushBackendKind::kIpi, OptimizationSet::AllGeneral()},
+    {"FreeBSD (smp_ipi_mtx)", FlushBackendKind::kFreeBsd, OptimizationSet::None()},
+    {"LATR-like (lazy)", FlushBackendKind::kLatr, OptimizationSet::None()},
+    {"Queue (charmos rings)", FlushBackendKind::kQueue, OptimizationSet::None()},
+};
 
 // Four concurrent initiators hammering one mm: FreeBSD serializes on the
 // global mutex, Linux overlaps, LATR never waits.
-template <typename MakeBackend>
-double RunConcurrent(MakeBackend make_backend, bool pti) {
-  MachineConfig mc;
-  Machine machine(mc);
-  KernelConfig kc;
-  kc.pti = pti;
-  Kernel kernel(&machine, kc);
-  auto backend = make_backend(&kernel);
-  (void)backend;
-
-  auto* p = kernel.CreateProcess();
-  int cpus[4] = {0, 2, 4, 6};
+double RunConcurrent(const SystemConfig& config) {
+  System sys(config);
+  Kernel& kernel = sys.kernel();
+  Process* p = kernel.CreateProcess();
   Cycles end = 0;
-  int done = 0;
-  for (int i = 0; i < 4; ++i) {
-    Thread* t = kernel.CreateThread(p, cpus[i]);
-    machine.cpu(cpus[i]).Spawn(Go([&kernel, &machine, t, &end, &done]() -> Co<void> {
-      uint64_t a = co_await kernel.SysMmap(*t, 8 * kPageSize4K, true, false);
+  for (int cpu : {0, 2, 4, 6}) {
+    Thread* t = kernel.CreateThread(p, cpu);
+    sys.machine().cpu(cpu).Spawn([](Kernel& k, SimCpu& c, Thread& th, Cycles* e) -> SimTask {
+      uint64_t a = co_await k.SysMmap(th, 8 * kPageSize4K, true, false);
       for (int r = 0; r < 50; ++r) {
         for (int j = 0; j < 8; ++j) {
-          co_await kernel.UserAccess(*t, a + static_cast<uint64_t>(j) * kPageSize4K, true);
+          co_await k.UserAccess(th, a + static_cast<uint64_t>(j) * kPageSize4K, true);
         }
-        co_await kernel.SysMadviseDontneed(*t, a, 8 * kPageSize4K);
+        co_await k.SysMadviseDontneed(th, a, 8 * kPageSize4K);
       }
-      end = std::max(end, machine.cpu(t->cpu).now());
-      ++done;
-    }));
+      *e = std::max(*e, c.now());
+    }(kernel, sys.machine().cpu(cpu), *t, &end));
   }
-  machine.engine().Run();
+  sys.machine().engine().Run();
   return 4.0 * 50.0 / (static_cast<double>(end) / 1e6);  // madvise ops per Mcycle
 }
 
-struct Design {
-  const char* name;
-  std::function<std::unique_ptr<TlbFlushBackend>(Kernel*)> make;
-};
-
 // Both experiments for one (design, mode) table row.
 struct DesignResult {
-  Measured micro;
+  MicroResult micro;  // one initiator (cpu 0), one cross-socket responder (cpu 30)
   double concurrent_ops_per_mcycle = 0.0;
 };
 
@@ -127,38 +67,20 @@ struct DesignResult {
 int main(int argc, char** argv) {
   using namespace tlbsim;
   BenchReport report("related_work", argc, argv);
-  Design designs[] = {
-      {"Linux 5.2.8 baseline",
-       [](Kernel* k) -> std::unique_ptr<TlbFlushBackend> {
-         auto e = std::make_unique<ShootdownEngine>(k);
-         return e;
-       }},
-      {"This paper (all four)",
-       [](Kernel* k) -> std::unique_ptr<TlbFlushBackend> {
-         // The kernel's opts drive ShootdownEngine; flip them on.
-         k->mutable_config().opts = OptimizationSet::AllGeneral();
-         return std::make_unique<ShootdownEngine>(k);
-       }},
-      {"FreeBSD (smp_ipi_mtx)",
-       [](Kernel* k) -> std::unique_ptr<TlbFlushBackend> {
-         return std::make_unique<FreeBsdShootdownEngine>(k);
-       }},
-      {"LATR-like (lazy)",
-       [](Kernel* k) -> std::unique_ptr<TlbFlushBackend> {
-         return std::make_unique<LatrEngine>(k);
-       }},
-  };
 
   // One job per (mode, design) row, in print order.
   std::vector<std::function<DesignResult()>> jobs;
   for (bool pti : {true, false}) {
-    for (auto& d : designs) {
-      auto make = d.make;
-      jobs.emplace_back([make, pti] {
-        DesignResult r;
-        r.micro = RunMicro(make, pti);
-        r.concurrent_ops_per_mcycle = RunConcurrent(make, pti);
-        return r;
+    for (const Design& d : kDesigns) {
+      MicroConfig cfg;
+      cfg.system.kernel.pti = pti;
+      cfg.system.kernel.opts = d.opts;
+      cfg.system.backend = d.backend;
+      cfg.pages = 10;
+      cfg.responders = {PlacementCpu(Placement::kOtherSocket)};
+      cfg.iterations = 200;
+      jobs.emplace_back([cfg] {
+        return DesignResult{RunMadviseMicrobench(cfg), RunConcurrent(cfg.system)};
       });
     }
   }
@@ -171,17 +93,19 @@ int main(int argc, char** argv) {
                 pti ? "safe" : "unsafe");
     std::printf("%-24s %12s %12s %8s %18s\n", "design", "initiator", "responder", "IPIs",
                 "4-initiator ops/Mc");
-    for (auto& d : designs) {
+    for (const Design& d : kDesigns) {
       DesignResult& r = results[next++];
-      Measured& m = r.micro;
-      std::printf("%-24s %10.0f c %10.0f c %8llu %18.2f\n", d.name, m.initiator, m.responder,
-                  static_cast<unsigned long long>(m.ipis), r.concurrent_ops_per_mcycle);
+      MicroResult& m = r.micro;
+      uint64_t ipis = BenchReport::Counter(m.metrics, "apic.ipis_sent");
+      std::printf("%-24s %10.0f c %10.0f c %8llu %18.2f\n", d.name, m.initiator.mean(),
+                  m.responder_cycles_per_op, static_cast<unsigned long long>(ipis),
+                  r.concurrent_ops_per_mcycle);
       Json row = Json::Object();
       row["design"] = d.name;
       row["mode"] = pti ? "safe" : "unsafe";
-      row["initiator_cycles"] = m.initiator;
-      row["responder_cycles"] = m.responder;
-      row["ipis"] = m.ipis;
+      row["initiator_cycles"] = m.initiator.mean();
+      row["responder_cycles"] = m.responder_cycles_per_op;
+      row["ipis"] = ipis;
       row["concurrent_ops_per_mcycle"] = r.concurrent_ops_per_mcycle;
       report.AddRow(std::move(row));
       report.Set("metrics", std::move(m.metrics));  // last design's snapshot

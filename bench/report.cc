@@ -31,22 +31,9 @@ std::string ResolvePath(std::string_view raw, std::string_view bench) {
 [[noreturn]] void UsageError(const std::string& bench, const std::string& problem) {
   std::fprintf(stderr,
                "%s: %s\n"
-               "usage: %s [--backend {ipi,both}] [--json PATH] [--threads N]"
-               " [--quick] [--check]\n",
+               "usage: %s [--json PATH] [--threads N] [--quick] [--check]\n",
                bench.c_str(), problem.c_str(), bench.c_str());
   std::exit(2);
-}
-
-// `--backend` is the protocol axis; a typo here silently benchmarking the
-// wrong protocol would poison a whole sweep, so bad values are fatal.
-std::vector<FlushBackendKind> ParseBackends(const std::string& raw, const std::string& bench) {
-  if (raw == "ipi") {
-    return {FlushBackendKind::kIpi};
-  }
-  if (raw == "both") {
-    return {FlushBackendKind::kIpi, FlushBackendKind::kQueue};
-  }
-  UsageError(bench, "unknown --backend value '" + raw + "'");
 }
 
 // A positive decimal integer no larger than 4096.
@@ -76,7 +63,7 @@ BenchReport::BenchReport(const char* name, int argc, char** argv)
     }
     // Valued flags, as `--flag VALUE` or `--flag=VALUE`.
     std::string flag = arg.substr(0, arg.find('='));
-    if (flag != "--json" && flag != "--threads" && flag != "--backend") {
+    if (flag != "--json" && flag != "--threads") {
       UsageError(name_, "unknown argument '" + arg + "'");
     }
     std::string value;
@@ -90,14 +77,9 @@ BenchReport::BenchReport(const char* name, int argc, char** argv)
     }
     if (flag == "--json") {
       path_ = ResolvePath(value, name_);
-    } else if (flag == "--threads") {
-      threads_ = ParseThreads(value, name_);
     } else {
-      backends_ = ParseBackends(value, name_);
+      threads_ = ParseThreads(value, name_);
     }
-  }
-  if (backends_.empty()) {
-    backends_ = {FlushBackendKind::kIpi, FlushBackendKind::kQueue};
   }
   if (check_) {
     // Before any System exists: every simulation this process runs gets a
@@ -115,38 +97,6 @@ void BenchReport::AddRow(Json row) {
     rows = Json::Array();
   }
   rows.Append(std::move(row));
-}
-
-void BenchReport::SetConfig(Json config) {
-  if (!ipi_only()) {
-    Json list = Json::Array();
-    for (FlushBackendKind b : backends_) {
-      list.Append(Json(FlushBackendName(b)));
-    }
-    config["backends"] = std::move(list);
-  }
-  if (config.size() > 0) {
-    root_["config"] = std::move(config);
-  }
-}
-
-void BenchReport::MarkBackend(Json& row, FlushBackendKind backend) const {
-  if (!ipi_only()) {
-    row["backend"] = FlushBackendName(backend);
-  }
-}
-
-void BenchReport::PrintBackendBanner(FlushBackendKind backend) const {
-  if (!ipi_only()) {
-    std::printf("== backend: %s ==\n", FlushBackendName(backend));
-  }
-}
-
-void BenchReport::SetMetrics(FlushBackendKind backend, Json metrics) {
-  if (metrics.is_null()) {
-    return;
-  }
-  root_[backend == FlushBackendKind::kQueue ? "metrics_queue" : "metrics"] = std::move(metrics);
 }
 
 void BenchReport::Snapshot(System& system, const char* key) {

@@ -38,7 +38,6 @@
 #define TLBSIM_BENCH_REPORT_H_
 
 #include <string>
-#include <vector>
 
 #include "src/core/system.h"
 #include "src/exec/sweep.h"
@@ -49,9 +48,8 @@ namespace tlbsim {
 class BenchReport {
  public:
   // `name` is the bench target name (e.g. "fig5_safe_1pte"); argv is parsed
-  // for --json, --threads, --backend, --quick and --check. An unknown
-  // argument, a flag missing its value or a malformed value prints the usage
-  // line and exits 2.
+  // for --json, --threads, --quick and --check. An unknown argument, a flag
+  // missing its value or a malformed value prints the usage line and exits 2.
   BenchReport(const char* name, int argc, char** argv);
 
   // True when --json was requested (callers may skip expensive collection).
@@ -87,30 +85,6 @@ class BenchReport {
   // True when --check was passed (tlbcheck enabled for every System).
   bool check() const { return check_; }
 
-  // The flush backends this invocation runs, in run order: {ipi, queue} by
-  // default (`--backend both`), {ipi} for `--backend ipi`. Every bench runs
-  // the paper's IPI protocol; the queue backend is the comparison axis.
-  const std::vector<FlushBackendKind>& backends() const { return backends_; }
-
-  // True when this run is the paper's IPI protocol alone (`--backend ipi`).
-  bool ipi_only() const { return backends_.size() == 1; }
-
-  // Backend markers. An ipi-only run emits none of them, so its stdout and
-  // JSON stay byte-identical with reports made before the backend axis
-  // existed; these four methods are the one place that rule lives.
-  //
-  // Sets root()["config"] to `config` plus, unless ipi-only, a trailing
-  // "backends" list. An empty config is left out of the document.
-  void SetConfig(Json config);
-  // Sets row["backend"] unless ipi-only.
-  void MarkBackend(Json& row, FlushBackendKind backend) const;
-  // Prints a "== backend: <name> ==" banner unless ipi-only.
-  void PrintBackendBanner(FlushBackendKind backend) const;
-  // Embeds a registry snapshot of one backend's run: the IPI one under
-  // "metrics", the queue one under "metrics_queue". A null snapshot (that
-  // backend did not run) is left out.
-  void SetMetrics(FlushBackendKind backend, Json metrics);
-
   // Embeds `runner`'s accumulated host-side stats (wall seconds, realized
   // speedup) under root()["host"] — the one non-deterministic section.
   void SetHost(const SweepRunner& runner) { root_["host"] = runner.HostJson(); }
@@ -126,7 +100,6 @@ class BenchReport {
   int threads_;
   bool quick_ = false;
   bool check_ = false;
-  std::vector<FlushBackendKind> backends_;
   Json root_;
 };
 

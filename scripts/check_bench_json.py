@@ -33,6 +33,16 @@ REQUIRED_NONZERO = {
         "shootdown.cow_flush_avoided",
         "engine.events_processed",
     ],
+    # Snapshots of the last row's all-on cell, batching included: the
+    # batched shootdowns must fire, and fig10's flush storm (§5.2) must drive
+    # responders onto the full-flush catch-up path.
+    "fig10_sysbench": [
+        "apic.ipis_sent",
+        "shootdown.shootdowns",
+        "shootdown.batch_shootdowns",
+        "shootdown.responder_full_storm",
+    ],
+    "fig11_apache": ["apic.ipis_sent", "shootdown.shootdowns", "shootdown.batch_shootdowns"],
     "table3_summary": [
         "apic.ipis_sent",
         "shootdown.shootdowns",
@@ -69,62 +79,6 @@ REQUIRED_NONZERO = {
 # the flag leaked into a paper configuration (breaking byte-identity).
 REUSE_COUNTER_PREFIX = "kernel.reuse_"
 
-# Counters that must be strictly positive in the queue backend's snapshot
-# ("metrics_queue" -> "counters"), present whenever a bench ran without
-# --backend ipi. The async protocol's vital signs: rings were
-# actually occupied, initiators actually spun, and (where drains outlast the
-# initial spin budget) the retry loop actually resent IPIs. The ablations
-# bench additionally proves the overflow -> flush_all safety valve fires
-# (its snapshot comes from the deliberately undersized-ring row).
-QUEUE_REQUIRED_NONZERO = {
-    "fig5_safe_1pte": [
-        "queue.flush_requests",
-        "queue.shootdowns",
-        "queue.enqueued",
-        "queue.max_ring_occupancy",
-        "queue.drains",
-        "queue.drained_entries",
-        "queue.acks",
-        "queue.spin_polls",
-        "queue.spin_cycles",
-        "queue.ipi_resends",
-        "engine.events_processed",
-    ],
-    "fig6_safe_10pte": [
-        "queue.shootdowns",
-        "queue.max_ring_occupancy",
-        "queue.spin_cycles",
-        "queue.ipi_resends",
-    ],
-    "fig7_unsafe_1pte": [
-        "queue.shootdowns",
-        "queue.max_ring_occupancy",
-        "queue.spin_cycles",
-    ],
-    "fig8_unsafe_10pte": [
-        "queue.shootdowns",
-        "queue.max_ring_occupancy",
-        "queue.spin_cycles",
-    ],
-    "fig9_cow": ["kernel.cow_faults", "queue.cow_flush_avoided"],
-    "fig10_sysbench": ["queue.shootdowns", "queue.drains", "queue.acks"],
-    "fig11_apache": ["queue.shootdowns", "queue.drains", "queue.acks"],
-    "ablations": [
-        "queue.shootdowns",
-        "queue.max_ring_occupancy",
-        "queue.ring_overflows",
-        "queue.flush_all_fallbacks",
-        "queue.ipi_resends",
-        "queue.spin_cycles",
-    ],
-    "churn": [
-        "kernel.reuse_elided_flushes",
-        "kernel.reuse_elided_pages",
-        "kernel.reuse_benign_closes",
-        "queue.shootdowns",
-    ],
-}
-
 
 def fail(path, msg):
     print(f"FAIL {path}: {msg}")
@@ -155,7 +109,7 @@ def check_histograms(path, node, where=""):
 
 
 def check_churn_rows(path, doc):
-    """Churn sweep gate: every (backend, workload, threads) cell's elision-on
+    """Churn sweep gate: every (workload, threads) cell's elision-on
     run must actually elide shootdowns and close records benignly, and the
     elision must strictly reduce FlushRange traffic vs its own off baseline —
     the optimization's entire claim, checked per cell rather than on the one
@@ -166,10 +120,7 @@ def check_churn_rows(path, doc):
     if not rows:
         return fail(path, "churn: no sweep rows")
     for row in rows:
-        label = (
-            f'{row.get("backend", "ipi")}/{row.get("workload")}'
-            f'/t{row.get("threads")}'
-        )
+        label = f'{row.get("workload")}/t{row.get("threads")}'
         if row.get("elided_flushes", 0) <= 0:
             rc |= fail(path, f"churn {label}: elision-on run elided nothing")
         if row.get("benign_closes", 0) <= 0:
@@ -232,57 +183,29 @@ def check(path):
     if doc.get("status") != "pass":
         rc |= fail(path, f'status is {doc.get("status")!r}, expected "pass"')
     rc |= check_histograms(path, doc.get("metrics", {}).get("histograms", {}))
-    rc |= check_histograms(path, doc.get("metrics_queue", {}).get("histograms", {}))
 
-    # Which backends did this invocation run? An ipi-only run carries no
-    # backend markers at all (byte-compatibility with pre-axis reports), so
-    # the absence of "backends" in config means ipi alone.
-    backends = doc.get("config", {}).get("backends", ["ipi"])
-    has_ipi = "metrics" in doc
-    has_queue = "metrics_queue" in doc
-    if "ipi" in backends and not has_ipi and REQUIRED_NONZERO.get(name):
-        rc |= fail(path, 'backend "ipi" ran but there is no "metrics" snapshot')
-    if "queue" in backends and not has_queue and QUEUE_REQUIRED_NONZERO.get(name):
-        rc |= fail(path, 'backend "queue" ran but there is no "metrics_queue" snapshot')
-
-    checked = 0
-    if has_ipi:
-        counters = doc.get("metrics", {}).get("counters", {})
-        required = REQUIRED_NONZERO.get(name, [])
-        if required and not counters:
-            return rc | fail(path, 'no "metrics.counters" section')
-        for key in required:
-            value = counters.get(key)
-            if value is None:
-                rc |= fail(path, f"counter {key} missing")
-            elif value <= 0:
-                rc |= fail(path, f"counter {key} is {value}, expected nonzero")
-        checked += len(required)
-    if has_queue:
-        counters = doc.get("metrics_queue", {}).get("counters", {})
-        required = QUEUE_REQUIRED_NONZERO.get(name, [])
-        if required and not counters:
-            return rc | fail(path, 'no "metrics_queue.counters" section')
-        for key in required:
-            value = counters.get(key)
-            if value is None:
-                rc |= fail(path, f"queue counter {key} missing")
-            elif value <= 0:
-                rc |= fail(path, f"queue counter {key} is {value}, expected nonzero")
-        checked += len(required)
-        if name == "ablations":
-            rc |= check_ablation_crossover(path, doc)
+    counters = doc.get("metrics", {}).get("counters", {})
+    required = REQUIRED_NONZERO.get(name, [])
+    if required and not counters:
+        return rc | fail(path, 'no "metrics.counters" section')
+    for key in required:
+        value = counters.get(key)
+        if value is None:
+            rc |= fail(path, f"counter {key} missing")
+        elif value <= 0:
+            rc |= fail(path, f"counter {key} is {value}, expected nonzero")
+    if name == "ablations":
+        rc |= check_ablation_crossover(path, doc)
     if name == "churn":
         rc |= check_churn_rows(path, doc)
     else:
-        for section in ("metrics", "metrics_queue"):
-            for key in doc.get(section, {}).get("counters", {}):
-                if key.startswith(REUSE_COUNTER_PREFIX):
-                    rc |= fail(
-                        path,
-                        f"{section}.counters.{key} present: reuse_elision leaked "
-                        "into a paper configuration",
-                    )
+        for key in counters:
+            if key.startswith(REUSE_COUNTER_PREFIX):
+                rc |= fail(
+                    path,
+                    f"metrics.counters.{key} present: reuse_elision leaked "
+                    "into a paper configuration",
+                )
 
     # table3 carries the per-optimization ablation gate: every enabled
     # optimization must strictly reduce its targeted counter.
@@ -296,7 +219,7 @@ def check(path):
             )
 
     if rc == 0:
-        print(f"OK   {path}: status=pass, {checked} required counters nonzero")
+        print(f"OK   {path}: status=pass, {len(required)} required counters nonzero")
     return rc
 
 

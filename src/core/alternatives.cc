@@ -47,6 +47,12 @@ FreeBsdShootdownEngine::FreeBsdShootdownEngine(Kernel* kernel)
   kernel_->SetFlushBackend(this);
 }
 
+TlbFlushBackend::FlushStats FreeBsdShootdownEngine::flush_stats() const {
+  FlushStats out;
+  out.shootdowns = stats_.shootdowns;
+  return out;
+}
+
 Co<void> FreeBsdShootdownEngine::LocalFlush(SimCpu& cpu, MmStruct& mm,
                                             const FlushTlbInfo& info) {
   const CostModel& costs = kernel_->machine().costs();
@@ -198,10 +204,15 @@ Co<void> FreeBsdShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
 
 // ----- LATR -----
 
-LatrEngine::LatrEngine(Kernel* kernel, Cycles epoch_cycles)
-    : kernel_(kernel), epoch_cycles_(epoch_cycles) {
+LatrEngine::LatrEngine(Kernel* kernel) : kernel_(kernel) {
   queues_.resize(static_cast<size_t>(kernel->machine().num_cpus()));
   kernel_->SetFlushBackend(this);
+}
+
+TlbFlushBackend::FlushStats LatrEngine::flush_stats() const {
+  FlushStats out;
+  out.shootdowns = stats_.epochs_started;  // flushes that queued remote work
+  return out;
 }
 
 bool LatrEngine::HasPendingLazyFlushes() const {
@@ -278,7 +289,7 @@ Co<void> LatrEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint6
   ++pending_epochs_;
   Engine& engine = kernel_->machine().engine();
   uint64_t cutoff = info.new_tlb_gen;
-  engine.Schedule(std::max(cpu.now(), engine.now()) + epoch_cycles_, [this, cutoff] {
+  engine.Schedule(std::max(cpu.now(), engine.now()) + kEpochCycles, [this, cutoff] {
     bool pti = kernel_->config().pti;
     for (int t = 0; t < kernel_->machine().num_cpus(); ++t) {
       auto& q = queues_[static_cast<size_t>(t)];

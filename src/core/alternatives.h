@@ -39,6 +39,7 @@ class FreeBsdShootdownEngine final : public TlbFlushBackend {
 
   explicit FreeBsdShootdownEngine(Kernel* kernel);
 
+  FlushStats flush_stats() const override;
   Co<void> FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint64_t end, int stride_shift,
                       bool freed_tables) override;
   Co<void> OnReturnToUser(SimCpu& cpu, MmStruct& mm) override;
@@ -74,10 +75,13 @@ class LatrEngine final : public TlbFlushBackend {
     uint64_t epochs_started = 0;
   };
 
-  // `epoch_cycles`: delay before lazily-invalidated pages may be reclaimed
-  // (LATR uses the next scheduler tick, ~1ms; scaled down here).
-  LatrEngine(Kernel* kernel, Cycles epoch_cycles = 200000);
+  // Delay before lazily-invalidated pages may be reclaimed (LATR uses the
+  // next scheduler tick, ~1ms; scaled down here).
+  static constexpr Cycles kEpochCycles = 200000;
 
+  explicit LatrEngine(Kernel* kernel);
+
+  FlushStats flush_stats() const override;
   Co<void> FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint64_t end, int stride_shift,
                       bool freed_tables) override;
   Co<void> OnReturnToUser(SimCpu& cpu, MmStruct& mm) override;
@@ -99,7 +103,6 @@ class LatrEngine final : public TlbFlushBackend {
 
  private:
   Kernel* kernel_;
-  Cycles epoch_cycles_;
   std::vector<std::deque<FlushTlbInfo>> queues_;  // per CPU
   int pending_epochs_ = 0;
   Stats stats_;

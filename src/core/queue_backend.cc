@@ -28,6 +28,44 @@ QueueFlushBackend::QueueFlushBackend(Kernel* kernel) : kernel_(kernel) {
   c_drains_ = &m.percpu("queue.drains");
 }
 
+TlbFlushBackend::FlushStats QueueFlushBackend::flush_stats() const {
+  return {stats_.shootdowns, /*early_acks=*/0, stats_.cow_flush_avoided,
+          stats_.drain_full_storm, stats_.drain_skipped_gen};
+}
+
+void QueueFlushBackend::PublishMetrics(MetricsRegistry& m) const {
+  const Stats& s = stats_;
+  m.counter("queue.flush_requests").Set(s.flush_requests);
+  m.counter("queue.shootdowns").Set(s.shootdowns);
+  m.counter("queue.local_only").Set(s.local_only);
+  m.counter("queue.full_requests").Set(s.full_requests);
+  m.counter("queue.enqueued").Set(s.enqueued);
+  m.counter("queue.max_ring_occupancy").Set(s.max_ring_occupancy);
+  m.counter("queue.ring_overflows").Set(s.ring_overflows);
+  m.counter("queue.flush_all_fallbacks").Set(s.flush_all_fallbacks);
+  m.counter("queue.ipi_sends").Set(s.ipi_sends);
+  m.counter("queue.ipi_coalesced").Set(s.ipi_coalesced);
+  m.counter("queue.ipi_resends").Set(s.ipi_resends);
+  m.counter("queue.acks").Set(s.acks);
+  m.counter("queue.ack_timeouts").Set(s.ack_timeouts);
+  m.counter("queue.spin_polls").Set(s.spin_polls);
+  m.counter("queue.spin_cycles").Set(s.spin_cycles);
+  m.counter("queue.drains").Set(s.drains);
+  m.counter("queue.drained_entries").Set(s.drained_entries);
+  m.counter("queue.drain_skipped_mm").Set(s.drain_skipped_mm);
+  m.counter("queue.drain_skipped_gen").Set(s.drain_skipped_gen);
+  m.counter("queue.drain_flush_all").Set(s.drain_flush_all);
+  m.counter("queue.drain_full").Set(s.drain_full);
+  m.counter("queue.drain_full_storm").Set(s.drain_full_storm);
+  m.counter("queue.full_local_flushes").Set(s.full_local_flushes);
+  m.counter("queue.invlpg_issued").Set(s.invlpg_issued);
+  m.counter("queue.invpcid_issued").Set(s.invpcid_issued);
+  m.counter("queue.lazy_skipped").Set(s.lazy_skipped);
+  m.counter("queue.switch_in_flushes").Set(s.switch_in_flushes);
+  m.counter("queue.cow_flush_avoided").Set(s.cow_flush_avoided);
+  m.counter("queue.cow_flushes").Set(s.cow_flushes);
+}
+
 uint64_t QueueFlushBackend::RingOccupancy(int cpu) const {
   const CpuQueue& q = *queues_[static_cast<size_t>(cpu)];
   return q.head - q.tail;
@@ -463,7 +501,7 @@ Co<void> QueueFlushBackend::OnCowFault(SimCpu& cpu, MmStruct& mm, uint64_t va, b
 
 void QueueFlushBackend::BeginBatch(SimCpu&, MmStruct&) {
   // No §4.2 batching in this design: asynchrony already decouples initiators
-  // from responders, which is the contrast the backend axis measures.
+  // from responders, which is the contrast this comparator measures.
 }
 
 Co<void> QueueFlushBackend::EndBatch(SimCpu&, MmStruct&) { co_return; }

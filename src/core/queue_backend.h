@@ -75,6 +75,8 @@ class QueueFlushBackend final : public TlbFlushBackend {
   explicit QueueFlushBackend(Kernel* kernel);
 
   // TlbFlushBackend:
+  FlushStats flush_stats() const override;
+  void PublishMetrics(MetricsRegistry& metrics) const override;
   Co<void> FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint64_t end, int stride_shift,
                       bool freed_tables) override;
   Co<void> OnReturnToUser(SimCpu& cpu, MmStruct& mm) override;
@@ -151,7 +153,7 @@ class QueueFlushBackend final : public TlbFlushBackend {
   FaultInjection inject_;
 
   // Live observability handles (registered only when this backend exists, so
-  // ipi-only reports never see queue.* names).
+  // reports of other protocols never see queue.* names).
   Histogram* h_ring_occupancy_ = nullptr;   // queue.ring_occupancy
   Histogram* h_ack_wait_cycles_ = nullptr;  // queue.ack_wait_cycles
   Histogram* h_drain_cycles_ = nullptr;     // queue.drain_cycles

@@ -17,6 +17,41 @@ ShootdownEngine::ShootdownEngine(Kernel* kernel) : kernel_(kernel) {
   c_flush_irqs_ = &m.percpu("shootdown.flush_irqs");
 }
 
+TlbFlushBackend::FlushStats ShootdownEngine::flush_stats() const {
+  // A batch flush counts once as a batch and, when it reaches a remote CPU,
+  // once more in DoShootdown.
+  return {stats_.shootdowns + stats_.batch_shootdowns, stats_.early_acks,
+          stats_.cow_flush_avoided, stats_.responder_full_storm, stats_.responder_skipped_gen};
+}
+
+void ShootdownEngine::PublishMetrics(MetricsRegistry& m) const {
+  const Stats& s = stats_;
+  m.counter("shootdown.flush_requests").Set(s.flush_requests);
+  m.counter("shootdown.shootdowns").Set(s.shootdowns);
+  m.counter("shootdown.local_only").Set(s.local_only);
+  m.counter("shootdown.full_local_flushes").Set(s.full_local_flushes);
+  m.counter("shootdown.invlpg_issued").Set(s.invlpg_issued);
+  m.counter("shootdown.invpcid_issued").Set(s.invpcid_issued);
+  m.counter("shootdown.early_acks").Set(s.early_acks);
+  m.counter("shootdown.late_acks").Set(s.late_acks);
+  m.counter("shootdown.deferred_selective").Set(s.deferred_selective);
+  m.counter("shootdown.in_context_invlpg").Set(s.in_context_invlpg);
+  m.counter("shootdown.in_context_full").Set(s.in_context_full);
+  m.counter("shootdown.eager_user_during_wait").Set(s.eager_user_during_wait);
+  m.counter("shootdown.batched_absorbed").Set(s.batched_absorbed);
+  m.counter("shootdown.batch_shootdowns").Set(s.batch_shootdowns);
+  m.counter("shootdown.batched_ipi_skipped").Set(s.batched_ipi_skipped);
+  m.counter("shootdown.batch_barrier_flushes").Set(s.batch_barrier_flushes);
+  m.counter("shootdown.responder_skipped_gen").Set(s.responder_skipped_gen);
+  m.counter("shootdown.responder_selective").Set(s.responder_selective);
+  m.counter("shootdown.responder_full").Set(s.responder_full);
+  m.counter("shootdown.responder_full_storm").Set(s.responder_full_storm);
+  m.counter("shootdown.cow_flush_avoided").Set(s.cow_flush_avoided);
+  m.counter("shootdown.cow_flushes").Set(s.cow_flushes);
+  m.counter("shootdown.lazy_skipped").Set(s.lazy_skipped);
+  m.counter("shootdown.switch_in_flushes").Set(s.switch_in_flushes);
+}
+
 void ShootdownEngine::ComputeTargets(SimCpu& cpu, MmStruct& mm, bool freed_tables,
                                      CpuList* targets) {
   // Walk only the mask's set bits (ctz per word): target cost follows the

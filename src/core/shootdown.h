@@ -67,6 +67,8 @@ class ShootdownEngine final : public TlbFlushBackend {
   explicit ShootdownEngine(Kernel* kernel);
 
   // TlbFlushBackend:
+  FlushStats flush_stats() const override;
+  void PublishMetrics(MetricsRegistry& metrics) const override;
   Co<void> FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint64_t end, int stride_shift,
                       bool freed_tables) override;
   Co<void> OnReturnToUser(SimCpu& cpu, MmStruct& mm) override;

@@ -83,74 +83,10 @@ void CollectKernelMetrics(Kernel& kernel) {
   }
 }
 
-void CollectShootdownMetrics(const ShootdownEngine& engine, MetricsRegistry& m) {
-  const ShootdownEngine::Stats& s = engine.stats();
-  m.counter("shootdown.flush_requests").Set(s.flush_requests);
-  m.counter("shootdown.shootdowns").Set(s.shootdowns);
-  m.counter("shootdown.local_only").Set(s.local_only);
-  m.counter("shootdown.full_local_flushes").Set(s.full_local_flushes);
-  m.counter("shootdown.invlpg_issued").Set(s.invlpg_issued);
-  m.counter("shootdown.invpcid_issued").Set(s.invpcid_issued);
-  m.counter("shootdown.early_acks").Set(s.early_acks);
-  m.counter("shootdown.late_acks").Set(s.late_acks);
-  m.counter("shootdown.deferred_selective").Set(s.deferred_selective);
-  m.counter("shootdown.in_context_invlpg").Set(s.in_context_invlpg);
-  m.counter("shootdown.in_context_full").Set(s.in_context_full);
-  m.counter("shootdown.eager_user_during_wait").Set(s.eager_user_during_wait);
-  m.counter("shootdown.batched_absorbed").Set(s.batched_absorbed);
-  m.counter("shootdown.batch_shootdowns").Set(s.batch_shootdowns);
-  m.counter("shootdown.batched_ipi_skipped").Set(s.batched_ipi_skipped);
-  m.counter("shootdown.batch_barrier_flushes").Set(s.batch_barrier_flushes);
-  m.counter("shootdown.responder_skipped_gen").Set(s.responder_skipped_gen);
-  m.counter("shootdown.responder_selective").Set(s.responder_selective);
-  m.counter("shootdown.responder_full").Set(s.responder_full);
-  m.counter("shootdown.responder_full_storm").Set(s.responder_full_storm);
-  m.counter("shootdown.cow_flush_avoided").Set(s.cow_flush_avoided);
-  m.counter("shootdown.cow_flushes").Set(s.cow_flushes);
-  m.counter("shootdown.lazy_skipped").Set(s.lazy_skipped);
-  m.counter("shootdown.switch_in_flushes").Set(s.switch_in_flushes);
-}
-
-void CollectQueueMetrics(const QueueFlushBackend& backend, MetricsRegistry& m) {
-  const QueueFlushBackend::Stats& s = backend.stats();
-  m.counter("queue.flush_requests").Set(s.flush_requests);
-  m.counter("queue.shootdowns").Set(s.shootdowns);
-  m.counter("queue.local_only").Set(s.local_only);
-  m.counter("queue.full_requests").Set(s.full_requests);
-  m.counter("queue.enqueued").Set(s.enqueued);
-  m.counter("queue.max_ring_occupancy").Set(s.max_ring_occupancy);
-  m.counter("queue.ring_overflows").Set(s.ring_overflows);
-  m.counter("queue.flush_all_fallbacks").Set(s.flush_all_fallbacks);
-  m.counter("queue.ipi_sends").Set(s.ipi_sends);
-  m.counter("queue.ipi_coalesced").Set(s.ipi_coalesced);
-  m.counter("queue.ipi_resends").Set(s.ipi_resends);
-  m.counter("queue.acks").Set(s.acks);
-  m.counter("queue.ack_timeouts").Set(s.ack_timeouts);
-  m.counter("queue.spin_polls").Set(s.spin_polls);
-  m.counter("queue.spin_cycles").Set(s.spin_cycles);
-  m.counter("queue.drains").Set(s.drains);
-  m.counter("queue.drained_entries").Set(s.drained_entries);
-  m.counter("queue.drain_skipped_mm").Set(s.drain_skipped_mm);
-  m.counter("queue.drain_skipped_gen").Set(s.drain_skipped_gen);
-  m.counter("queue.drain_flush_all").Set(s.drain_flush_all);
-  m.counter("queue.drain_full").Set(s.drain_full);
-  m.counter("queue.drain_full_storm").Set(s.drain_full_storm);
-  m.counter("queue.full_local_flushes").Set(s.full_local_flushes);
-  m.counter("queue.invlpg_issued").Set(s.invlpg_issued);
-  m.counter("queue.invpcid_issued").Set(s.invpcid_issued);
-  m.counter("queue.lazy_skipped").Set(s.lazy_skipped);
-  m.counter("queue.switch_in_flushes").Set(s.switch_in_flushes);
-  m.counter("queue.cow_flush_avoided").Set(s.cow_flush_avoided);
-  m.counter("queue.cow_flushes").Set(s.cow_flushes);
-}
-
 MetricsRegistry& CollectSystemMetrics(System& system) {
   CollectMachineMetrics(system.machine());
   CollectKernelMetrics(system.kernel());
-  CollectShootdownMetrics(system.shootdown(), system.machine().metrics());
-  if (system.queue() != nullptr) {
-    CollectQueueMetrics(*system.queue(), system.machine().metrics());
-  }
+  system.backend().PublishMetrics(system.machine().metrics());
   return system.machine().metrics();
 }
 

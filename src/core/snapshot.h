@@ -14,7 +14,6 @@
 #ifndef TLBSIM_SRC_CORE_SNAPSHOT_H_
 #define TLBSIM_SRC_CORE_SNAPSHOT_H_
 
-#include "src/core/shootdown.h"
 #include "src/core/system.h"
 #include "src/hw/machine.h"
 #include "src/kernel/kernel.h"
@@ -30,17 +29,9 @@ void CollectMachineMetrics(Machine& machine);
 // Kernel::Stats as "kernel.*" counters, into the machine's registry.
 void CollectKernelMetrics(Kernel& kernel);
 
-// ShootdownEngine::Stats as "shootdown.*" counters. The engine does not own
-// a registry, so the caller names the destination (normally the machine's).
-void CollectShootdownMetrics(const ShootdownEngine& engine, MetricsRegistry& metrics);
-
-// QueueFlushBackend::Stats as "queue.*" counters. Only ever called for
-// systems that run the queue backend (CollectSystemMetrics guards on
-// system.queue() != nullptr, like the NUMA counters) so ipi-mode reports
-// never serialize queue.* names.
-void CollectQueueMetrics(const QueueFlushBackend& backend, MetricsRegistry& metrics);
-
-// All of the above for a wired System; returns the machine's registry.
+// Both of the above plus the system's flush protocol's own counters
+// ("shootdown.*" for the paper's engine, "queue.*" for the queue; see
+// TlbFlushBackend::PublishMetrics); returns the machine's registry.
 MetricsRegistry& CollectSystemMetrics(System& system);
 
 // Collects and serializes in one step — what bench reports embed.

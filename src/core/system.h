@@ -1,4 +1,5 @@
-// Convenience wiring: one object owning a Machine + Kernel + ShootdownEngine.
+// Convenience wiring: one object owning a Machine, a Kernel and the one
+// TLB-flush protocol that drives it.
 //
 // This is the main entry point of the library:
 //
@@ -23,23 +24,16 @@
 namespace tlbsim {
 
 // Which TLB-flush protocol drives the kernel: the paper's Linux 5.2.8
-// call-function-data IPI engine, or the asynchronous per-CPU-ring queue
-// design (src/core/queue_backend.h). Benches add the queue to their IPI runs
-// unless passed `--backend ipi`.
+// call-function-data IPI engine (its optimizations set by KernelConfig::opts),
+// or one of the designs it is compared against: the charmos-style per-CPU ring
+// queue (src/core/queue_backend.h), FreeBSD's and LATR's (§2.2/§2.3,
+// src/core/alternatives.h).
 enum class FlushBackendKind {
   kIpi,
   kQueue,
+  kFreeBsd,
+  kLatr,
 };
-
-inline const char* FlushBackendName(FlushBackendKind kind) {
-  switch (kind) {
-    case FlushBackendKind::kIpi:
-      return "ipi";
-    case FlushBackendKind::kQueue:
-      return "queue";
-  }
-  return "unknown";
-}
 
 struct SystemConfig {
   MachineConfig machine;
@@ -78,27 +72,21 @@ SystemCheckerFactory GetSystemCheckerFactory();
 
 class System {
  public:
-  explicit System(const SystemConfig& config = SystemConfig{})
-      : machine_(config.machine), kernel_(&machine_, config.kernel), shootdown_(&kernel_) {
-    if (config.backend == FlushBackendKind::kQueue) {
-      // Constructed after shootdown_: its ctor re-registers itself as the
-      // kernel's flush backend (same pattern as src/core/alternatives.cc).
-      // In ipi mode nothing queue-related is allocated or registered, so
-      // ipi reports stay byte-identical with single-backend builds.
-      queue_ = std::make_unique<QueueFlushBackend>(&kernel_);
-    }
-    MaybeCreateChecker(config);
-  }
+  // Builds the one flush protocol config.backend names; its constructor
+  // registers it as the kernel's flush backend.
+  explicit System(const SystemConfig& config = SystemConfig{});
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 
   Machine& machine() { return machine_; }
   Kernel& kernel() { return kernel_; }
-  ShootdownEngine& shootdown() { return shootdown_; }
+  TlbFlushBackend& backend() { return *backend_; }
+
+  // The paper's engine; throws std::bad_cast unless this system runs kIpi.
+  ShootdownEngine& shootdown() { return dynamic_cast<ShootdownEngine&>(*backend_); }
 
   // Non-null iff this system runs the queue backend.
-  QueueFlushBackend* queue() { return queue_.get(); }
-  const QueueFlushBackend* queue() const { return queue_.get(); }
+  QueueFlushBackend* queue() { return dynamic_cast<QueueFlushBackend*>(backend_.get()); }
 
   // Non-null iff checking is attached (config.check or the global switch,
   // with a factory installed).
@@ -109,8 +97,7 @@ class System {
 
   Machine machine_;
   Kernel kernel_;
-  ShootdownEngine shootdown_;
-  std::unique_ptr<QueueFlushBackend> queue_;
+  std::unique_ptr<TlbFlushBackend> backend_;
   // Declared last: destroyed first, so the checker drains its reports while
   // machine/kernel state is still alive.
   std::unique_ptr<SystemChecker> checker_;

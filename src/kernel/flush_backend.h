@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "src/hw/cpu.h"
+#include "src/sim/metrics.h"
 #include "src/sim/task.h"
 
 namespace tlbsim {
@@ -18,7 +19,23 @@ struct MmStruct;
 
 class TlbFlushBackend {
  public:
+  // The counters workloads report, in one shape for every protocol; a field
+  // a protocol has no notion of reads 0.
+  struct FlushStats {
+    uint64_t shootdowns = 0;          // flushes that reached a remote CPU
+    uint64_t early_acks = 0;          // §3.2 acks sent at handler entry
+    uint64_t cow_flush_avoided = 0;   // §4.1 CoW faults that skipped the flush
+    uint64_t storm_full_flushes = 0;  // responder full flushes forced by a generation gap
+    uint64_t skipped_gen = 0;         // responder work a newer flush already covered
+  };
+
   virtual ~TlbFlushBackend() = default;
+
+  virtual FlushStats flush_stats() const = 0;
+
+  // Copies the protocol's own Stats into `metrics` as "<protocol>.<field>"
+  // counters (src/core/snapshot.h). The related-work designs publish none.
+  virtual void PublishMetrics(MetricsRegistry& /*metrics*/) const {}
 
   // flush_tlb_mm_range(): PTEs in [start, end) changed; synchronize every
   // TLB that may cache them. `freed_tables` when paging structures are being

@@ -56,10 +56,7 @@ ApacheResult RunApache(const ApacheConfig& cfg) {
   double total = static_cast<double>(cfg.server_cores) * cfg.requests_per_core;
   out.raw_requests_per_mcycle = total / (static_cast<double>(end) / 1e6);
   out.requests_per_mcycle = std::min(out.raw_requests_per_mcycle, cfg.generator_cap_per_mcycle);
-  out.shootdowns =
-      sys.queue() != nullptr
-          ? sys.queue()->stats().shootdowns
-          : sys.shootdown().stats().shootdowns + sys.shootdown().stats().batch_shootdowns;
+  out.shootdowns = sys.backend().flush_stats().shootdowns;
   out.metrics = SystemMetricsJson(sys);
   return out;
 }

@@ -88,12 +88,7 @@ ChurnResult Collect(System& sys, const ChurnConfig& cfg) {
   out.forced_flushes = ks.reuse_forced_flushes;
   out.evictions = ks.reuse_evictions;
   out.frame_handoffs = ks.reuse_frame_handoffs;
-  if (sys.queue() != nullptr) {
-    out.shootdowns = sys.queue()->stats().shootdowns;
-  } else {
-    out.shootdowns =
-        sys.shootdown().stats().shootdowns + sys.shootdown().stats().batch_shootdowns;
-  }
+  out.shootdowns = sys.backend().flush_stats().shootdowns;
   out.metrics = SystemMetricsJson(sys);
   return out;
 }

@@ -78,15 +78,9 @@ MicroResult RunMadviseMicrobench(const MicroConfig& cfg) {
   }
   out.responder_cycles_per_op = static_cast<double>(irq_cycles) /
                                 static_cast<double>(cfg.responders.size()) / cfg.iterations;
-  if (sys.queue() != nullptr) {
-    // Queue protocol has no early acks; the resend count is the analogous
-    // "protocol pressure" signal figures report alongside shootdowns.
-    out.shootdowns = sys.queue()->stats().shootdowns;
-    out.early_acks = 0;
-  } else {
-    out.shootdowns = sys.shootdown().stats().shootdowns;
-    out.early_acks = sys.shootdown().stats().early_acks;
-  }
+  TlbFlushBackend::FlushStats flush = sys.backend().flush_stats();
+  out.shootdowns = flush.shootdowns;
+  out.early_acks = flush.early_acks;
   out.metrics = SystemMetricsJson(sys);
   return out;
 }
@@ -125,8 +119,7 @@ CowResult RunCowMicrobench(const CowConfig& cfg) {
   sys.machine().cpu(0).Spawn(CowProgram(sys, *t, cfg, &out));
   sys.machine().engine().Run();
   out.cow_faults = sys.kernel().stats().cow_faults;
-  out.flushes_avoided = sys.queue() != nullptr ? sys.queue()->stats().cow_flush_avoided
-                                               : sys.shootdown().stats().cow_flush_avoided;
+  out.flushes_avoided = sys.backend().flush_stats().cow_flush_avoided;
   out.metrics = SystemMetricsJson(sys);
   return out;
 }

@@ -72,16 +72,10 @@ SysbenchResult RunSysbench(const SysbenchConfig& cfg) {
   out.total_cycles = end;
   double total_writes = static_cast<double>(cfg.threads) * cfg.writes_per_thread;
   out.writes_per_mcycle = total_writes / (static_cast<double>(end) / 1e6);
-  if (sys.queue() != nullptr) {
-    out.shootdowns = sys.queue()->stats().shootdowns;
-    out.responder_full_storm = sys.queue()->stats().drain_full_storm;
-    out.skipped_gen = sys.queue()->stats().drain_skipped_gen;
-  } else {
-    out.shootdowns =
-        sys.shootdown().stats().shootdowns + sys.shootdown().stats().batch_shootdowns;
-    out.responder_full_storm = sys.shootdown().stats().responder_full_storm;
-    out.skipped_gen = sys.shootdown().stats().responder_skipped_gen;
-  }
+  TlbFlushBackend::FlushStats flush = sys.backend().flush_stats();
+  out.shootdowns = flush.shootdowns;
+  out.responder_full_storm = flush.storm_full_flushes;
+  out.skipped_gen = flush.skipped_gen;
   out.metrics = SystemMetricsJson(sys);
   return out;
 }

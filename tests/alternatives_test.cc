@@ -5,169 +5,154 @@
 
 #include <gtest/gtest.h>
 
+#include "src/check/check_context.h"
 #include "src/core/system.h"
 #include "tests/testutil.h"
 
 namespace tlbsim {
 namespace {
 
-// A System-like rig wiring an alternative backend.
-template <typename Backend>
-struct AltRig {
-  explicit AltRig(bool pti = true)
-      : machine(MachineCfg()), kernel(&machine, KernelCfg(pti)), backend(MakeBackend(&kernel)) {}
-
-  static MachineConfig MachineCfg() {
-    MachineConfig cfg;
-    cfg.costs.jitter_frac = 0.0;
-    return cfg;
-  }
-  static KernelConfig KernelCfg(bool pti) {
-    KernelConfig cfg;
-    cfg.pti = pti;
-    return cfg;
-  }
-  static Backend MakeBackend(Kernel* k) { return Backend(k); }
-
-  Machine machine;
-  Kernel kernel;
-  Backend backend;
-};
-
-// Coherence check that works for any backend (mirrors testutil's).
-::testing::AssertionResult Coherent(Machine& machine, MmStruct& mm) {
-  for (int c = 0; c < machine.num_cpus(); ++c) {
-    for (const TlbEntry& e : machine.cpu(c).tlb().Entries()) {
-      if (e.pcid != mm.kernel_pcid && e.pcid != mm.user_pcid) {
-        continue;
-      }
-      uint64_t va = e.vpn << ShiftOf(e.size);
-      auto walk = mm.pt.Walk(va);
-      if (!walk.present || walk.pte.pfn() != e.pfn) {
-        return ::testing::AssertionFailure() << "stale translation on cpu" << c;
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
+// A jitter-free safe-mode system running `backend`, under the oracle when
+// `check` is set.
+SystemConfig AltConfig(FlushBackendKind backend, bool check = false) {
+  InstallTlbCheckFactory();
+  SystemConfig cfg = TestConfig(OptimizationSet::None());
+  cfg.backend = backend;
+  cfg.check = check;
+  return cfg;
 }
 
+FreeBsdShootdownEngine& FreeBsd(System& sys) {
+  return dynamic_cast<FreeBsdShootdownEngine&>(sys.backend());
+}
+
+LatrEngine& Latr(System& sys) { return dynamic_cast<LatrEngine&>(sys.backend()); }
+
 TEST(FreeBsdTest, BasicShootdownWorks) {
-  AltRig<FreeBsdShootdownEngine> rig;
-  auto* p = rig.kernel.CreateProcess();
-  auto* t = rig.kernel.CreateThread(p, 0);
-  rig.kernel.CreateThread(p, 30);
-  rig.machine.cpu(30).Spawn(BusyLoop(rig.machine.cpu(30), 500, 1000));
-  rig.machine.cpu(0).Spawn(Go([&]() -> Co<void> {
-    uint64_t a = co_await rig.kernel.SysMmap(*t, 4 * kPageSize4K, true, false);
+  System sys(AltConfig(FlushBackendKind::kFreeBsd, /*check=*/true));
+  Kernel& k = sys.kernel();
+  auto* p = k.CreateProcess();
+  auto* t = k.CreateThread(p, 0);
+  k.CreateThread(p, 30);
+  sys.machine().cpu(30).Spawn(BusyLoop(sys.machine().cpu(30), 500, 1000));
+  sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> {
+    uint64_t a = co_await k.SysMmap(*t, 4 * kPageSize4K, true, false);
     for (int i = 0; i < 4; ++i) {
-      co_await rig.kernel.UserAccess(*t, a + i * kPageSize4K, true);
+      co_await k.UserAccess(*t, a + i * kPageSize4K, true);
     }
-    co_await rig.kernel.SysMadviseDontneed(*t, a, 4 * kPageSize4K);
+    co_await k.SysMadviseDontneed(*t, a, 4 * kPageSize4K);
   }));
-  rig.machine.engine().Run();
-  EXPECT_EQ(rig.backend.stats().shootdowns, 1u);
-  EXPECT_TRUE(Coherent(rig.machine, *p->mm));
+  sys.machine().engine().Run();
+  EXPECT_EQ(FreeBsd(sys).stats().shootdowns, 1u);
+  EXPECT_TRUE(TlbCoherent(sys, *p->mm));
+  EXPECT_TRUE(NoCheckViolations(sys));
 }
 
 TEST(FreeBsdTest, GlobalMutexSerializesConcurrentShootdowns) {
-  AltRig<FreeBsdShootdownEngine> rig;
-  auto* p = rig.kernel.CreateProcess();
-  Thread* t0 = rig.kernel.CreateThread(p, 0);
-  Thread* t1 = rig.kernel.CreateThread(p, 2);
-  rig.kernel.CreateThread(p, 4);
-  rig.machine.cpu(4).Spawn(BusyLoop(rig.machine.cpu(4), 3000, 500));
+  System sys(AltConfig(FlushBackendKind::kFreeBsd, /*check=*/true));
+  Kernel& k = sys.kernel();
+  auto* p = k.CreateProcess();
+  Thread* t0 = k.CreateThread(p, 0);
+  Thread* t1 = k.CreateThread(p, 2);
+  k.CreateThread(p, 4);
+  sys.machine().cpu(4).Spawn(BusyLoop(sys.machine().cpu(4), 3000, 500));
   auto worker = [&](Thread* t) -> Co<void> {
-    uint64_t a = co_await rig.kernel.SysMmap(*t, 8 * kPageSize4K, true, false);
+    uint64_t a = co_await k.SysMmap(*t, 8 * kPageSize4K, true, false);
     for (int r = 0; r < 10; ++r) {
       for (int i = 0; i < 8; ++i) {
-        co_await rig.kernel.UserAccess(*t, a + i * kPageSize4K, true);
+        co_await k.UserAccess(*t, a + i * kPageSize4K, true);
       }
-      co_await rig.kernel.SysMadviseDontneed(*t, a, 8 * kPageSize4K);
+      co_await k.SysMadviseDontneed(*t, a, 8 * kPageSize4K);
     }
   };
-  rig.machine.cpu(0).Spawn(Go([&]() -> Co<void> { co_await worker(t0); }));
-  rig.machine.cpu(2).Spawn(Go([&]() -> Co<void> { co_await worker(t1); }));
-  rig.machine.engine().Run();
-  EXPECT_GT(rig.backend.stats().mutex_waits, 0u);  // serialization observed
-  EXPECT_TRUE(Coherent(rig.machine, *p->mm));
+  sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> { co_await worker(t0); }));
+  sys.machine().cpu(2).Spawn(Go([&]() -> Co<void> { co_await worker(t1); }));
+  sys.machine().engine().Run();
+  EXPECT_GT(FreeBsd(sys).stats().mutex_waits, 0u);  // serialization observed
+  EXPECT_TRUE(TlbCoherent(sys, *p->mm));
+  EXPECT_TRUE(NoCheckViolations(sys));
 }
 
 TEST(FreeBsdTest, NoGenerationSkipping) {
   // Unlike Linux, every responder executes every flush — even redundant ones.
-  AltRig<FreeBsdShootdownEngine> rig;
-  auto* p = rig.kernel.CreateProcess();
-  auto* t = rig.kernel.CreateThread(p, 0);
-  rig.kernel.CreateThread(p, 2);
-  rig.machine.cpu(2).Spawn(BusyLoop(rig.machine.cpu(2), 2000, 500));
-  rig.machine.cpu(0).Spawn(Go([&]() -> Co<void> {
-    uint64_t a = co_await rig.kernel.SysMmap(*t, kPageSize4K, true, false);
+  System sys(AltConfig(FlushBackendKind::kFreeBsd, /*check=*/true));
+  Kernel& k = sys.kernel();
+  auto* p = k.CreateProcess();
+  auto* t = k.CreateThread(p, 0);
+  k.CreateThread(p, 2);
+  sys.machine().cpu(2).Spawn(BusyLoop(sys.machine().cpu(2), 2000, 500));
+  sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> {
+    uint64_t a = co_await k.SysMmap(*t, kPageSize4K, true, false);
     for (int r = 0; r < 5; ++r) {
-      co_await rig.kernel.UserAccess(*t, a, true);
-      co_await rig.kernel.SysMadviseDontneed(*t, a, kPageSize4K);
+      co_await k.UserAccess(*t, a, true);
+      co_await k.SysMadviseDontneed(*t, a, kPageSize4K);
     }
   }));
-  rig.machine.engine().Run();
+  sys.machine().engine().Run();
   // 5 rounds, each a shootdown; invlpg on initiator (5) + responder (5).
-  EXPECT_EQ(rig.backend.stats().shootdowns, 5u);
-  EXPECT_EQ(rig.backend.stats().invlpg_issued, 10u);
+  EXPECT_EQ(FreeBsd(sys).stats().shootdowns, 5u);
+  EXPECT_EQ(FreeBsd(sys).stats().invlpg_issued, 10u);
+  EXPECT_TRUE(NoCheckViolations(sys));
 }
 
 TEST(FreeBsdTest, HigherFullFlushCeiling) {
   // 40 pages: Linux would full-flush (ceiling 33); FreeBSD stays selective
   // (ceiling 4096).
-  AltRig<FreeBsdShootdownEngine> rig;
-  auto* p = rig.kernel.CreateProcess();
-  auto* t = rig.kernel.CreateThread(p, 0);
-  rig.machine.cpu(0).Spawn(Go([&]() -> Co<void> {
-    uint64_t a = co_await rig.kernel.SysMmap(*t, 40 * kPageSize4K, true, false);
+  System sys(AltConfig(FlushBackendKind::kFreeBsd, /*check=*/true));
+  Kernel& k = sys.kernel();
+  auto* p = k.CreateProcess();
+  auto* t = k.CreateThread(p, 0);
+  sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> {
+    uint64_t a = co_await k.SysMmap(*t, 40 * kPageSize4K, true, false);
     for (int i = 0; i < 40; ++i) {
-      co_await rig.kernel.UserAccess(*t, a + i * kPageSize4K, true);
+      co_await k.UserAccess(*t, a + i * kPageSize4K, true);
     }
-    co_await rig.kernel.SysMadviseDontneed(*t, a, 40 * kPageSize4K);
+    co_await k.SysMadviseDontneed(*t, a, 40 * kPageSize4K);
   }));
-  rig.machine.engine().Run();
-  EXPECT_EQ(rig.backend.stats().full_flushes, 0u);
-  EXPECT_EQ(rig.backend.stats().invlpg_issued, 40u);
+  sys.machine().engine().Run();
+  EXPECT_EQ(FreeBsd(sys).stats().full_flushes, 0u);
+  EXPECT_EQ(FreeBsd(sys).stats().invlpg_issued, 40u);
+  EXPECT_TRUE(NoCheckViolations(sys));
 }
 
 TEST(LatrTest, NoIpisAreSent) {
-  AltRig<LatrEngine> rig;
-  auto* p = rig.kernel.CreateProcess();
-  auto* t = rig.kernel.CreateThread(p, 0);
-  rig.kernel.CreateThread(p, 30);
-  rig.machine.cpu(30).Spawn(BusyLoop(rig.machine.cpu(30), 500, 1000));
-  rig.machine.cpu(0).Spawn(Go([&]() -> Co<void> {
-    uint64_t a = co_await rig.kernel.SysMmap(*t, 4 * kPageSize4K, true, false);
+  System sys(AltConfig(FlushBackendKind::kLatr));
+  Kernel& k = sys.kernel();
+  auto* p = k.CreateProcess();
+  auto* t = k.CreateThread(p, 0);
+  k.CreateThread(p, 30);
+  sys.machine().cpu(30).Spawn(BusyLoop(sys.machine().cpu(30), 500, 1000));
+  sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> {
+    uint64_t a = co_await k.SysMmap(*t, 4 * kPageSize4K, true, false);
     for (int i = 0; i < 4; ++i) {
-      co_await rig.kernel.UserAccess(*t, a + i * kPageSize4K, true);
+      co_await k.UserAccess(*t, a + i * kPageSize4K, true);
     }
-    co_await rig.kernel.SysMadviseDontneed(*t, a, 4 * kPageSize4K);
+    co_await k.SysMadviseDontneed(*t, a, 4 * kPageSize4K);
   }));
-  rig.machine.engine().Run();
-  EXPECT_EQ(rig.machine.apic().stats().ipis_sent, 0u);
-  EXPECT_GT(rig.backend.stats().flushes_queued, 0u);
+  sys.machine().engine().Run();
+  EXPECT_EQ(sys.machine().apic().stats().ipis_sent, 0u);
+  EXPECT_GT(Latr(sys).stats().flushes_queued, 0u);
   // After the epoch sweep the system is coherent again.
-  EXPECT_TRUE(Coherent(rig.machine, *p->mm));
+  EXPECT_TRUE(TlbCoherent(sys, *p->mm));
 }
 
 // The §2.3.2 critique, demonstrated: after madvise(DONTNEED) returns on one
 // thread, another CPU can still use its stale translation — LATR's laziness
 // changes the POSIX-visible semantics until the epoch/sync point.
 TEST(LatrTest, StaleTranslationUsableUntilEpoch) {
-  AltRig<LatrEngine> rig;
-  auto* p = rig.kernel.CreateProcess();
-  Thread* t0 = rig.kernel.CreateThread(p, 0);
-  rig.kernel.CreateThread(p, 30);
-  rig.machine.cpu(30).Spawn(BusyLoop(rig.machine.cpu(30), 100, 500));
+  System sys(AltConfig(FlushBackendKind::kLatr));
+  Kernel& k = sys.kernel();
+  auto* p = k.CreateProcess();
+  Thread* t0 = k.CreateThread(p, 0);
+  k.CreateThread(p, 30);
+  sys.machine().cpu(30).Spawn(BusyLoop(sys.machine().cpu(30), 100, 500));
 
-  uint64_t addr = 0;
   bool stale_usable = false;
-  rig.machine.cpu(0).Spawn(Go([&]() -> Co<void> {
-    Kernel& k = rig.kernel;
-    addr = co_await k.SysMmap(*t0, kPageSize4K, true, false);
+  sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> {
+    uint64_t addr = co_await k.SysMmap(*t0, kPageSize4K, true, false);
     co_await k.UserAccess(*t0, addr, true);
     // Make cpu30 cache the translation too.
-    SimCpu& remote = rig.machine.cpu(30);
+    SimCpu& remote = sys.machine().cpu(30);
     XlateResult r = Mmu::Translate(remote, addr, AccessIntent{false, false, true});
     EXPECT_TRUE(r.ok);
     co_await k.SysMadviseDontneed(*t0, addr, kPageSize4K);
@@ -175,55 +160,53 @@ TEST(LatrTest, StaleTranslationUsableUntilEpoch) {
     // LATR the stale entry is still live until cpu30 syncs or the epoch ends.
     stale_usable = remote.tlb().Probe(remote.active_pcid(), addr).has_value();
   }));
-  rig.machine.engine().Run();
+  sys.machine().engine().Run();
   EXPECT_TRUE(stale_usable);  // the semantic difference the paper criticizes
   // ... but the epoch sweep eventually restores coherence.
-  EXPECT_TRUE(Coherent(rig.machine, *p->mm));
+  EXPECT_TRUE(TlbCoherent(sys, *p->mm));
 }
 
 TEST(LatrTest, DrainsAtKernelExit) {
-  AltRig<LatrEngine> rig;
-  auto* p = rig.kernel.CreateProcess();
-  Thread* t0 = rig.kernel.CreateThread(p, 0);
-  Thread* t1 = rig.kernel.CreateThread(p, 2);
-  rig.machine.cpu(0).Spawn(Go([&]() -> Co<void> {
-    Kernel& k = rig.kernel;
+  System sys(AltConfig(FlushBackendKind::kLatr));
+  Kernel& k = sys.kernel();
+  auto* p = k.CreateProcess();
+  Thread* t0 = k.CreateThread(p, 0);
+  Thread* t1 = k.CreateThread(p, 2);
+  sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> {
     uint64_t a = co_await k.SysMmap(*t0, kPageSize4K, true, false);
     co_await k.UserAccess(*t0, a, true);
     co_await k.SysMadviseDontneed(*t0, a, kPageSize4K);  // queues for cpu2
     // cpu2 enters the kernel (any syscall) -> drains its lazy queue.
     co_await k.SysMmap(*t1, kPageSize4K, true, false);
-    EXPECT_GT(rig.backend.stats().drains, 0u);
+    EXPECT_GT(Latr(sys).stats().drains, 0u);
   }));
-  rig.machine.engine().Run();
-  EXPECT_TRUE(Coherent(rig.machine, *p->mm));
+  sys.machine().engine().Run();
+  EXPECT_TRUE(TlbCoherent(sys, *p->mm));
 }
 
 TEST(LatrTest, InitiatorLatencyBeatsSynchronousShootdown) {
   // LATR's selling point: the initiator never waits for IPIs.
-  auto measure = [](auto make_rig) {
-    auto rig = make_rig();
-    auto* p = rig->kernel.CreateProcess();
-    auto* t = rig->kernel.CreateThread(p, 0);
-    rig->kernel.CreateThread(p, 30);
-    rig->machine.cpu(30).Spawn(BusyLoop(rig->machine.cpu(30), 1000, 1000));
+  auto measure = [](FlushBackendKind backend) {
+    System sys(AltConfig(backend));
+    Kernel& k = sys.kernel();
+    auto* p = k.CreateProcess();
+    auto* t = k.CreateThread(p, 0);
+    k.CreateThread(p, 30);
+    sys.machine().cpu(30).Spawn(BusyLoop(sys.machine().cpu(30), 1000, 1000));
     Cycles dur = 0;
-    rig->machine.cpu(0).Spawn(Go([&, t]() -> Co<void> {
-      Kernel& k = rig->kernel;
+    sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> {
       uint64_t a = co_await k.SysMmap(*t, 4 * kPageSize4K, true, false);
       for (int i = 0; i < 4; ++i) {
         co_await k.UserAccess(*t, a + i * kPageSize4K, true);
       }
-      Cycles t0 = rig->machine.cpu(0).now();
+      Cycles t0 = sys.machine().cpu(0).now();
       co_await k.SysMadviseDontneed(*t, a, 4 * kPageSize4K);
-      dur = rig->machine.cpu(0).now() - t0;
+      dur = sys.machine().cpu(0).now() - t0;
     }));
-    rig->machine.engine().Run();
+    sys.machine().engine().Run();
     return dur;
   };
-  Cycles latr = measure([] { return std::make_unique<AltRig<LatrEngine>>(); });
-  Cycles bsd = measure([] { return std::make_unique<AltRig<FreeBsdShootdownEngine>>(); });
-  EXPECT_LT(latr, bsd);
+  EXPECT_LT(measure(FlushBackendKind::kLatr), measure(FlushBackendKind::kFreeBsd));
 }
 
 }  // namespace

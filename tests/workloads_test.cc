@@ -7,6 +7,7 @@
 #include <string_view>
 #include <tuple>
 
+#include "src/check/check_context.h"
 #include "src/workloads/apache.h"
 #include "src/workloads/churn.h"
 #include "src/workloads/fracture.h"
@@ -131,14 +132,36 @@ std::tuple<FlushBackendKind&, OptimizationSet&, bool&> Knobs(Config& c) {
   return {c.backend, c.opts, c.pti};
 }
 
-// Figs 5-8, 10 and 11 run the queue backend once per row, at None(): it
-// implements none of the optimizations those figures sweep (the IPI engine
-// holds them all; QueueFlushBackend reads only cow_avoidance). Two kernel-side
-// reads could still carry a flag into a queue run: the lazy-flag line chosen
-// by cacheline_consolidation, and the BeginBatch/EndBatch hooks that
-// userspace_batching calls. Each figure configuration below must therefore
-// give the same queue result at None() as at the figure's all-on column; if a
-// change breaks that, the figures have to sweep the queue backend again.
+ChurnResult Churn(bool pagecache, int threads, FlushBackendKind backend, bool elision = true) {
+  ChurnConfig cfg;
+  cfg.opts = OptimizationSet::AllGeneral();
+  cfg.opts.reuse_elision = elision;
+  cfg.threads = threads;
+  cfg.iters = 8;
+  cfg.backend = backend;
+  return pagecache ? RunChurnPagecache(cfg) : RunChurnArena(cfg);
+}
+
+// The queue backend on the paper's workloads, under the tlbcheck oracle. It
+// implements none of the optimizations the figures sweep (the IPI engine
+// holds them all; QueueFlushBackend reads only cow_avoidance), so the
+// ablations and related_work run it at None(). Two kernel-side reads could
+// still carry a flag into a queue run: the lazy-flag line chosen by
+// cacheline_consolidation, and the BeginBatch/EndBatch hooks that
+// userspace_batching calls. Each configuration below must therefore give the
+// same queue result at None() as with every figure optimization on.
+class QueueBaselineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    EnableTlbCheckEverywhere();
+    ResetGlobalTlbCheckSink();
+  }
+  void TearDown() override {
+    SetCheckEverySystem(false);
+    EXPECT_EQ(GlobalTlbCheckViolationCount(), 0u) << GlobalTlbCheckReport().Dump(2);
+  }
+};
+
 template <typename Config, typename Run, typename Key>
 void ExpectQueueIgnoresFigureOpts(Config cfg, Run run, Key key) {
   auto [backend, opts, pti] = Knobs(cfg);
@@ -151,7 +174,18 @@ void ExpectQueueIgnoresFigureOpts(Config cfg, Run run, Key key) {
   EXPECT_EQ(base.metrics.Dump(), all.metrics.Dump());
 }
 
-TEST(QueueBaselineTest, FigureWorkloadsIgnoreFigureOptimizations) {
+// The async protocol's vital signs in a run's snapshot: rings were occupied,
+// responders drained and acked, initiators spun.
+void ExpectQueueRan(const Json& metrics, std::initializer_list<std::string_view> more = {}) {
+  for (std::string_view name : {"queue.shootdowns", "queue.drains", "queue.acks"}) {
+    EXPECT_GT(MetricAt(metrics, {"counters", name}), 0u) << name;
+  }
+  for (std::string_view name : more) {
+    EXPECT_GT(MetricAt(metrics, {"counters", name}), 0u) << name;
+  }
+}
+
+TEST_F(QueueBaselineTest, FigureWorkloadsIgnoreFigureOptimizations) {
   for (bool pti : {true, false}) {
     for (int pages : {1, 10}) {
       for (Placement place :
@@ -163,7 +197,12 @@ TEST(QueueBaselineTest, FigureWorkloadsIgnoreFigureOptimizations) {
         cfg.pages = pages;
         cfg.responders = {PlacementCpu(place)};
         cfg.iterations = 20;
-        ExpectQueueIgnoresFigureOpts(cfg, RunMadviseMicrobench, [](const MicroResult& r) {
+        ExpectQueueIgnoresFigureOpts(cfg, RunMadviseMicrobench, [&](const MicroResult& r) {
+          ExpectQueueRan(r.metrics, {"queue.spin_cycles", "queue.max_ring_occupancy"});
+          if (pages == 10) {
+            // The retry loop resends when a 10-page drain outlasts the spin budget.
+            EXPECT_GT(MetricAt(r.metrics, {"counters", "queue.ipi_resends"}), 0u);
+          }
           return std::tuple(r.initiator.mean(), r.initiator.stddev(), r.responder_cycles_per_op,
                             r.shootdowns);
         });
@@ -175,6 +214,7 @@ TEST(QueueBaselineTest, FigureWorkloadsIgnoreFigureOptimizations) {
     sysbench.threads = 4;
     sysbench.writes_per_thread = 32;
     ExpectQueueIgnoresFigureOpts(sysbench, RunSysbench, [](const SysbenchResult& r) {
+      ExpectQueueRan(r.metrics);
       return std::tuple(r.total_cycles, r.shootdowns, r.responder_full_storm, r.skipped_gen);
     });
     ApacheConfig apache;
@@ -182,8 +222,55 @@ TEST(QueueBaselineTest, FigureWorkloadsIgnoreFigureOptimizations) {
     apache.server_cores = 4;
     apache.requests_per_core = 10;
     ExpectQueueIgnoresFigureOpts(apache, RunApache, [](const ApacheResult& r) {
+      ExpectQueueRan(r.metrics);
       return std::tuple(r.raw_requests_per_mcycle, r.shootdowns);
     });
+  }
+}
+
+// A ring smaller than the flush overflows on every madvise and must fall
+// back to a responder-side flush_all (ablation 4's smallest ring).
+TEST_F(QueueBaselineTest, RingOverflowFallsBackToFlushAll) {
+  MicroConfig cfg;
+  cfg.system.backend = FlushBackendKind::kQueue;
+  cfg.system.machine.costs.queue_ring_entries = 8;
+  cfg.pages = 24;
+  cfg.iterations = 20;
+  MicroResult r = RunMadviseMicrobench(cfg);
+  ExpectQueueRan(r.metrics, {"queue.max_ring_occupancy", "queue.ring_overflows",
+                             "queue.flush_all_fallbacks"});
+}
+
+// The one figure optimization the queue implements (§4.1).
+TEST_F(QueueBaselineTest, CowAvoidanceSavesCycles) {
+  for (bool pti : {true, false}) {
+    SCOPED_TRACE(pti ? "safe" : "unsafe");
+    CowConfig cfg;
+    cfg.system.backend = FlushBackendKind::kQueue;
+    cfg.system.kernel.pti = pti;
+    cfg.system.kernel.opts = OptimizationSet::AllGeneral();
+    cfg.pages = 32;
+    cfg.rounds = 2;
+    CowResult base = RunCowMicrobench(cfg);
+    cfg.system.kernel.opts.cow_avoidance = true;
+    CowResult opt = RunCowMicrobench(cfg);
+    EXPECT_LT(opt.write_cycles.mean(), base.write_cycles.mean());
+    EXPECT_GT(opt.flushes_avoided, 0u);
+    EXPECT_EQ(base.flushes_avoided, 0u);
+  }
+}
+
+// Reuse elision (Optimization #7) is kernel-side, so it must pay on the queue
+// too: elided zaps, benign closes and fewer flush requests than without it.
+TEST_F(QueueBaselineTest, ChurnElisionMovesFlushesOffTheShootdownPath) {
+  for (bool pagecache : {false, true}) {
+    SCOPED_TRACE(pagecache ? "pagecache" : "arena");
+    ChurnResult off = Churn(pagecache, 4, FlushBackendKind::kQueue, /*elision=*/false);
+    ChurnResult on = Churn(pagecache, 4, FlushBackendKind::kQueue, /*elision=*/true);
+    EXPECT_GT(on.elided_flushes, 0u);
+    EXPECT_GT(on.benign_closes, 0u);
+    EXPECT_LT(on.flush_requests, off.flush_requests);
+    ExpectQueueRan(on.metrics);
   }
 }
 
@@ -309,16 +396,6 @@ TEST(FractureTest, HugePagesReduceMissCounts) {
   EXPECT_LT(huge * 10, small);
 }
 
-ChurnResult Churn(bool pagecache, int threads, FlushBackendKind backend) {
-  ChurnConfig cfg;
-  cfg.opts = OptimizationSet::AllGeneral();
-  cfg.opts.reuse_elision = true;
-  cfg.threads = threads;
-  cfg.iters = 8;
-  cfg.backend = backend;
-  return pagecache ? RunChurnPagecache(cfg) : RunChurnArena(cfg);
-}
-
 TEST(ChurnTest, SeededStormDeterministic) {
   // Replaying the seeded storm must be cycle-identical for every workload
   // shape, backend and thread count.
@@ -326,7 +403,8 @@ TEST(ChurnTest, SeededStormDeterministic) {
     for (FlushBackendKind backend : {FlushBackendKind::kIpi, FlushBackendKind::kQueue}) {
       for (int threads : {1, 4}) {
         SCOPED_TRACE((pagecache ? std::string("pagecache") : std::string("arena")) + "/" +
-                     FlushBackendName(backend) + "/t" + std::to_string(threads));
+                     (backend == FlushBackendKind::kQueue ? "queue" : "ipi") + "/t" +
+                     std::to_string(threads));
         ChurnResult a = Churn(pagecache, threads, backend);
         ChurnResult replay = Churn(pagecache, threads, backend);
         EXPECT_EQ(a.total_cycles, replay.total_cycles);
