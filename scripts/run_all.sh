@@ -33,7 +33,3 @@ for b in build/bench/*; do
   # shellcheck disable=SC2086
   "$b" --json results/ --threads "$nproc_val" $quick
 done
-# 224-cpu preset smoke: two runs of the 8-socket scenario must replay
-# identically (exits nonzero otherwise).
-echo "===== build/examples/big_machine ====="
-./build/examples/big_machine

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/kernel/protocol_check.h"
+
 namespace tlbsim {
 
 namespace {
 
 // Applies one flush request to `cpu`'s TLB state for both address spaces
-// (eager; neither alternative implements the paper's deferral).
-void ApplyFlushToTlb(SimCpu& cpu, MmStruct& mm, const FlushTlbInfo& info, bool pti,
+// (eager; neither alternative implements the paper's deferral). Returns true
+// when it flushed the whole PCIDs rather than page by page.
+bool ApplyFlushToTlb(SimCpu& cpu, MmStruct& mm, const FlushTlbInfo& info, bool pti,
                      uint64_t full_ceiling) {
   bool full = info.IsFull() || info.PageCount() > full_ceiling;
   if (full) {
@@ -17,7 +20,7 @@ void ApplyFlushToTlb(SimCpu& cpu, MmStruct& mm, const FlushTlbInfo& info, bool p
     if (pti) {
       cpu.ArchFlushPcid(mm.user_pcid);
     }
-    return;
+    return true;
   }
   uint64_t stride = 1ULL << info.stride_shift;
   for (uint64_t va = info.start; va < info.end; va += stride) {
@@ -26,6 +29,7 @@ void ApplyFlushToTlb(SimCpu& cpu, MmStruct& mm, const FlushTlbInfo& info, bool p
       cpu.ArchInvPcidAddr(mm.user_pcid, va);
     }
   }
+  return false;
 }
 
 Cycles FlushCost(const CostModel& costs, const FlushTlbInfo& info, bool pti,
@@ -36,6 +40,36 @@ Cycles FlushCost(const CostModel& costs, const FlushTlbInfo& info, bool pti,
   }
   auto pages = static_cast<Cycles>(info.PageCount());
   return pages * (costs.invlpg + (pti ? costs.invpcid_addr : 0));
+}
+
+// Bumps mm->context.tlb_gen for [start, end) and reports the new generation
+// to the oracle; returns the flush request it covers.
+FlushTlbInfo BumpTlbGen(Kernel& kernel, SimCpu& cpu, MmStruct& mm, uint64_t start, uint64_t end,
+                        int stride_shift, bool freed_tables) {
+  cpu.AccessLine(mm.gen_line, AccessType::kAtomicRmw);
+  ++mm.tlb_gen;
+
+  FlushTlbInfo info;
+  info.mm = &mm;
+  info.start = start;
+  info.end = end;
+  info.stride_shift = stride_shift;
+  info.freed_tables = freed_tables;
+  info.new_tlb_gen = mm.tlb_gen;
+  if (ProtocolCheckSink* c = kernel.check_sink()) {
+    c->OnTlbGenBump(cpu, mm, info.new_tlb_gen, start, end);
+  }
+  return info;
+}
+
+// `cpu` flushed both PCIDs up to generation `gen`: advances its loaded
+// generation and reports it to the oracle.
+void NoteGenApplied(Kernel& kernel, SimCpu& cpu, MmStruct& mm, uint64_t gen, bool full) {
+  PerCpu& pc = kernel.percpu(cpu.id());
+  pc.loaded_mm_tlb_gen = std::max(pc.loaded_mm_tlb_gen, gen);
+  if (ProtocolCheckSink* c = kernel.check_sink()) {
+    c->OnLocalGenApplied(cpu, mm, pc.loaded_mm_tlb_gen, full, /*user_covered=*/true);
+  }
 }
 
 }  // namespace
@@ -57,30 +91,20 @@ Co<void> FreeBsdShootdownEngine::LocalFlush(SimCpu& cpu, MmStruct& mm,
                                             const FlushTlbInfo& info) {
   const CostModel& costs = kernel_->machine().costs();
   bool pti = kernel_->config().pti;
-  ApplyFlushToTlb(cpu, mm, info, pti, kFullFlushCeiling);
-  if (info.IsFull() || info.PageCount() > kFullFlushCeiling) {
+  bool full = ApplyFlushToTlb(cpu, mm, info, pti, kFullFlushCeiling);
+  if (full) {
     ++stats_.full_flushes;
   } else {
     stats_.invlpg_issued += info.PageCount();
   }
   co_await cpu.Execute(FlushCost(costs, info, pti, kFullFlushCeiling));
-  PerCpu& pc = kernel_->percpu(cpu.id());
-  pc.loaded_mm_tlb_gen = std::max(pc.loaded_mm_tlb_gen, info.new_tlb_gen);
+  NoteGenApplied(*kernel_, cpu, mm, info.new_tlb_gen, full);
 }
 
 Co<void> FreeBsdShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start,
                                             uint64_t end, int stride_shift, bool freed_tables) {
   const CostModel& costs = kernel_->machine().costs();
-  cpu.AccessLine(mm.gen_line, AccessType::kAtomicRmw);
-  ++mm.tlb_gen;
-
-  FlushTlbInfo info;
-  info.mm = &mm;
-  info.start = start;
-  info.end = end;
-  info.stride_shift = stride_shift;
-  info.freed_tables = freed_tables;
-  info.new_tlb_gen = mm.tlb_gen;
+  FlushTlbInfo info = BumpTlbGen(*kernel_, cpu, mm, start, end, stride_shift, freed_tables);
 
   co_await cpu.Execute(cpu.rng().Jitter(costs.flush_dispatch, costs.jitter_frac));
 
@@ -93,6 +117,9 @@ Co<void> FreeBsdShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t 
   if (targets.empty()) {
     ++stats_.local_only;
     co_await LocalFlush(cpu, mm, info);
+    if (ProtocolCheckSink* c = kernel_->check_sink()) {
+      c->OnShootdownComplete(cpu, mm, info.new_tlb_gen, {});
+    }
     co_return;
   }
 
@@ -124,6 +151,9 @@ Co<void> FreeBsdShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t 
     kernel_->percpu(t).csq.push_back(&cfd);
   }
   kernel_->machine().apic().SendIpi(cpu, targets, kCallFunctionVector);
+  if (ProtocolCheckSink* c = kernel_->check_sink()) {
+    c->OnIpiSent(cpu, mm, info.new_tlb_gen, targets);
+  }
 
   for (int t : targets) {
     Cfd& cfd = my.cfd(t);
@@ -135,6 +165,9 @@ Co<void> FreeBsdShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t 
       co_await cpu.WaitFlag(cfd.done);
     }
     cfd.in_flight = false;
+  }
+  if (ProtocolCheckSink* c = kernel_->check_sink()) {
+    c->OnShootdownComplete(cpu, mm, info.new_tlb_gen, targets);
   }
 
   mtx_held_ = false;
@@ -170,12 +203,11 @@ Co<void> FreeBsdShootdownEngine::OnSwitchIn(SimCpu& cpu, MmStruct& mm) {
     cpu.ArchFlushPcid(mm.user_pcid);
   }
   co_await cpu.Execute(kernel_->machine().costs().cr3_write_flush);
-  pc.loaded_mm_tlb_gen = mm.tlb_gen;
+  NoteGenApplied(*kernel_, cpu, mm, mm.tlb_gen, /*full=*/true);
 }
 
 Co<void> FreeBsdShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
   const CostModel& costs = kernel_->machine().costs();
-  bool pti = kernel_->config().pti;
   PerCpu& pc = kernel_->percpu(cpu.id());
   cpu.AccessLine(pc.csq_line, AccessType::kAtomicRmw);
   while (!pc.csq.empty()) {
@@ -187,17 +219,13 @@ Co<void> FreeBsdShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
     // No generation tracking: always perform the requested flush.
     for (const FlushTlbInfo& info : work) {
       if (pc.loaded_mm == info.mm) {
-        ApplyFlushToTlb(cpu, *info.mm, info, pti, kFullFlushCeiling);
-        if (info.IsFull() || info.PageCount() > kFullFlushCeiling) {
-          ++stats_.full_flushes;
-        } else {
-          stats_.invlpg_issued += info.PageCount();
-        }
-        co_await cpu.Execute(FlushCost(costs, info, pti, kFullFlushCeiling));
-        pc.loaded_mm_tlb_gen = std::max(pc.loaded_mm_tlb_gen, info.new_tlb_gen);
+        co_await LocalFlush(cpu, *info.mm, info);
       }
     }
     cpu.AccessLine(cfd->line, AccessType::kAtomicRmw);
+    if (ProtocolCheckSink* c = kernel_->check_sink()) {
+      c->OnAck(cpu, cfd->initiator, /*early=*/false, /*guarded=*/true);
+    }
     cfd->done.Set(cpu.now());
   }
 }
@@ -224,47 +252,36 @@ bool LatrEngine::HasPendingLazyFlushes() const {
   return false;
 }
 
-Co<void> LatrEngine::Drain(SimCpu& cpu) {
-  const CostModel& costs = kernel_->machine().costs();
+Co<void> LatrEngine::LocalFlush(SimCpu& cpu, const FlushTlbInfo& info) {
   bool pti = kernel_->config().pti;
+  uint64_t ceiling = kernel_->config().flush_full_threshold;
+  bool full = ApplyFlushToTlb(cpu, *info.mm, info, pti, ceiling);
+  co_await cpu.Execute(FlushCost(kernel_->machine().costs(), info, pti, ceiling));
+  NoteGenApplied(*kernel_, cpu, *info.mm, info.new_tlb_gen, full);
+}
+
+Co<void> LatrEngine::Drain(SimCpu& cpu) {
   auto& q = queues_[static_cast<size_t>(cpu.id())];
   if (q.empty()) {
     co_return;
   }
   ++stats_.drains;
-  PerCpu& pc = kernel_->percpu(cpu.id());
   while (!q.empty()) {
     FlushTlbInfo info = q.front();
     q.pop_front();
-    ApplyFlushToTlb(cpu, *info.mm, info, pti, kernel_->config().flush_full_threshold);
-    co_await cpu.Execute(
-        FlushCost(costs, info, pti, kernel_->config().flush_full_threshold));
-    pc.loaded_mm_tlb_gen = std::max(pc.loaded_mm_tlb_gen, info.new_tlb_gen);
+    co_await LocalFlush(cpu, info);
   }
 }
 
 Co<void> LatrEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint64_t end,
                                 int stride_shift, bool freed_tables) {
   const CostModel& costs = kernel_->machine().costs();
-  cpu.AccessLine(mm.gen_line, AccessType::kAtomicRmw);
-  ++mm.tlb_gen;
-
-  FlushTlbInfo info;
-  info.mm = &mm;
-  info.start = start;
-  info.end = end;
-  info.stride_shift = stride_shift;
-  info.freed_tables = freed_tables;
-  info.new_tlb_gen = mm.tlb_gen;
+  FlushTlbInfo info = BumpTlbGen(*kernel_, cpu, mm, start, end, stride_shift, freed_tables);
 
   co_await cpu.Execute(cpu.rng().Jitter(costs.flush_dispatch, costs.jitter_frac));
 
   // Local flush is immediate.
-  ApplyFlushToTlb(cpu, mm, info, kernel_->config().pti, kernel_->config().flush_full_threshold);
-  co_await cpu.Execute(
-      FlushCost(costs, info, kernel_->config().pti, kernel_->config().flush_full_threshold));
-  PerCpu& my = kernel_->percpu(cpu.id());
-  my.loaded_mm_tlb_gen = std::max(my.loaded_mm_tlb_gen, info.new_tlb_gen);
+  co_await LocalFlush(cpu, info);
 
   // Remote CPUs get lazy queue entries; NO IPI is sent.
   bool queued_any = false;
@@ -296,10 +313,10 @@ Co<void> LatrEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint6
       while (!q.empty() && q.front().new_tlb_gen <= cutoff) {
         FlushTlbInfo pending = q.front();
         q.pop_front();
-        ApplyFlushToTlb(kernel_->machine().cpu(t), *pending.mm, pending, pti,
-                        kernel_->config().flush_full_threshold);
-        PerCpu& pc = kernel_->percpu(t);
-        pc.loaded_mm_tlb_gen = std::max(pc.loaded_mm_tlb_gen, pending.new_tlb_gen);
+        SimCpu& remote = kernel_->machine().cpu(t);
+        bool full = ApplyFlushToTlb(remote, *pending.mm, pending, pti,
+                                    kernel_->config().flush_full_threshold);
+        NoteGenApplied(*kernel_, remote, *pending.mm, pending.new_tlb_gen, full);
       }
     }
     --pending_epochs_;
@@ -334,7 +351,7 @@ Co<void> LatrEngine::OnSwitchIn(SimCpu& cpu, MmStruct& mm) {
     cpu.ArchFlushPcid(mm.user_pcid);
   }
   co_await cpu.Execute(kernel_->machine().costs().cr3_write_flush);
-  pc.loaded_mm_tlb_gen = mm.tlb_gen;
+  NoteGenApplied(*kernel_, cpu, mm, mm.tlb_gen, /*full=*/true);
 }
 
 Co<void> LatrEngine::HandleFlushIrq(SimCpu& cpu) { co_await Drain(cpu); }

@@ -102,6 +102,8 @@ class LatrEngine final : public TlbFlushBackend {
   bool HasPendingLazyFlushes() const;
 
  private:
+  Co<void> LocalFlush(SimCpu& cpu, const FlushTlbInfo& info);
+
   Kernel* kernel_;
   std::vector<std::deque<FlushTlbInfo>> queues_;  // per CPU
   int pending_epochs_ = 0;

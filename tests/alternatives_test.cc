@@ -12,13 +12,12 @@
 namespace tlbsim {
 namespace {
 
-// A jitter-free safe-mode system running `backend`, under the oracle when
-// `check` is set.
-SystemConfig AltConfig(FlushBackendKind backend, bool check = false) {
+// A jitter-free safe-mode system running `backend` under the oracle.
+SystemConfig AltConfig(FlushBackendKind backend) {
   InstallTlbCheckFactory();
   SystemConfig cfg = TestConfig(OptimizationSet::None());
   cfg.backend = backend;
-  cfg.check = check;
+  cfg.check = true;
   return cfg;
 }
 
@@ -28,28 +27,59 @@ FreeBsdShootdownEngine& FreeBsd(System& sys) {
 
 LatrEngine& Latr(System& sys) { return dynamic_cast<LatrEngine&>(sys.backend()); }
 
-TEST(FreeBsdTest, BasicShootdownWorks) {
-  System sys(AltConfig(FlushBackendKind::kFreeBsd, /*check=*/true));
+// A thread of `p` on cpu 30 reads a page that cpu 0 wrote, cpu 0 madvises it
+// away, then the reader makes a syscall (LATR's sync point) and reads the
+// page again. Returns the page faults of that second read: 1 once the zap
+// reached cpu 30's TLB, 0 if the read went through the zapped translation.
+uint64_t RereadAfterMadvise(System& sys, Process* p) {
   Kernel& k = sys.kernel();
-  auto* p = k.CreateProcess();
-  auto* t = k.CreateThread(p, 0);
-  k.CreateThread(p, 30);
-  sys.machine().cpu(30).Spawn(BusyLoop(sys.machine().cpu(30), 500, 1000));
-  sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> {
-    uint64_t a = co_await k.SysMmap(*t, 4 * kPageSize4K, true, false);
-    for (int i = 0; i < 4; ++i) {
-      co_await k.UserAccess(*t, a + i * kPageSize4K, true);
+  Thread* writer = k.CreateThread(p, 0);
+  Thread* reader = k.CreateThread(p, 30);
+  SimCpu& cpu0 = sys.machine().cpu(0);
+  SimCpu& cpu30 = sys.machine().cpu(30);
+  uint64_t addr = 0;
+  bool read = false;
+  bool zapped = false;
+  uint64_t faults = 0;
+  cpu0.Spawn(Go([&]() -> Co<void> {
+    uint64_t a = co_await k.SysMmap(*writer, kPageSize4K, true, false);
+    co_await k.UserAccess(*writer, a, true);
+    addr = a;
+    while (!read) {
+      co_await cpu0.Execute(500);
     }
-    co_await k.SysMadviseDontneed(*t, a, 4 * kPageSize4K);
+    co_await k.SysMadviseDontneed(*writer, a, kPageSize4K);
+    zapped = true;
+  }));
+  cpu30.Spawn(Go([&]() -> Co<void> {
+    while (addr == 0) {
+      co_await cpu30.Execute(500);
+    }
+    co_await k.UserAccess(*reader, addr, false);
+    read = true;
+    while (!zapped) {
+      co_await cpu30.Execute(500);
+    }
+    co_await k.SysMmap(*reader, kPageSize4K, true, false);
+    uint64_t before = k.stats().page_faults;
+    co_await k.UserAccess(*reader, addr, false);
+    faults = k.stats().page_faults - before;
   }));
   sys.machine().engine().Run();
+  return faults;
+}
+
+TEST(FreeBsdTest, BasicShootdownWorks) {
+  System sys(AltConfig(FlushBackendKind::kFreeBsd));
+  auto* p = sys.kernel().CreateProcess();
+  EXPECT_EQ(RereadAfterMadvise(sys, p), 1u);
   EXPECT_EQ(FreeBsd(sys).stats().shootdowns, 1u);
   EXPECT_TRUE(TlbCoherent(sys, *p->mm));
   EXPECT_TRUE(NoCheckViolations(sys));
 }
 
 TEST(FreeBsdTest, GlobalMutexSerializesConcurrentShootdowns) {
-  System sys(AltConfig(FlushBackendKind::kFreeBsd, /*check=*/true));
+  System sys(AltConfig(FlushBackendKind::kFreeBsd));
   Kernel& k = sys.kernel();
   auto* p = k.CreateProcess();
   Thread* t0 = k.CreateThread(p, 0);
@@ -75,7 +105,7 @@ TEST(FreeBsdTest, GlobalMutexSerializesConcurrentShootdowns) {
 
 TEST(FreeBsdTest, NoGenerationSkipping) {
   // Unlike Linux, every responder executes every flush — even redundant ones.
-  System sys(AltConfig(FlushBackendKind::kFreeBsd, /*check=*/true));
+  System sys(AltConfig(FlushBackendKind::kFreeBsd));
   Kernel& k = sys.kernel();
   auto* p = k.CreateProcess();
   auto* t = k.CreateThread(p, 0);
@@ -98,7 +128,7 @@ TEST(FreeBsdTest, NoGenerationSkipping) {
 TEST(FreeBsdTest, HigherFullFlushCeiling) {
   // 40 pages: Linux would full-flush (ceiling 33); FreeBSD stays selective
   // (ceiling 4096).
-  System sys(AltConfig(FlushBackendKind::kFreeBsd, /*check=*/true));
+  System sys(AltConfig(FlushBackendKind::kFreeBsd));
   Kernel& k = sys.kernel();
   auto* p = k.CreateProcess();
   auto* t = k.CreateThread(p, 0);
@@ -134,6 +164,7 @@ TEST(LatrTest, NoIpisAreSent) {
   EXPECT_GT(Latr(sys).stats().flushes_queued, 0u);
   // After the epoch sweep the system is coherent again.
   EXPECT_TRUE(TlbCoherent(sys, *p->mm));
+  EXPECT_TRUE(NoCheckViolations(sys));
 }
 
 // The §2.3.2 critique, demonstrated: after madvise(DONTNEED) returns on one
@@ -164,24 +195,18 @@ TEST(LatrTest, StaleTranslationUsableUntilEpoch) {
   EXPECT_TRUE(stale_usable);  // the semantic difference the paper criticizes
   // ... but the epoch sweep eventually restores coherence.
   EXPECT_TRUE(TlbCoherent(sys, *p->mm));
+  EXPECT_TRUE(NoCheckViolations(sys));
 }
 
 TEST(LatrTest, DrainsAtKernelExit) {
+  // The madvise queues the flush for cpu 30; its syscall drains the queue on
+  // the way out, so the read after it faults.
   System sys(AltConfig(FlushBackendKind::kLatr));
-  Kernel& k = sys.kernel();
-  auto* p = k.CreateProcess();
-  Thread* t0 = k.CreateThread(p, 0);
-  Thread* t1 = k.CreateThread(p, 2);
-  sys.machine().cpu(0).Spawn(Go([&]() -> Co<void> {
-    uint64_t a = co_await k.SysMmap(*t0, kPageSize4K, true, false);
-    co_await k.UserAccess(*t0, a, true);
-    co_await k.SysMadviseDontneed(*t0, a, kPageSize4K);  // queues for cpu2
-    // cpu2 enters the kernel (any syscall) -> drains its lazy queue.
-    co_await k.SysMmap(*t1, kPageSize4K, true, false);
-    EXPECT_GT(Latr(sys).stats().drains, 0u);
-  }));
-  sys.machine().engine().Run();
+  auto* p = sys.kernel().CreateProcess();
+  EXPECT_EQ(RereadAfterMadvise(sys, p), 1u);
+  EXPECT_GT(Latr(sys).stats().drains, 0u);
   EXPECT_TRUE(TlbCoherent(sys, *p->mm));
+  EXPECT_TRUE(NoCheckViolations(sys));
 }
 
 TEST(LatrTest, InitiatorLatencyBeatsSynchronousShootdown) {
@@ -204,6 +229,7 @@ TEST(LatrTest, InitiatorLatencyBeatsSynchronousShootdown) {
       dur = sys.machine().cpu(0).now() - t0;
     }));
     sys.machine().engine().Run();
+    EXPECT_TRUE(NoCheckViolations(sys));
     return dur;
   };
   EXPECT_LT(measure(FlushBackendKind::kLatr), measure(FlushBackendKind::kFreeBsd));

@@ -2,6 +2,7 @@
 // whole-system determinism, optimization-set plumbing, machine wiring.
 #include <gtest/gtest.h>
 
+#include "src/check/check_context.h"
 #include "src/core/system.h"
 #include "tests/testutil.h"
 
@@ -190,6 +191,126 @@ TEST(SystemTest, HugePageMadviseUsesHugeStride) {
   }));
   sys.machine().engine().Run();
   EXPECT_TRUE(TlbCoherent(sys, *p->mm));
+}
+
+struct ScanResult {
+  Cycles cycles_per_round = 0;
+  uint64_t remote_walks = 0;
+};
+
+// Linux's NUMA balancing write-protects a task's memory so the next access
+// faults and shows which node uses the page, one of the flush sources §2.1
+// lists. A scanner on cpu 0 runs 20 read-only/read-write mprotect rounds over
+// 24 pages while threads on cpus 2 and 30 keep writing them, under the oracle.
+ScanResult RunMprotectScan(OptimizationSet opts, int numa_nodes) {
+  constexpr int kPages = 24;
+  constexpr int kRounds = 20;
+  constexpr uint64_t kBytes = kPages * kPageSize4K;
+  InstallTlbCheckFactory();
+  SystemConfig cfg = TestConfig(opts);
+  cfg.machine.numa.nodes = numa_nodes;
+  cfg.check = true;
+  System sys(cfg);
+  Kernel& k = sys.kernel();
+  auto* p = k.CreateProcess();
+  Thread* scanner = k.CreateThread(p, 0);
+  Thread* writers[] = {k.CreateThread(p, 2), k.CreateThread(p, 30)};
+  SimCpu& cpu0 = sys.machine().cpu(0);
+  bool done = false;
+  ScanResult out;
+  cpu0.Spawn(Go([&]() -> Co<void> {
+    uint64_t a = co_await k.SysMmap(*scanner, kBytes, true, false);
+    for (int i = 0; i < kPages; ++i) {
+      co_await k.UserAccess(*scanner, a + i * kPageSize4K, true);
+    }
+    for (Thread* w : writers) {
+      sys.machine().cpu(w->cpu).Spawn(Go([&, w, a]() -> Co<void> {
+        SimCpu& cpu = sys.machine().cpu(w->cpu);
+        Rng rng(static_cast<uint64_t>(w->cpu));
+        while (!done) {
+          uint64_t page = static_cast<uint64_t>(rng.UniformInt(0, kPages - 1));
+          co_await k.UserAccess(*w, a + page * kPageSize4K, true);
+          co_await cpu.Execute(2000);
+        }
+      }));
+    }
+    Cycles scan = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      co_await cpu0.Execute(20000);
+      Cycles t0 = cpu0.now();
+      co_await k.SysMprotect(*scanner, a, kBytes, /*writable=*/false);
+      co_await k.SysMprotect(*scanner, a, kBytes, /*writable=*/true);
+      scan += cpu0.now() - t0;
+    }
+    out.cycles_per_round = scan / kRounds;
+    done = true;
+  }));
+  sys.machine().engine().Run();
+  out.remote_walks = sys.machine().metrics().percpu("numa.remote_walks").total();
+  EXPECT_NE(sys.checker(), nullptr);
+  EXPECT_TRUE(NoCheckViolations(sys));
+  EXPECT_TRUE(TlbCoherent(sys, *p->mm));
+  return out;
+}
+
+TEST(SystemTest, NumaBalancingScanGainsFromOptsAndReplication) {
+  // Flat memory: the general optimizations shorten every protection round.
+  ScanResult base = RunMprotectScan(OptimizationSet::None(), 1);
+  ScanResult general = RunMprotectScan(OptimizationSet::AllGeneral(), 1);
+  EXPECT_LT(general.cycles_per_round, base.cycles_per_round);
+
+  // Two nodes: Mitosis-style page-table replication turns the cpu-30
+  // writer's cross-node walks local.
+  OptimizationSet replicated;
+  replicated.pt_replication = true;
+  ScanResult numa = RunMprotectScan(OptimizationSet::None(), 2);
+  ScanResult mitosis = RunMprotectScan(replicated, 2);
+  EXPECT_GT(numa.remote_walks, 0u);
+  EXPECT_EQ(mitosis.remote_walks, 0u);
+}
+
+// The 8-socket, 224-cpu preset: cpu 0 madvises 8 pages of a process that also
+// runs on one cpu of every other socket, so one shootdown reaches 7 sockets.
+// Two runs must replay identically, and the oracle must stay silent.
+TEST(SystemTest, EightSocketShootdownReplays) {
+  auto run = [] {
+    InstallTlbCheckFactory();
+    SystemConfig cfg;
+    cfg.machine.topo = Topology::EightSocket();
+    cfg.kernel.pti = true;
+    cfg.kernel.opts = OptimizationSet::AllGeneral();
+    cfg.check = true;
+    System sys(cfg);
+    Machine& m = sys.machine();
+    const Topology& topo = m.config().topo;
+    Kernel& k = sys.kernel();
+    auto* p = k.CreateProcess();
+    Thread* initiator = k.CreateThread(p, 0);
+    for (int s = 1; s < topo.sockets; ++s) {
+      int cpu = s * topo.cpus_per_socket();
+      k.CreateThread(p, cpu);
+      m.cpu(cpu).Spawn(BusyLoop(m.cpu(cpu), 100, 500));
+    }
+    Cycles madvise_cycles = 0;
+    m.cpu(0).Spawn(Go([&]() -> Co<void> {
+      uint64_t a = co_await k.SysMmap(*initiator, 8 * kPageSize4K, true, false);
+      for (int i = 0; i < 8; ++i) {
+        co_await k.UserAccess(*initiator, a + i * kPageSize4K, true);
+      }
+      Cycles t0 = m.cpu(0).now();
+      co_await k.SysMadviseDontneed(*initiator, a, 8 * kPageSize4K);
+      madvise_cycles = m.cpu(0).now() - t0;
+    }));
+    Cycles end = m.engine().Run();
+    EXPECT_NE(sys.checker(), nullptr);
+    EXPECT_TRUE(NoCheckViolations(sys));
+    EXPECT_TRUE(TlbCoherent(sys, *p->mm));
+    return std::make_tuple(madvise_cycles, m.apic().stats().ipis_sent,
+                           m.engine().events_processed(), end);
+  };
+  auto first = run();
+  EXPECT_EQ(first, run());
+  EXPECT_EQ(std::get<1>(first), 7u);
 }
 
 }  // namespace
