@@ -15,7 +15,8 @@ import json
 import sys
 
 # Counters that must be strictly positive per bench (dotted registry names
-# under "metrics" -> "counters"). Benches not listed get structure checks only.
+# under "metrics" -> "counters", or a per-CPU counter's total under
+# "metrics" -> "per_cpu"). Benches not listed get structure checks only.
 REQUIRED_NONZERO = {
     "fig5_safe_1pte": [
         "apic.ipis_sent",
@@ -50,6 +51,9 @@ REQUIRED_NONZERO = {
     ],
     "fig1_3_protocol_timeline": ["apic.ipis_sent", "shootdown.shootdowns"],
     "fig4_cacheline_consolidation": ["coherence.transfers", "shootdown.shootdowns"],
+    # The snapshot of table 4's fracturing row (guest 2M on host 4K, §7): its
+    # selective flushes must run, and fractured entries must degrade them.
+    "table4_fracturing": ["tlb.fracture_forced_full", "tlb.selective_flushes"],
     # The numa bench's metrics come from its NUMA (non-replicated) mode: the
     # cross-socket walker must actually pay remote walks and remote DRAM
     # fills, or the node model silently degraded to flat. The replication
@@ -185,11 +189,12 @@ def check(path):
     rc |= check_histograms(path, doc.get("metrics", {}).get("histograms", {}))
 
     counters = doc.get("metrics", {}).get("counters", {})
+    per_cpu = doc.get("metrics", {}).get("per_cpu", {})
     required = REQUIRED_NONZERO.get(name, [])
     if required and not counters:
         return rc | fail(path, 'no "metrics.counters" section')
     for key in required:
-        value = counters.get(key)
+        value = counters.get(key, per_cpu.get(key, {}).get("total"))
         if value is None:
             rc |= fail(path, f"counter {key} missing")
         elif value <= 0:

@@ -15,7 +15,6 @@ void SetTlbStats(MetricsRegistry& m, const char* prefix, int cpu, const Tlb::Sta
   m.percpu(p + ".selective_flushes").Set(cpu, s.selective_flushes);
   m.percpu(p + ".full_flushes").Set(cpu, s.full_flushes);
   m.percpu(p + ".fracture_forced_full").Set(cpu, s.fracture_forced_full);
-  m.percpu(p + ".fastpath_hits").Set(cpu, s.fastpath_hits);
 }
 
 }  // namespace

@@ -23,7 +23,6 @@ namespace tlbsim {
 struct MachineConfig {
   Topology topo;           // default: 2 sockets x 14 cores x 2 SMT
   CostModel costs;
-  TlbGeometry tlb_geo;
   // NUMA memory model; default is flat (nodes == 1), which reproduces the
   // pre-NUMA timings exactly. Experiments set numa.nodes = topo.sockets.
   NumaConfig numa;

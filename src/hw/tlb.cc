@@ -1,91 +1,119 @@
 #include "src/hw/tlb.h"
 
 #include <algorithm>
+#include <memory>
+#include <stdexcept>
 
 namespace tlbsim {
 
+namespace {
+
+// Value-initializes `n` objects of T at `next` and advances `next` past them.
+template <typename T>
+T* Column(std::byte*& next, size_t n) {
+  T* first = reinterpret_cast<T*>(next);
+  next = reinterpret_cast<std::byte*>(std::uninitialized_value_construct_n(first, n));
+  return first;
+}
+
+}  // namespace
+
+void Tlb::Array::Init(PageSize s, int sets, int way_count) {
+  // The set index is a mask: a set count that is not a power of two would
+  // silently alias sets.
+  if (sets <= 0 || (sets & (sets - 1)) != 0 || way_count < 1) {
+    throw std::invalid_argument("Tlb: set counts must be powers of two, way counts positive");
+  }
+  size = s;
+  set_mask = static_cast<uint64_t>(sets) - 1;
+  ways = static_cast<uint32_t>(way_count);
+}
+
+void Tlb::Array::Build() {
+  size_t slots = Slots();
+  // One allocation, not one per column. Ops build and free whole Systems;
+  // with a block per column, glibc trimmed ~470 KB off the heap as each
+  // walk_sweep op freed its System, and the next op faulted it back in.
+  // Columns go widest first, so each starts aligned.
+  static_assert(alignof(Payload) <= alignof(uint64_t));
+  storage = std::make_unique_for_overwrite<std::byte[]>(
+      slots * (2 * sizeof(uint64_t) + sizeof(Payload) + sizeof(uint16_t) + 2 * sizeof(uint8_t)));
+  std::byte* next = storage.get();
+  tag = Column<uint64_t>(next, slots);
+  stamp = Column<uint64_t>(next, slots);
+  payload = Column<Payload>(next, slots);
+  pcid = Column<uint16_t>(next, slots);
+  global = Column<uint8_t>(next, slots);
+  fractured = Column<uint8_t>(next, slots);
+}
+
+TlbEntry Tlb::Array::EntryAt(size_t i) const {
+  TlbEntry e;
+  e.vpn = tag[i] - 1;
+  e.pcid = pcid[i];
+  e.pfn = payload[i].pfn;
+  e.flags = payload[i].flags;
+  e.size = size;
+  e.global = global[i] != 0;
+  e.fractured = fractured[i] != 0;
+  return e;
+}
+
+Tlb::Tlb(const TlbGeometry& geo) {
+  ArrayFor(PageSize::k4K).Init(PageSize::k4K, geo.sets_4k, geo.ways_4k);
+  ArrayFor(PageSize::k2M).Init(PageSize::k2M, geo.sets_2m, geo.ways_2m);
+}
+
 void Tlb::Build() {
-  slots_4k_.resize(static_cast<size_t>(geo_.sets_4k) * geo_.ways_4k);
-  slots_2m_.resize(static_cast<size_t>(geo_.sets_2m) * geo_.ways_2m);
+  for (Array& a : arrays_) {
+    a.Build();
+  }
   pcid_mark_.resize(kPcidSpace, 0);
   frac_pcid_.resize(kPcidSpace);
 }
 
-namespace {
-uint64_t VpnOf(uint64_t va, PageSize s) { return va >> ShiftOf(s); }
-}  // namespace
-
 std::optional<TlbEntry> Tlb::Lookup(uint16_t pcid, uint64_t va) {
-  // Fast path: same page, same PCID, nothing mutated since the arm. The full
-  // scan would restamp exactly the armed slot (uniqueness was established at
-  // arm time and no mutation can have added or killed a match since), so
-  // short-circuit to it. Restamps keep the cache armed: they only raise
-  // stamps, never move flush marks or change which slots match.
-  if (fast_slot_ != nullptr && fast_gen_ == mut_gen_ && pcid == fast_pcid_ &&
-      (va >> fast_shift_) == fast_vpn_) {
-    ++stats_.lookups;
-    ++stats_.hits;
-    ++stats_.fastpath_hits;
-    fast_slot_->stamp = ++clock_;
-    return fast_slot_->entry;
-  }
   ++stats_.lookups;
-  auto r = Probe(pcid, va);
-  if (r.has_value()) {
-    ++stats_.hits;
-    // Refresh LRU stamp. A live entry's new stamp is newer than every flush
-    // mark by construction, so refreshing never resurrects anything.
-    Slot* match = nullptr;
-    int matches = 0;
-    int match_shift = 0;
-    for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
-      uint64_t vpn = VpnOf(va, s);
-      int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
-      auto& arr = ArrayFor(s);
-      for (int w = 0; w < WaysFor(s); ++w) {
-        Slot& slot = arr[static_cast<size_t>(set) * WaysFor(s) + w];
-        if (IsLive(slot) && slot.entry.vpn == vpn && slot.entry.size == s &&
-            (slot.entry.global || slot.entry.pcid == pcid)) {
-          slot.stamp = ++clock_;
-          match = &slot;
-          ++matches;
-          match_shift = ShiftOf(s);
+  // One pass: the first match (4K before 2M, then way order) is the result,
+  // and every match gets a fresh LRU stamp. A live entry's new stamp is
+  // newer than every flush mark by construction, so this never resurrects
+  // anything.
+  std::optional<TlbEntry> hit;
+  if (built()) {
+    for (size_t k = 0; k < ArraysToScan(); ++k) {
+      Array& a = arrays_[k];
+      uint64_t vpn = va >> ShiftOf(a.size);
+      size_t base = a.SetBase(vpn);
+      size_t end = base + a.ways;
+      for (size_t i = NextMatch(a, pcid, vpn + 1, base, end); i != end;
+           i = NextMatch(a, pcid, vpn + 1, i + 1, end)) {
+        if (!hit.has_value()) {
+          hit = a.EntryAt(i);
         }
+        a.stamp[i] = ++clock_;
       }
     }
-    // Arm only on a unique match: with two matches (e.g. a global and a
-    // non-global entry, or a 4K entry under a 2M one) the scan restamps
-    // both, which the one-slot fast hit cannot reproduce.
-    if (matches == 1) {
-      fast_slot_ = match;
-      fast_vpn_ = va >> match_shift;
-      fast_pcid_ = pcid;
-      fast_shift_ = match_shift;
-      fast_gen_ = mut_gen_;
-    } else {
-      fast_slot_ = nullptr;
-    }
+  }
+  if (hit.has_value()) {
+    ++stats_.hits;
   } else {
     ++stats_.misses;
-    fast_slot_ = nullptr;
   }
-  return r;
+  return hit;
 }
 
 std::optional<TlbEntry> Tlb::Probe(uint16_t pcid, uint64_t va) const {
   if (!built()) {
     return std::nullopt;
   }
-  for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
-    uint64_t vpn = VpnOf(va, s);
-    int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
-    const auto& arr = ArrayFor(s);
-    for (int w = 0; w < WaysFor(s); ++w) {
-      const Slot& slot = arr[static_cast<size_t>(set) * WaysFor(s) + w];
-      if (IsLive(slot) && slot.entry.vpn == vpn && slot.entry.size == s &&
-          (slot.entry.global || slot.entry.pcid == pcid)) {
-        return slot.entry;
-      }
+  for (size_t k = 0; k < ArraysToScan(); ++k) {
+    const Array& a = arrays_[k];
+    uint64_t vpn = va >> ShiftOf(a.size);
+    size_t base = a.SetBase(vpn);
+    size_t end = base + a.ways;
+    size_t i = NextMatch(a, pcid, vpn + 1, base, end);
+    if (i != end) {
+      return a.EntryAt(i);
     }
   }
   return std::nullopt;
@@ -95,116 +123,109 @@ void Tlb::Insert(const TlbEntry& e) {
   if (!built()) {
     Build();
   }
-  ++mut_gen_;  // disarm the fast path: this may evict or shadow the armed entry
   if (observer_ != nullptr) {
     observer_->OnTlbInsert(e);
   }
   ++stats_.inserts;
-  auto& arr = ArrayFor(e.size);
-  int ways = WaysFor(e.size);
-  int set = static_cast<int>(e.vpn % static_cast<uint64_t>(SetsFor(e.size)));
+  if (e.size == PageSize::k2M) {
+    may_hold_2m_ = true;
+  }
+  Array& a = ArrayFor(e.size);
+  uint64_t tag = e.vpn + 1;
+  size_t base = a.SetBase(e.vpn);
+  size_t end = base + a.ways;
   // Victim preference: a stale duplicate, else the first dead slot in way
   // order, else LRU among live slots. Epoch-dead slots count as dead here,
   // which keeps victim choice identical to the eager-invalidate scheme.
-  Slot* victim = nullptr;
+  size_t victim = end;  // none yet
   bool victim_live = false;
-  for (int w = 0; w < ways; ++w) {
-    Slot& slot = arr[static_cast<size_t>(set) * ways + w];
-    bool live = IsLive(slot);
-    if (live && slot.entry.vpn == e.vpn && slot.entry.pcid == e.pcid &&
-        slot.entry.size == e.size) {
-      victim = &slot;  // overwrite stale duplicate
+  for (size_t i = base; i < end; ++i) {
+    bool live = IsLive(a, i);
+    if (live && a.tag[i] == tag && a.pcid[i] == e.pcid) {
+      victim = i;  // overwrite stale duplicate
       victim_live = true;
       break;
     }
     if (!live) {
-      if (victim == nullptr || victim_live) {
-        victim = &slot;
+      if (victim == end || victim_live) {
+        victim = i;
         victim_live = false;
       }
-    } else if (victim == nullptr || (victim_live && slot.stamp < victim->stamp)) {
-      victim = &slot;
+    } else if (victim == end || (victim_live && a.stamp[i] < a.stamp[victim])) {
+      victim = i;
       victim_live = true;
     }
   }
   if (victim_live) {
     ++stats_.evictions;
-    if (victim->entry.pcid != e.pcid) {
+    if (a.pcid[victim] != e.pcid) {
       ++stats_.cross_pcid_evictions;  // PCID-sharing pressure (paper §3.3)
     }
-    if (victim->entry.fractured) {
-      NoteFracturedDrop(victim->entry);
+    if (a.fractured[victim] != 0) {
+      NoteFracturedDrop(a.pcid[victim], a.global[victim] != 0);
     }
   }
-  victim->valid = true;
-  victim->entry = e;
-  victim->stamp = ++clock_;
+  a.tag[victim] = tag;
+  a.stamp[victim] = ++clock_;
+  a.pcid[victim] = e.pcid;
+  a.global[victim] = e.global ? 1 : 0;
+  a.payload[victim] = Payload{e.pfn, e.flags};
+  a.fractured[victim] = e.fractured ? 1 : 0;
   if (e.fractured) {
-    NoteFracturedInsert(e);
+    NoteFracturedInsert(e.pcid, e.global);
   }
 }
 
-int Tlb::DropMatching(PageSize s, uint16_t pcid, uint64_t va, bool match_globals) {
+void Tlb::DropMatching(uint16_t pcid, uint64_t va, bool match_globals) {
   if (!built()) {
-    return 0;
+    return;
   }
-  uint64_t vpn = VpnOf(va, s);
-  int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
-  auto& arr = ArrayFor(s);
-  int ways = WaysFor(s);
-  int dropped = 0;
-  for (int w = 0; w < ways; ++w) {
-    Slot& slot = arr[static_cast<size_t>(set) * ways + w];
-    if (!IsLive(slot) || slot.entry.vpn != vpn || slot.entry.size != s) {
-      continue;
-    }
-    bool pcid_match = slot.entry.pcid == pcid;
-    bool global_match = match_globals && slot.entry.global;
-    if (pcid_match || global_match) {
-      if (slot.entry.fractured) {
-        NoteFracturedDrop(slot.entry);
+  for (size_t k = 0; k < ArraysToScan(); ++k) {
+    Array& a = arrays_[k];
+    uint64_t vpn = va >> ShiftOf(a.size);
+    uint64_t tag = vpn + 1;
+    size_t base = a.SetBase(vpn);
+    for (size_t i = base; i < base + a.ways; ++i) {
+      if (a.tag[i] != tag || !IsLive(a, i)) {
+        continue;
       }
-      slot.valid = false;
-      ++dropped;
+      if (a.pcid[i] == pcid || (match_globals && a.global[i] != 0)) {
+        if (a.fractured[i] != 0) {
+          NoteFracturedDrop(a.pcid[i], a.global[i] != 0);
+        }
+        a.tag[i] = 0;
+      }
     }
   }
-  return dropped;
 }
 
 bool Tlb::InvlPg(uint16_t current_pcid, uint64_t va) {
-  ++mut_gen_;
   ++stats_.selective_flushes;
   if (fractured_resident_ && fracture_degrade_) {
     ++stats_.fracture_forced_full;
     FlushAll(/*keep_globals=*/false);
     return true;
   }
-  DropMatching(PageSize::k4K, current_pcid, va, /*match_globals=*/true);
-  DropMatching(PageSize::k2M, current_pcid, va, /*match_globals=*/true);
+  DropMatching(current_pcid, va, /*match_globals=*/true);
   return false;
 }
 
 bool Tlb::InvPcidAddr(uint16_t pcid, uint64_t va) {
-  ++mut_gen_;
   ++stats_.selective_flushes;
   if (fractured_resident_ && fracture_degrade_) {
     ++stats_.fracture_forced_full;
     FlushAll(/*keep_globals=*/false);
     return true;
   }
-  DropMatching(PageSize::k4K, pcid, va, /*match_globals=*/false);
-  DropMatching(PageSize::k2M, pcid, va, /*match_globals=*/false);
+  DropMatching(pcid, va, /*match_globals=*/false);
   return false;
 }
 
 void Tlb::DropTranslation(uint16_t pcid, uint64_t va) {
-  ++mut_gen_;
-  DropMatching(PageSize::k4K, pcid, va, /*match_globals=*/true);
-  DropMatching(PageSize::k2M, pcid, va, /*match_globals=*/true);
+  DropMatching(pcid, va, /*match_globals=*/true);
 }
 
 void Tlb::FlushPcid(uint16_t pcid) {
-  ++mut_gen_;
   ++stats_.full_flushes;
   if (built()) {  // unbuilt: no entries, and clock_ is still 0 (the mark's value)
     uint32_t& frac = FracCount(pcid);
@@ -216,7 +237,6 @@ void Tlb::FlushPcid(uint16_t pcid) {
 }
 
 void Tlb::FlushAll(bool keep_globals) {
-  ++mut_gen_;
   ++stats_.full_flushes;
   if (keep_globals) {
     mark_nonglobal_ = clock_;
@@ -225,37 +245,41 @@ void Tlb::FlushAll(bool keep_globals) {
     mark_all_ = clock_;
     fractured_total_ = 0;
     frac_global_ = 0;
+    may_hold_2m_ = false;  // global 2M entries survive only a keep_globals flush
   }
   ++frac_gen_;  // every per-PCID fractured count drops to zero, O(1)
   fractured_resident_ = fractured_total_ > 0;
 }
 
-void Tlb::NoteFracturedInsert(const TlbEntry& e) {
-  if (e.global) {
+void Tlb::NoteFracturedInsert(uint16_t pcid, bool global) {
+  if (global) {
     ++frac_global_;
   } else {
-    ++FracCount(e.pcid);
+    ++FracCount(pcid);
   }
   ++fractured_total_;
   fractured_resident_ = true;
 }
 
-void Tlb::NoteFracturedDrop(const TlbEntry& e) {
+void Tlb::NoteFracturedDrop(uint16_t pcid, bool global) {
   // Deliberately leaves fractured_resident_ alone: the flag is sticky until
   // the next flush, matching hardware-conservative degrade behavior.
-  if (e.global) {
+  if (global) {
     --frac_global_;
   } else {
-    --FracCount(e.pcid);
+    --FracCount(pcid);
   }
   --fractured_total_;
 }
 
 size_t Tlb::Occupancy() const {
   size_t n = 0;
-  for (const auto* arr : {&slots_4k_, &slots_2m_}) {
-    for (const Slot& slot : *arr) {
-      if (IsLive(slot)) {
+  if (!built()) {
+    return n;
+  }
+  for (const Array& a : arrays_) {
+    for (size_t i = 0; i < a.Slots(); ++i) {
+      if (IsLive(a, i)) {
         ++n;
       }
     }
@@ -265,10 +289,13 @@ size_t Tlb::Occupancy() const {
 
 std::vector<TlbEntry> Tlb::Entries() const {
   std::vector<TlbEntry> out;
-  for (const auto* arr : {&slots_4k_, &slots_2m_}) {
-    for (const Slot& slot : *arr) {
-      if (IsLive(slot)) {
-        out.push_back(slot.entry);
+  if (!built()) {
+    return out;
+  }
+  for (const Array& a : arrays_) {
+    for (size_t i = 0; i < a.Slots(); ++i) {
+      if (IsLive(a, i)) {
+        out.push_back(a.EntryAt(i));
       }
     }
   }

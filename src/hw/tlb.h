@@ -12,6 +12,19 @@
 //     guest 2MB page backed by host 4KB pages, a *selective* flush degrades
 //     to a full TLB flush.
 //
+// Layout: one struct-of-arrays per page size, all its columns in one
+// allocation. Slot i of set s is index s * ways + i in every column:
+//   - `tag`: vpn + 1, 0 meaning invalid. Lookup, Probe and the flushes scan
+//     a set's tags first, so a miss reads one contiguous run of words;
+//   - `stamp`, `pcid` and `global`: everything the liveness test below and
+//     Insert's victim choice read, so neither touches the payload;
+//   - `payload` (pfn and flags) and `fractured`: read only on a hit, an
+//     eviction or a drop.
+// Set counts must be powers of two (the constructor throws otherwise), so a
+// set index is a mask. No 2M entry can be live until a 2M Insert, nor after
+// FlushAll(keep_globals=false) until the next one; while none can be, Lookup,
+// Probe and the flushes skip the 2M array.
+//
 // Epoch-tagged flushes: FlushAll and FlushPcid are O(1), not a scan. Every
 // slot's LRU stamp doubles as its birth time (stamps come from one monotone
 // clock), and the TLB keeps three flush marks: `mark_all_` (kills every
@@ -31,26 +44,19 @@
 // flushes — a fractured entry that merely got evicted still forces the next
 // selective flush to degrade until a full flush clears the flag.
 //
-// Fast-path lookups: workload inner loops hammer the same page, and at 224
-// CPUs the two-page-size way scan (up to ways_4k + ways_2m slots per lookup)
-// dominates simulated-access wall time. Lookup keeps a one-entry hit cache:
-// when the slow path restamps exactly ONE slot, that (pcid, vpn, slot) is
-// armed together with the current mutation generation; a repeat lookup of
-// the same page under the same PCID then short-circuits to a three-compare
-// fast hit. Every mutation — Insert, any flush or drop — bumps the
-// generation, disarming the cache, so the fast hit fires only when the full
-// scan would provably do the same thing: ++lookups, ++hits, restamp that
-// single slot. Stats (bar the new fastpath_hits counter), LRU order and
-// victim choice stay bit-for-bit identical to the scanning path.
-//
-// Lazy state: the slot arrays and the two per-PCID tables (~150 KB per TLB)
-// are built by the first Insert, as a workload fills the TLBs of only a few
-// of the machine's CPUs. Until then the TLB is empty and its clock is 0 —
-// the value any flush mark would record — so flushes need not touch them.
+// Lazy state: the slot arrays and the two per-PCID tables (~120 KB for the
+// default geometry and ~70 KB for the ITLB's, 64 KB of which is the PCID
+// tables) are built by the first Insert, as a workload fills the TLBs of
+// only a few of the machine's CPUs. Until then the TLB is empty and its
+// clock is 0 — the value any flush mark would record — so flushes need not
+// touch them.
 #ifndef TLBSIM_SRC_HW_TLB_H_
 #define TLBSIM_SRC_HW_TLB_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -97,15 +103,18 @@ class Tlb {
     uint64_t selective_flushes = 0;
     uint64_t full_flushes = 0;
     uint64_t fracture_forced_full = 0;  // selective flushes degraded to full
-    uint64_t fastpath_hits = 0;  // hits served by the one-entry hit cache
   };
 
-  explicit Tlb(const TlbGeometry& geo = TlbGeometry{}) : geo_(geo) {}
+  // Throws std::invalid_argument unless both set counts are powers of two
+  // and both way counts are positive.
+  explicit Tlb(const TlbGeometry& geo = TlbGeometry{});
 
   // Looks up `va` under `pcid` (global entries match any pcid).
   std::optional<TlbEntry> Lookup(uint16_t pcid, uint64_t va);
 
-  // Non-counting probe (for invariant checks in tests).
+  // Lookup without counting or restamping: what Lookup would return. For
+  // checks that must not perturb LRU order or stats (tlbcheck's CoW check
+  // calls it on every checked run, and tests use it).
   std::optional<TlbEntry> Probe(uint16_t pcid, uint64_t va) const;
 
   void Insert(const TlbEntry& e);
@@ -155,32 +164,66 @@ class Tlb {
   // x86 PCIDs are 12-bit.
   static constexpr int kPcidSpace = 4096;
 
-  struct Slot {
-    TlbEntry entry;
-    uint64_t stamp = 0;  // LRU stamp and birth mark (see header comment)
-    bool valid = false;
+  struct Payload {
+    uint64_t pfn = 0;
+    uint64_t flags = 0;
+  };
+
+  // One page size's set-associative array, struct-of-arrays (see header
+  // comment). Build() carves every column, Slots() entries each, out of one
+  // allocation.
+  struct Array {
+    PageSize size = PageSize::k4K;
+    uint32_t ways = 0;
+    uint64_t set_mask = 0;
+    std::unique_ptr<std::byte[]> storage;  // owns every column below; null until built
+    uint64_t* tag = nullptr;               // vpn + 1; 0 = invalid
+    uint64_t* stamp = nullptr;             // LRU stamp and birth mark
+    Payload* payload = nullptr;
+    uint16_t* pcid = nullptr;
+    uint8_t* global = nullptr;
+    uint8_t* fractured = nullptr;
+
+    // Throws std::invalid_argument on a bad geometry (see Tlb's constructor).
+    void Init(PageSize s, int sets, int way_count);
+    void Build();
+    // First slot of the set `vpn` maps to.
+    size_t SetBase(uint64_t vpn) const { return static_cast<size_t>(vpn & set_mask) * ways; }
+    TlbEntry EntryAt(size_t i) const;
+    size_t Slots() const { return static_cast<size_t>(set_mask + 1) * ways; }
   };
 
   // Lazy state (see header comment): built by the first Insert.
-  bool built() const { return !slots_4k_.empty(); }
+  bool built() const { return arrays_[0].storage != nullptr; }
   void Build();
 
-  std::vector<Slot>& ArrayFor(PageSize s) { return s == PageSize::k4K ? slots_4k_ : slots_2m_; }
-  const std::vector<Slot>& ArrayFor(PageSize s) const {
-    return s == PageSize::k4K ? slots_4k_ : slots_2m_;
-  }
-  int SetsFor(PageSize s) const { return s == PageSize::k4K ? geo_.sets_4k : geo_.sets_2m; }
-  int WaysFor(PageSize s) const { return s == PageSize::k4K ? geo_.ways_4k : geo_.ways_2m; }
+  Array& ArrayFor(PageSize s) { return arrays_[static_cast<size_t>(s)]; }
+
+  // How many of arrays_ a lookup or flush of one address visits: the 2M
+  // array only while a 2M entry may be live.
+  size_t ArraysToScan() const { return may_hold_2m_ ? 2 : 1; }
 
   // Valid and born after every flush mark that applies to it.
-  bool IsLive(const Slot& slot) const {
-    if (!slot.valid || slot.stamp <= mark_all_) {
+  bool IsLive(const Array& a, size_t i) const {
+    uint64_t stamp = a.stamp[i];
+    if (a.tag[i] == 0 || stamp <= mark_all_) {
       return false;
     }
-    if (slot.entry.global) {
+    if (a.global[i] != 0) {
       return true;
     }
-    return slot.stamp > mark_nonglobal_ && slot.stamp > pcid_mark_[PcidIndex(slot.entry.pcid)];
+    return stamp > mark_nonglobal_ && stamp > pcid_mark_[PcidIndex(a.pcid[i])];
+  }
+
+  // First live slot in [i, end) whose tag is `tag` and which `pcid` may use
+  // (its own or a global entry); `end` if none.
+  size_t NextMatch(const Array& a, uint16_t pcid, uint64_t tag, size_t i, size_t end) const {
+    for (; i < end; ++i) {
+      if (a.tag[i] == tag && (a.global[i] != 0 || a.pcid[i] == pcid) && IsLive(a, i)) {
+        return i;
+      }
+    }
+    return end;
   }
 
   static size_t PcidIndex(uint16_t pcid) { return pcid & (kPcidSpace - 1); }
@@ -195,15 +238,14 @@ class Tlb {
     }
     return f.count;
   }
-  void NoteFracturedInsert(const TlbEntry& e);
-  void NoteFracturedDrop(const TlbEntry& e);
+  void NoteFracturedInsert(uint16_t pcid, bool global);
+  void NoteFracturedDrop(uint16_t pcid, bool global);
 
-  // Drops matching entries of one page size; returns count dropped.
-  int DropMatching(PageSize s, uint16_t pcid, uint64_t va, bool match_globals);
+  // Drops the live entries translating `va` that belong to `pcid` (or,
+  // with match_globals, are global).
+  void DropMatching(uint16_t pcid, uint64_t va, bool match_globals);
 
-  TlbGeometry geo_;
-  std::vector<Slot> slots_4k_;
-  std::vector<Slot> slots_2m_;
+  std::array<Array, 2> arrays_;  // indexed by PageSize
   uint64_t clock_ = 0;
 
   // Flush marks (all start at 0; the first stamp handed out is 1).
@@ -221,19 +263,10 @@ class Tlb {
   uint64_t fractured_total_ = 0;     // frac_global_ + sum of frac_pcid_
 
   bool fractured_resident_ = false;  // sticky; recomputed only at flushes
+  bool may_hold_2m_ = false;         // a 2M entry may be live (see header comment)
   bool fracture_degrade_ = true;
   TlbObserver* observer_ = nullptr;
   Stats stats_;
-
-  // One-entry fast-path hit cache (see header comment). Armed iff
-  // fast_slot_ != nullptr && fast_gen_ == mut_gen_. Slot pointers are stable:
-  // the slot arrays never resize once built.
-  Slot* fast_slot_ = nullptr;
-  uint64_t fast_vpn_ = 0;
-  uint16_t fast_pcid_ = 0;
-  int fast_shift_ = 0;      // page-size shift of the armed entry
-  uint64_t fast_gen_ = 0;   // mut_gen_ at arm time
-  uint64_t mut_gen_ = 1;    // bumped by every insert/flush/drop
 };
 
 // Page-walk cache: caches PD-level lookups (one entry covers a 2MB region of

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
+#include <optional>
+#include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include "src/sim/rng.h"
 
@@ -415,7 +421,6 @@ TEST(TlbLazyTest, NeverFilledTlbCountsLikeAnEmptyOne) {
   EXPECT_EQ(a.selective_flushes, b.selective_flushes);
   EXPECT_EQ(a.full_flushes, b.full_flushes);
   EXPECT_EQ(a.fracture_forced_full, b.fracture_forced_full);
-  EXPECT_EQ(a.fastpath_hits, b.fastpath_hits);
   EXPECT_EQ(lazy.Occupancy(), 0u);
   EXPECT_TRUE(lazy.Entries().empty());
   EXPECT_FALSE(lazy.Probe(1, 0x1000).has_value());
@@ -437,6 +442,298 @@ TEST(TlbLazyTest, EntryInsertedAfterEarlyFlushesIsLive) {
   tlb.FlushPcid(7);  // and flushes still work once built
   EXPECT_FALSE(tlb.Lookup(7, 0x5000).has_value());
   EXPECT_EQ(tlb.Occupancy(), 1u);
+}
+
+TEST(TlbGeometryTest, RejectsSetCountThatIsNotAPowerOfTwo) {
+  for (int sets : {0, 3, 6, 12, 100}) {
+    TlbGeometry geo4k;
+    geo4k.sets_4k = sets;
+    EXPECT_THROW(Tlb{geo4k}, std::invalid_argument) << "sets_4k " << sets;
+    TlbGeometry geo2m;
+    geo2m.sets_2m = sets;
+    EXPECT_THROW(Tlb{geo2m}, std::invalid_argument) << "sets_2m " << sets;
+  }
+  TlbGeometry no_ways;
+  no_ways.ways_2m = 0;
+  EXPECT_THROW(Tlb{no_ways}, std::invalid_argument);
+  TlbGeometry one_set;
+  one_set.sets_4k = 1;
+  one_set.sets_2m = 1;
+  EXPECT_NO_THROW(Tlb{one_set});
+}
+
+// Differential test against a reference TLB with the eager-invalidation
+// scanning semantics that the epoch design documents as bit-identical:
+// flushes clear valid bits by scanning every slot, sets are indexed by
+// `vpn % sets`, and the fractured-resident flag is sticky (set on insert,
+// recomputed by scanning only at flushes).
+class ReferenceTlb {
+ public:
+  explicit ReferenceTlb(const TlbGeometry& geo)
+      : arrays_{Array{geo.sets_4k, geo.ways_4k, {}}, Array{geo.sets_2m, geo.ways_2m, {}}} {
+    for (Array& a : arrays_) {
+      a.slots.resize(static_cast<size_t>(a.sets * a.ways));
+    }
+  }
+
+  std::optional<TlbEntry> Lookup(uint16_t pcid, uint64_t va) {
+    ++stats_.lookups;
+    std::optional<TlbEntry> hit;
+    for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
+      for (Slot* slot : SetOf(s, va >> ShiftOf(s))) {
+        if (Matches(*slot, s, pcid, va)) {
+          if (!hit.has_value()) {
+            hit = slot->entry;
+          }
+          slot->stamp = ++clock_;
+        }
+      }
+    }
+    ++(hit.has_value() ? stats_.hits : stats_.misses);
+    return hit;
+  }
+
+  std::optional<TlbEntry> Probe(uint16_t pcid, uint64_t va) {
+    for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
+      for (Slot* slot : SetOf(s, va >> ShiftOf(s))) {
+        if (Matches(*slot, s, pcid, va)) {
+          return slot->entry;
+        }
+      }
+    }
+    return std::nullopt;
+  }
+
+  void Insert(const TlbEntry& e) {
+    ++stats_.inserts;
+    std::vector<Slot*> set = SetOf(e.size, e.vpn);
+    // The stale duplicate, else the first invalid way, else the LRU way.
+    auto victim = std::find_if(set.begin(), set.end(), [&e](const Slot* slot) {
+      return slot->valid && slot->entry.vpn == e.vpn && slot->entry.pcid == e.pcid;
+    });
+    if (victim == set.end()) {
+      victim = std::find_if(set.begin(), set.end(), [](const Slot* slot) { return !slot->valid; });
+    }
+    if (victim == set.end()) {
+      victim = std::min_element(set.begin(), set.end(), [](const Slot* a, const Slot* b) {
+        return a->stamp < b->stamp;
+      });
+    }
+    Slot& slot = **victim;
+    if (slot.valid) {
+      ++stats_.evictions;
+      if (slot.entry.pcid != e.pcid) {
+        ++stats_.cross_pcid_evictions;
+      }
+    }
+    slot = Slot{e, ++clock_, true};
+    fractured_resident_ = fractured_resident_ || e.fractured;
+  }
+
+  bool InvlPg(uint16_t pcid, uint64_t va) { return SelectiveFlush(pcid, va, true); }
+  bool InvPcidAddr(uint16_t pcid, uint64_t va) { return SelectiveFlush(pcid, va, false); }
+  void DropTranslation(uint16_t pcid, uint64_t va) { Drop(pcid, va, true); }
+
+  void FlushPcid(uint16_t pcid) {
+    ++stats_.full_flushes;
+    Invalidate([pcid](const TlbEntry& e) { return !e.global && e.pcid == pcid; });
+  }
+
+  void FlushAll(bool keep_globals) {
+    ++stats_.full_flushes;
+    Invalidate([keep_globals](const TlbEntry& e) { return !keep_globals || !e.global; });
+  }
+
+  void set_fracture_degrade_enabled(bool on) { degrade_ = on; }
+  bool has_fractured() const { return fractured_resident_; }
+  const Tlb::Stats& stats() const { return stats_; }
+
+  std::vector<TlbEntry> Entries() const {
+    std::vector<TlbEntry> out;
+    for (const Array& a : arrays_) {
+      for (const Slot& slot : a.slots) {
+        if (slot.valid) {
+          out.push_back(slot.entry);
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Slot {
+    TlbEntry entry;
+    uint64_t stamp = 0;
+    bool valid = false;
+  };
+  struct Array {
+    int sets;
+    int ways;
+    std::vector<Slot> slots;
+  };
+
+  std::vector<Slot*> SetOf(PageSize s, uint64_t vpn) {
+    Array& a = arrays_[static_cast<size_t>(s)];
+    size_t base = static_cast<size_t>(vpn % static_cast<uint64_t>(a.sets) * a.ways);
+    std::vector<Slot*> out;
+    for (size_t w = 0; w < static_cast<size_t>(a.ways); ++w) {
+      out.push_back(&a.slots[base + w]);
+    }
+    return out;
+  }
+
+  static bool Matches(const Slot& slot, PageSize s, uint16_t pcid, uint64_t va) {
+    return slot.valid && slot.entry.vpn == va >> ShiftOf(s) &&
+           (slot.entry.global || slot.entry.pcid == pcid);
+  }
+
+  bool SelectiveFlush(uint16_t pcid, uint64_t va, bool match_globals) {
+    ++stats_.selective_flushes;
+    if (fractured_resident_ && degrade_) {
+      ++stats_.fracture_forced_full;
+      FlushAll(/*keep_globals=*/false);
+      return true;
+    }
+    Drop(pcid, va, match_globals);
+    return false;
+  }
+
+  void Drop(uint16_t pcid, uint64_t va, bool match_globals) {
+    for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
+      for (Slot* slot : SetOf(s, va >> ShiftOf(s))) {
+        if (slot->valid && slot->entry.vpn == va >> ShiftOf(s) &&
+            (slot->entry.pcid == pcid || (match_globals && slot->entry.global))) {
+          slot->valid = false;
+        }
+      }
+    }
+  }
+
+  template <typename Pred>
+  void Invalidate(Pred dies) {
+    fractured_resident_ = false;
+    for (Array& a : arrays_) {
+      for (Slot& slot : a.slots) {
+        if (slot.valid && dies(slot.entry)) {
+          slot.valid = false;
+        }
+        fractured_resident_ = fractured_resident_ || (slot.valid && slot.entry.fractured);
+      }
+    }
+  }
+
+  std::array<Array, 2> arrays_;  // indexed by PageSize
+  uint64_t clock_ = 0;
+  bool fractured_resident_ = false;
+  bool degrade_ = true;
+  Tlb::Stats stats_;
+};
+
+using EntryFields = std::tuple<uint64_t, int, uint64_t, uint64_t, int, bool, bool>;
+
+std::optional<EntryFields> Fields(const std::optional<TlbEntry>& e) {
+  if (!e.has_value()) {
+    return std::nullopt;
+  }
+  return EntryFields{e->vpn, e->pcid, e->pfn, e->flags, static_cast<int>(e->size), e->global,
+                     e->fractured};
+}
+
+std::vector<EntryFields> Fields(const std::vector<TlbEntry>& entries) {
+  std::vector<EntryFields> out;
+  for (const TlbEntry& e : entries) {
+    out.push_back(*Fields(std::optional<TlbEntry>(e)));
+  }
+  return out;
+}
+
+std::array<uint64_t, 9> Fields(const Tlb::Stats& s) {
+  return {s.lookups,          s.hits,         s.misses,
+          s.inserts,          s.evictions,    s.cross_pcid_evictions,
+          s.selective_flushes, s.full_flushes, s.fracture_forced_full};
+}
+
+// An address from a pool that crowds few sets with more keys than they have
+// ways, in both arrays, and puts 4K pages inside the 2M regions.
+uint64_t CollidingVa(Rng& rng, const TlbGeometry& geo) {
+  uint64_t region = static_cast<uint64_t>(geo.sets_2m * rng.UniformInt(0, 2 * geo.ways_2m + 1) +
+                                          rng.UniformInt(0, 1));
+  uint64_t page =
+      static_cast<uint64_t>(geo.sets_4k * rng.UniformInt(0, 3) + rng.UniformInt(0, 1)) % 512;
+  return region << kHugeShift | page << kPageShift |
+         static_cast<uint64_t>(rng.UniformInt(0, kPageSize4K - 1));
+}
+
+void RunDifferential(const TlbGeometry& geo, uint64_t seed, int steps) {
+  Tlb tlb(geo);
+  ReferenceTlb ref(geo);
+  Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step);
+    uint16_t pcid = static_cast<uint16_t>(rng.UniformInt(1, 4));
+    uint64_t va = CollidingVa(rng, geo);
+    int op = static_cast<int>(rng.UniformInt(0, 99));
+    if (op < 30) {
+      PageSize size = rng.Chance(0.25) ? PageSize::k2M : PageSize::k4K;
+      TlbEntry e = E(va, pcid, rng.UniformU64() % (1 << 20), rng.Chance(0.2), size,
+                     rng.Chance(0.05));
+      tlb.Insert(e);
+      ref.Insert(e);
+    } else if (op < 55) {
+      ASSERT_EQ(Fields(tlb.Lookup(pcid, va)), Fields(ref.Lookup(pcid, va)));
+    } else if (op < 65) {
+      ASSERT_EQ(Fields(tlb.Probe(pcid, va)), Fields(ref.Probe(pcid, va)));
+    } else if (op < 73) {
+      ASSERT_EQ(tlb.InvlPg(pcid, va), ref.InvlPg(pcid, va));
+    } else if (op < 81) {
+      ASSERT_EQ(tlb.InvPcidAddr(pcid, va), ref.InvPcidAddr(pcid, va));
+    } else if (op < 86) {
+      tlb.DropTranslation(pcid, va);
+      ref.DropTranslation(pcid, va);
+    } else if (op < 91) {
+      tlb.FlushPcid(pcid);
+      ref.FlushPcid(pcid);
+    } else if (op < 94) {
+      tlb.FlushAll(/*keep_globals=*/true);
+      ref.FlushAll(/*keep_globals=*/true);
+    } else if (op < 97) {
+      tlb.FlushAll(/*keep_globals=*/false);
+      ref.FlushAll(/*keep_globals=*/false);
+    } else {
+      bool on = rng.Chance(0.5);
+      tlb.set_fracture_degrade_enabled(on);
+      ref.set_fracture_degrade_enabled(on);
+    }
+    ASSERT_EQ(Fields(tlb.stats()), Fields(ref.stats()));
+    ASSERT_EQ(tlb.has_fractured(), ref.has_fractured());
+    if (step % 16 == 0) {
+      std::vector<TlbEntry> entries = ref.Entries();
+      ASSERT_EQ(Fields(tlb.Entries()), Fields(entries));
+      ASSERT_EQ(tlb.Occupancy(), entries.size());
+    }
+  }
+}
+
+const TlbGeometry kDtlbGeometry{};
+const TlbGeometry kItlbGeometry{16, 8, 2, 4};
+const TlbGeometry kTinyGeometry{1, 2, 1, 1};
+
+TEST(TlbDifferentialTest, DtlbMatchesReference) {
+  for (uint64_t seed : {1, 2, 3}) {
+    RunDifferential(kDtlbGeometry, seed, 20000);
+  }
+}
+
+TEST(TlbDifferentialTest, ItlbMatchesReference) {
+  for (uint64_t seed : {4, 5, 6}) {
+    RunDifferential(kItlbGeometry, seed, 20000);
+  }
+}
+
+TEST(TlbDifferentialTest, TinyMatchesReference) {
+  for (uint64_t seed : {7, 8, 9}) {
+    RunDifferential(kTinyGeometry, seed, 20000);
+  }
 }
 
 }  // namespace
