@@ -22,7 +22,9 @@
 //
 // `--check` turns the tlbcheck analysis subsystem (src/check/) on for every
 // System the bench constructs: the stale-translation oracle, the protocol
-// invariant checker and lockdep all run inside the simulation. Finish()
+// invariant checker and the two mmap_sem rules all run inside the
+// simulation. A bench whose workload drives a bare Machine (table 4) builds
+// no System, so its tlbcheck section reads 0 and checks nothing. Finish()
 // embeds the accumulated violation report under root()["tlbcheck"] and
 // forces a nonzero exit code when any violation was found — this is the CI
 // gate that runs every paper configuration under checking.

@@ -9,7 +9,7 @@ This script asserts that the section is present (i.e. the run really was
 checked — a silently unchecked run passing is the failure mode we care most
 about) and that every paper configuration ran violation-free. On failure it
 prints the classified reports so the CI log shows WHAT the oracle saw
-(kind, cpu, va, generations, happens-before evidence), not just a count.
+(kind, cpu, va, generations), not just a count.
 
 Usage: check_tlbcheck.py <BENCH_*.json> [more...]
 Only standard-library Python.

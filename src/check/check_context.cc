@@ -46,8 +46,7 @@ struct TlbTapImpl final : TlbObserver {
   void OnTlbInsert(const TlbEntry& e) override { ctx->OnTlbInsertTap(cpu, itlb, e); }
 };
 
-CheckContext::CheckContext()
-    : pcid_map_(4096, nullptr), lockdep_(&CheckContext::ReportFromLockdep, this) {}
+CheckContext::CheckContext() : pcid_map_(4096, nullptr) {}
 
 CheckContext::~CheckContext() {
   if (!publish_globally_) {
@@ -65,7 +64,7 @@ void CheckContext::Attach(System& sys) {
   kernel_ = &sys.kernel();
   pti_ = kernel_->config().pti;
   Machine& machine = sys.machine();
-  cpu_vc_.resize(static_cast<size_t>(machine.num_cpus()));
+  holds_.resize(static_cast<size_t>(machine.num_cpus()));
   for (int c = 0; c < machine.num_cpus(); ++c) {
     SimCpu& cpu = machine.cpu(c);
     cpu.set_check_sink(this);
@@ -132,8 +131,13 @@ void CheckContext::Report(Violation v) {
   violations_.push_back(std::move(v));
 }
 
-void CheckContext::ReportFromLockdep(void* ctx, Violation v) {
-  static_cast<CheckContext*>(ctx)->Report(std::move(v));
+void CheckContext::ReportLock(SimCpu& cpu, ViolationKind kind, const char* what) {
+  Violation v;
+  v.kind = kind;
+  v.time = cpu.now();
+  v.cpu = cpu.id();
+  v.detail = std::string("rwsem ") + what + " on cpu" + std::to_string(cpu.id());
+  Report(std::move(v));
 }
 
 CheckContext::MmState* CheckContext::StateForPcid(uint16_t pcid) {
@@ -158,30 +162,6 @@ void CheckContext::OnMmCreated(MmStruct& mm) {
   pcid_map_[mm.user_pcid] = state.get();
   mm.pt.set_write_observer(this);
   mm_by_root_[mm.pt.root_id()] = std::move(state);
-}
-
-void CheckContext::OnPteCharged(SimCpu& cpu, MmStruct& mm, uint64_t va) {
-  cpu_vc_[static_cast<size_t>(cpu.id())].Tick(cpu.id());
-  // The page-table layer has no CPU context, so a revoking store arrives via
-  // OnPteWrite with writer_cpu unset; the charge that follows it (same
-  // kernel code path, same engine step) attributes it.
-  MmState* ms = StateForRoot(mm.pt.root_id());
-  if (ms == nullptr) {
-    return;
-  }
-  for (PageSize size : {PageSize::k4K, PageSize::k2M}) {
-    auto it = ms->pages.find(PageAlignDown(va, size));
-    if (it == ms->pages.end() || it->second.count == 0) {
-      continue;
-    }
-    PageState& page = it->second;
-    WriteRecord& newest = page.ring[(page.count - 1) % PageState::kRing];
-    if (newest.writer_cpu < 0) {
-      newest.writer_cpu = cpu.id();
-      newest.time = cpu.now();
-      newest.vc = cpu_vc_[static_cast<size_t>(cpu.id())];
-    }
-  }
 }
 
 void CheckContext::OnPteWrite(const PageTable& pt, uint64_t va, Pte old_pte, Pte new_pte,
@@ -215,9 +195,6 @@ void CheckContext::OnTlbGenBump(SimCpu& cpu, MmStruct& mm, uint64_t new_gen, uin
   if (ms == nullptr) {
     return;
   }
-  cpu_vc_[static_cast<size_t>(cpu.id())].Tick(cpu.id());
-  ms->gen_vc.Join(cpu_vc_[static_cast<size_t>(cpu.id())]);
-
   if (new_gen <= ms->last_gen) {
     Violation v;
     v.kind = ViolationKind::kNonMonotoneGen;
@@ -274,26 +251,7 @@ void CheckContext::OnTlbGenBump(SimCpu& cpu, MmStruct& mm, uint64_t new_gen, uin
   }
 }
 
-void CheckContext::OnIpiSent(SimCpu& cpu, MmStruct& mm, uint64_t gen,
-                             std::span<const int> targets) {
-  (void)mm;
-  (void)gen;
-  VectorClock& vc = cpu_vc_[static_cast<size_t>(cpu.id())];
-  vc.Tick(cpu.id());
-  for (int t : targets) {
-    send_vc_[{cpu.id(), t}] = vc;
-  }
-}
-
 void CheckContext::OnAck(SimCpu& cpu, int initiator, bool early, bool guarded) {
-  VectorClock& vc = cpu_vc_[static_cast<size_t>(cpu.id())];
-  vc.Tick(cpu.id());
-  auto it = send_vc_.find({initiator, cpu.id()});
-  if (it != send_vc_.end()) {
-    vc.Join(it->second);
-  }
-  ack_vc_[{initiator, cpu.id()}] = vc;
-
   if (early && !guarded) {
     Violation v;
     v.kind = ViolationKind::kEarlyAckUnguarded;
@@ -307,14 +265,6 @@ void CheckContext::OnAck(SimCpu& cpu, int initiator, bool early, bool guarded) {
 
 void CheckContext::OnLocalGenApplied(SimCpu& cpu, MmStruct& mm, uint64_t new_gen, bool full,
                                      bool user_covered) {
-  MmState* ms = StateForRoot(mm.pt.root_id());
-  VectorClock& vc = cpu_vc_[static_cast<size_t>(cpu.id())];
-  vc.Tick(cpu.id());
-  if (ms != nullptr) {
-    // A flush synchronizes with every gen bump it absorbs.
-    vc.Join(ms->gen_vc);
-  }
-
   if (full && pti_ && !user_covered) {
     Violation v;
     v.kind = ViolationKind::kPtiPairingMissing;
@@ -330,15 +280,7 @@ void CheckContext::OnLocalGenApplied(SimCpu& cpu, MmStruct& mm, uint64_t new_gen
 
 void CheckContext::OnShootdownComplete(SimCpu& cpu, MmStruct& mm, uint64_t gen,
                                        std::span<const int> targets) {
-  VectorClock& vc = cpu_vc_[static_cast<size_t>(cpu.id())];
-  vc.Tick(cpu.id());
-  for (int t : targets) {
-    auto it = ack_vc_.find({cpu.id(), t});
-    if (it != ack_vc_.end()) {
-      vc.Join(it->second);
-    }
-  }
-
+  (void)targets;
   // Invariant: once the initiator declares completion, no CPU actively using
   // this mm may still be behind `gen` — except in the windows the protocol
   // explicitly licenses (lazy CPUs, catch-up in progress, accepted-but-
@@ -610,33 +552,30 @@ void CheckContext::OnTlbHit(SimCpu& cpu, bool itlb, uint16_t pcid, uint64_t va,
   v.pcid = pcid;
   v.write_gen = w->gen;
   v.applied_gen = pc.loaded_mm_tlb_gen;
-  v.hb_established = w->writer_cpu >= 0 &&
-                     cpu_vc_[static_cast<size_t>(cpu.id())].Dominates(w->vc);
   v.detail = std::string(itlb ? "ITLB" : "DTLB") + " consumed a translation predating a " +
              (ground.present ? "revoking PTE write" : "zapped mapping") + " flushed at gen " +
              std::to_string(w->gen);
   Report(std::move(v));
 }
 
-// --- HwCheckSink pass-throughs ---
+// --- mmap_sem rules ---
 
-void CheckContext::OnIrqEnter(SimCpu& cpu, int vector) {
-  (void)cpu;
-  (void)vector;
+void CheckContext::OnLockAcquire(SimCpu& cpu, bool exclusive) {
+  LockHolds& held = holds_[static_cast<size_t>(cpu.id())];
+  // An RwSem sleeps when contended, and an interrupt handler must not.
+  if (cpu.in_irq() || cpu.in_nmi()) {
+    ReportLock(cpu, ViolationKind::kIrqUnsafeLock, "acquired in IRQ context");
+  }
+  // down_read twice is fine; anything exclusive on either side self-deadlocks.
+  if (held.exclusive > 0 || (exclusive && held.shared > 0)) {
+    ReportLock(cpu, ViolationKind::kRecursiveLock, "acquired while already held");
+  }
+  ++(exclusive ? held.exclusive : held.shared);
 }
 
-void CheckContext::OnIrqExit(SimCpu& cpu, int vector) {
-  (void)cpu;
-  (void)vector;
-}
-
-void CheckContext::OnLockAcquire(SimCpu& cpu, const void* lock, const char* lock_class,
-                                 bool exclusive) {
-  lockdep_.OnAcquire(cpu, lock, lock_class, exclusive);
-}
-
-void CheckContext::OnLockRelease(SimCpu& cpu, const void* lock, const char* lock_class) {
-  lockdep_.OnRelease(cpu, lock, lock_class);
+void CheckContext::OnLockRelease(SimCpu& cpu, bool exclusive) {
+  LockHolds& held = holds_[static_cast<size_t>(cpu.id())];
+  --(exclusive ? held.exclusive : held.shared);
 }
 
 // --- global --check plumbing ---

@@ -1,8 +1,9 @@
-// CheckContext: the tlbcheck analysis subsystem (ISSUE: stale-translation
-// oracle + protocol invariant checker + lockdep), attached to one System.
+// CheckContext: the tlbcheck analysis subsystem, attached to one System.
 //
-// Three cooperating checkers behind the zero-cost-when-off hook interfaces
-// (HwCheckSink / ProtocolCheckSink / PteWriteObserver / TlbObserver):
+// The oracle and the invariants decide from the tlb_gen generation protocol
+// alone. Three groups of checks sit behind the zero-cost-when-off hook
+// interfaces (HwCheckSink / ProtocolCheckSink / PteWriteObserver /
+// TlbObserver):
 //
 // 1. Stale-translation oracle. Every leaf PTE mutation is shadowed; writes
 //    that revoke something (present bit, frame, a permission) become
@@ -15,8 +16,6 @@
 //    some covering write W (newer than the entry's birth) has W.gen != 0 and
 //    W.gen <= the CPU's applied generation, outside the paper-permitted
 //    benign windows (pending flush, PTI deferred-user coverage §3.4).
-//    Vector clocks over the PTE-write -> gen-bump -> IPI -> ack -> flush
-//    edges ride along as evidence (`hb_established`).
 //
 // 2. Protocol invariants: monotone tlb_gen per mm; no non-lazy CPU in
 //    mm_cpumask left behind a completed shootdown's generation; PTI
@@ -24,7 +23,9 @@
 //    unfinished_flushes; CoW avoidance never applied to executable mappings
 //    or while a writable stale entry is cached anywhere.
 //
-// 3. Lockdep (src/check/lockdep.h) over rwsem acquisitions and IRQ nesting.
+// 3. The two mmap_sem rules, from per-CPU shared/exclusive hold counts: an
+//    RwSem sleeps, so taking one in IRQ or NMI context is irq_unsafe_lock,
+//    and re-taking one with either side exclusive is recursive_lock.
 //
 // Construction/attachment must happen before the first CreateProcess (the
 // System checker factory guarantees this). All bookkeeping is reachable only
@@ -38,10 +39,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "src/check/lockdep.h"
-#include "src/check/vector_clock.h"
 #include "src/check/violation.h"
 #include "src/core/system.h"
 #include "src/hw/check_sink.h"
@@ -75,10 +75,8 @@ class CheckContext final : public SystemChecker,
 
   // ProtocolCheckSink:
   void OnMmCreated(MmStruct& mm) override;
-  void OnPteCharged(SimCpu& cpu, MmStruct& mm, uint64_t va) override;
   void OnTlbGenBump(SimCpu& cpu, MmStruct& mm, uint64_t new_gen, uint64_t start,
                     uint64_t end) override;
-  void OnIpiSent(SimCpu& cpu, MmStruct& mm, uint64_t gen, std::span<const int> targets) override;
   void OnAck(SimCpu& cpu, int initiator, bool early, bool guarded) override;
   void OnLocalGenApplied(SimCpu& cpu, MmStruct& mm, uint64_t new_gen, bool full,
                          bool user_covered) override;
@@ -95,10 +93,8 @@ class CheckContext final : public SystemChecker,
   // HwCheckSink:
   void OnTlbHit(SimCpu& cpu, bool itlb, uint16_t pcid, uint64_t va, const TlbEntry& entry,
                 bool write, bool exec, bool user_intent) override;
-  void OnIrqEnter(SimCpu& cpu, int vector) override;
-  void OnIrqExit(SimCpu& cpu, int vector) override;
-  void OnLockAcquire(SimCpu& cpu, const void* lock, const char* lock_class, bool exclusive) override;
-  void OnLockRelease(SimCpu& cpu, const void* lock, const char* lock_class) override;
+  void OnLockAcquire(SimCpu& cpu, bool exclusive) override;
+  void OnLockRelease(SimCpu& cpu, bool exclusive) override;
 
   // PteWriteObserver:
   void OnPteWrite(const PageTable& pt, uint64_t va, Pte old_pte, Pte new_pte,
@@ -112,9 +108,6 @@ class CheckContext final : public SystemChecker,
   struct WriteRecord {
     uint64_t seq = 0;
     uint64_t gen = 0;
-    int writer_cpu = -1;
-    Cycles time = 0;
-    VectorClock vc;  // writer's clock at the store
   };
 
   // Recent revoking writes to one page (ring; old entries age out — a lost
@@ -148,7 +141,12 @@ class CheckContext final : public SystemChecker,
     std::map<uint64_t, PageState> pages;    // keyed by size-aligned page va
     std::vector<std::pair<uint64_t, uint64_t>> pending;  // (page_va, seq)
     std::map<uint64_t, ReuseLicense> reuse_licenses;  // keyed by 4K page va
-    VectorClock gen_vc;  // join of every bumping CPU's clock
+  };
+
+  // RwSems one CPU holds, for the two mmap_sem rules.
+  struct LockHolds {
+    int shared = 0;
+    int exclusive = 0;
   };
 
   // Birth stamp of one cached translation: the global write-sequence value
@@ -172,7 +170,7 @@ class CheckContext final : public SystemChecker,
   MmState* StateForRoot(uint64_t root_id);
 
   void Report(Violation v);
-  static void ReportFromLockdep(void* ctx, Violation v);
+  void ReportLock(SimCpu& cpu, ViolationKind kind, const char* what);
 
   // Looks for a revoking write to the page holding `va` that is newer than
   // `birth_seq` AND whose flush generation the consuming CPU already applied
@@ -195,12 +193,7 @@ class CheckContext final : public SystemChecker,
   std::map<uint64_t, std::unique_ptr<MmState>> mm_by_root_;
   std::map<BirthKey, uint64_t> births_;
 
-  // Happens-before machinery (evidence).
-  std::vector<VectorClock> cpu_vc_;                 // per CPU
-  std::map<std::pair<int, int>, VectorClock> send_vc_;  // (initiator, target)
-  std::map<std::pair<int, int>, VectorClock> ack_vc_;   // (initiator, target)
-
-  LockdepChecker lockdep_;
+  std::vector<LockHolds> holds_;  // per CPU
 
   // Deduped violations: one record per (kind, cpu, mm, va); repeats counted.
   static constexpr size_t kMaxReports = 64;

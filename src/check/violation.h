@@ -27,11 +27,10 @@ enum class ViolationKind {
   // Invariant: CoW avoidance (§4.1) applied where the paper forbids it
   // (executable mapping / writable stale entry left behind).
   kCowUnsafeAvoidance,
-  // Lockdep: acquisition order contradicts an established order edge.
-  kLockOrderInversion,
-  // Lockdep: same lock class acquired twice on one CPU (exclusively).
+  // mmap_sem: a CPU re-acquired an RwSem it holds, with either side
+  // exclusive (shared/shared is permitted, like down_read twice).
   kRecursiveLock,
-  // Lockdep: lock class used both in and outside IRQ context with IRQs on.
+  // mmap_sem: an RwSem, a sleeping lock, acquired in IRQ or NMI context.
   kIrqUnsafeLock,
   // Invariant (pt_replication): at flush-acknowledgement time a per-node
   // page-table replica disagreed with the primary — remote walkers could
@@ -65,8 +64,6 @@ inline const char* ViolationKindName(ViolationKind k) {
       return "pti_pairing_missing";
     case ViolationKind::kCowUnsafeAvoidance:
       return "cow_unsafe_avoidance";
-    case ViolationKind::kLockOrderInversion:
-      return "lock_order_inversion";
     case ViolationKind::kRecursiveLock:
       return "recursive_lock";
     case ViolationKind::kIrqUnsafeLock:
@@ -92,9 +89,6 @@ struct Violation {
   uint16_t pcid = 0;
   uint64_t write_gen = 0;    // generation covering the offending PTE write
   uint64_t applied_gen = 0;  // generation the CPU had applied at detection
-  // Whether the vector clocks prove the write happened-before the consuming
-  // access (supporting evidence; the decision is generation-based).
-  bool hb_established = false;
   std::string detail;
 
   Json ToJson() const {
@@ -107,7 +101,6 @@ struct Violation {
     j["pcid"] = static_cast<uint64_t>(pcid);
     j["write_gen"] = write_gen;
     j["applied_gen"] = applied_gen;
-    j["hb_established"] = hb_established;
     j["detail"] = detail;
     return j;
   }

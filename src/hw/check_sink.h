@@ -4,7 +4,7 @@
 // predicted-not-taken branch per event and nothing else (zero-cost-when-off).
 //
 // Events at this layer are *architectural*: translation consumption, TLB
-// fills, interrupt entry/exit and lock transitions. Protocol-level events
+// fills, interrupt entry/exit and RwSem transitions. Protocol-level events
 // (generation bumps, IPIs, acks) go through the kernel-side sink
 // (src/kernel/protocol_check.h).
 #ifndef TLBSIM_SRC_HW_CHECK_SINK_H_
@@ -30,14 +30,14 @@ class HwCheckSink {
                         bool write, bool exec, bool user_intent) = 0;
 
   // Interrupt entry/exit on `cpu` (IRQs and NMIs; `vector` identifies which).
-  virtual void OnIrqEnter(SimCpu& cpu, int vector) = 0;
-  virtual void OnIrqExit(SimCpu& cpu, int vector) = 0;
+  // No check reads them (default no-op); they bound the responder's phase.
+  virtual void OnIrqEnter(SimCpu& cpu, int vector) { (void)cpu; (void)vector; }
+  virtual void OnIrqExit(SimCpu& cpu, int vector) { (void)cpu; (void)vector; }
 
-  // Lock transitions (rwsem / future spinlocks). `lock` identifies the
-  // instance; `lock_class` is a static-literal class name (lockdep keying).
-  virtual void OnLockAcquire(SimCpu& cpu, const void* lock, const char* lock_class,
-                             bool exclusive) = 0;
-  virtual void OnLockRelease(SimCpu& cpu, const void* lock, const char* lock_class) = 0;
+  // `cpu` acquired or released an RwSem, shared or `exclusive`. The kernel's
+  // only RwSem is mmap_sem, so per-CPU hold counts need no lock identity.
+  virtual void OnLockAcquire(SimCpu& cpu, bool exclusive) = 0;
+  virtual void OnLockRelease(SimCpu& cpu, bool exclusive) = 0;
 };
 
 }  // namespace tlbsim

@@ -173,9 +173,6 @@ void Kernel::ChargePteUpdate(SimCpu& cpu, MmStruct& mm, uint64_t va) {
       cpu.AdvanceInline(machine_->costs().replica_pte_update);
     }
   }
-  if (check_ != nullptr) {
-    check_->OnPteCharged(cpu, mm, va);
-  }
 }
 
 void Kernel::ChargeRemoteDram(SimCpu& cpu, uint64_t pa) {

@@ -26,7 +26,7 @@ struct MmStruct {
         // PCIDs 0/1 are reserved for the init/idle address space.
         kernel_pcid(static_cast<uint16_t>(2 + (id * 2) % 1022)),
         user_pcid(static_cast<uint16_t>(2 + (id * 2 + 1) % 1022)),
-        mmap_sem(engine, "mmap_sem"),
+        mmap_sem(engine),
         // Allocation-free naming: MmStructs are constructed on the bench hot
         // path (one per simulated process per sweep point).
         gen_line(coherence->AllocateLine("mm", id, ".context.tlb_gen")) {}

@@ -3,13 +3,15 @@
 // with the ShootdownEngine; all call sites are null-guarded, so the hooks are
 // zero-cost when checking is off.
 //
-// The events trace exactly the happens-before edges the shootdown protocol's
-// correctness argument is built on:
+// The events trace the steps of the tlb_gen generation protocol that the
+// shootdown's correctness argument is built on:
 //
-//   PTE write -> tlb_gen bump -> IPI send -> responder ack -> local flush
+//   tlb_gen bump -> IPI send -> responder ack -> local flush -> completion
 //
 // plus the state transitions (catch-up windows, CoW avoidance) whose timing
-// the invariant checker must know about to avoid false positives.
+// the invariant checker must know about to avoid false positives. PTE writes
+// reach the checker through the page table's PteWriteObserver
+// (src/mm/page_table.h), not through this sink.
 #ifndef TLBSIM_SRC_KERNEL_PROTOCOL_CHECK_H_
 #define TLBSIM_SRC_KERNEL_PROTOCOL_CHECK_H_
 
@@ -29,18 +31,17 @@ class ProtocolCheckSink {
   // PCIDs and installs the PTE-write observer on its page table.
   virtual void OnMmCreated(MmStruct& mm) = 0;
 
-  // ChargePteUpdate: attributes the most recent PTE store in `mm` at `va` to
-  // `cpu` (the page-table layer itself has no CPU context).
-  virtual void OnPteCharged(SimCpu& cpu, MmStruct& mm, uint64_t va) = 0;
-
   // mm->context.tlb_gen was published as `new_gen`, covering [start, end)
   // (the pre-threshold-conversion range; end == kFlushAll covers everything).
   virtual void OnTlbGenBump(SimCpu& cpu, MmStruct& mm, uint64_t new_gen, uint64_t start,
                             uint64_t end) = 0;
 
-  // The initiator enqueued CFDs and fired the IPI for generation `gen`.
+  // The initiator enqueued CFDs and fired the IPI for generation `gen`. No
+  // check reads it (default no-op); it marks the send phase's start.
   virtual void OnIpiSent(SimCpu& cpu, MmStruct& mm, uint64_t gen,
-                         std::span<const int> targets) = 0;
+                         std::span<const int> targets) {
+    (void)cpu; (void)mm; (void)gen; (void)targets;
+  }
 
   // A responder acknowledged `initiator`'s CFD. `early` follows §3.2;
   // `guarded` reports whether unfinished_flushes protects the window.

@@ -6,7 +6,7 @@ namespace tlbsim {
 
 void RwSem::NoteAcquired(SimCpu& cpu, bool write) {
   if (HwCheckSink* sink = cpu.check_sink()) {
-    sink->OnLockAcquire(cpu, this, name_, write);
+    sink->OnLockAcquire(cpu, write);
   }
 }
 
@@ -37,7 +37,7 @@ Co<void> RwSem::Lock(SimCpu& cpu, bool write) {
 
 void RwSem::Unlock(SimCpu& cpu, bool write) {
   if (HwCheckSink* sink = cpu.check_sink()) {
-    sink->OnLockRelease(cpu, this, name_);
+    sink->OnLockRelease(cpu, write);
   }
   if (write) {
     writer_ = false;

@@ -7,6 +7,11 @@
 // mmap_sem while waiting for a responder that is itself blocked on the same
 // semaphore; interrupt servicing during the sleep is what avoids deadlock,
 // on real hardware and here.)
+//
+// With a checker attached, every acquisition and release is reported to the
+// CPU's HwCheckSink, which enforces the two rules a sleeping lock must keep:
+// never taken in IRQ context, and never re-taken by a CPU that holds it
+// unless both holds are shared.
 #ifndef TLBSIM_SRC_KERNEL_RWSEM_H_
 #define TLBSIM_SRC_KERNEL_RWSEM_H_
 
@@ -19,9 +24,7 @@ namespace tlbsim {
 
 class RwSem {
  public:
-  // `name` is the lockdep class key (a string literal); semaphores with the
-  // same name belong to the same class for lock-order checking.
-  explicit RwSem(Engine* engine, const char* name = "rwsem") : release_(engine), name_(name) {}
+  explicit RwSem(Engine* engine) : release_(engine) {}
   RwSem(const RwSem&) = delete;
   RwSem& operator=(const RwSem&) = delete;
 
@@ -30,8 +33,6 @@ class RwSem {
 
   // Releases and wakes waiters at `cpu`'s current time.
   void Unlock(SimCpu& cpu, bool write);
-
-  const char* name() const { return name_; }
 
   bool locked() const { return writer_ || readers_ > 0; }
   int readers() const { return readers_; }
@@ -54,11 +55,10 @@ class RwSem {
     return true;
   }
 
-  // Reports an acquisition to the lockdep checker, if one is attached.
+  // Reports an acquisition to the checker, if one is attached.
   void NoteAcquired(SimCpu& cpu, bool write);
 
   SimFlag release_;
-  const char* name_;
   bool writer_ = false;
   int readers_ = 0;
   int waiting_writers_ = 0;

@@ -2,12 +2,17 @@
 // each test deliberately breaks one link of the shootdown protocol via
 // ShootdownEngine fault injection and asserts that tlbcheck reports exactly
 // the expected classified violation — plus clean-run tests asserting the
-// checkers stay silent when the protocol is intact.
+// checkers stay silent when the protocol is intact, and the two RwSem rules
+// driven through real semaphores.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "src/check/check_context.h"
 #include "src/core/fault_injection.h"
 #include "src/core/system.h"
+#include "src/kernel/rwsem.h"
 #include "tests/testutil.h"
 
 namespace tlbsim {
@@ -322,9 +327,80 @@ TEST(TlbCheckTest, ViolationJsonIsDeterministicallyShaped) {
   EXPECT_EQ(j.Find("violations")->AsUint(), 1u);
   ASSERT_EQ(j.Find("reports")->size(), 1u);
   const Json& r = j.Find("reports")->items()[0];
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : r.members()) {
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"kind", "time", "cpu", "mm", "va", "pcid",
+                                            "write_gen", "applied_gen", "detail"}));
   EXPECT_EQ(r.Find("kind")->AsString(), "lost_flush");
   EXPECT_EQ(r.Find("cpu")->AsInt(), 2);
   EXPECT_TRUE(r.Find("detail")->is_string());
+}
+
+// --- RwSem rules (mmap_sem is a sleeping reader-writer lock) ---
+
+struct LockRig {
+  System sys{TestConfig(OptimizationSet{})};
+  CheckContext chk;
+  LockRig() { chk.Attach(sys); }
+  Engine* engine() { return &sys.machine().engine(); }
+  SimCpu& cpu(int i) { return sys.machine().cpu(i); }
+};
+
+TEST(TlbCheckTest, ExclusiveReacquisitionIsRecursive) {
+  LockRig rig;
+  // Two semaphores: holding one while exclusively taking another is the
+  // self-deadlock pattern the rule exists for, whichever instance it is.
+  RwSem outer(rig.engine());
+  RwSem inner(rig.engine());
+  rig.engine()->Spawn(0, Go([&]() -> Co<void> {
+    SimCpu& cpu = rig.cpu(0);
+    co_await outer.Lock(cpu, true);
+    co_await inner.Lock(cpu, true);
+    inner.Unlock(cpu, true);
+    outer.Unlock(cpu, true);
+  }));
+  rig.engine()->Run();
+
+  ASSERT_EQ(rig.chk.violation_count(), 1u) << rig.chk.Summary();
+  EXPECT_EQ(rig.chk.CountOf(ViolationKind::kRecursiveLock), 1u) << rig.chk.Summary();
+}
+
+TEST(TlbCheckTest, SharedReacquisitionIsPermitted) {
+  LockRig rig;
+  RwSem outer(rig.engine());
+  RwSem inner(rig.engine());
+  rig.engine()->Spawn(0, Go([&]() -> Co<void> {
+    SimCpu& cpu = rig.cpu(0);
+    co_await outer.Lock(cpu, false);  // down_read twice is fine
+    co_await inner.Lock(cpu, false);
+    inner.Unlock(cpu, false);
+    outer.Unlock(cpu, false);
+  }));
+  rig.engine()->Run();
+  EXPECT_EQ(rig.chk.violation_count(), 0u) << rig.chk.Summary();
+}
+
+TEST(TlbCheckTest, IrqContextAcquisitionIsReported) {
+  LockRig rig;
+  RwSem sem(rig.engine());
+  SimCpu& cpu = rig.cpu(0);
+  cpu.RegisterIrqHandler(77, [&sem](SimCpu& c) -> Co<void> {
+    co_await sem.Lock(c, true);
+    sem.Unlock(c, true);
+  });
+  rig.engine()->Spawn(0, Go([&]() -> Co<void> {
+    co_await sem.Lock(cpu, true);  // task context, IRQs on: permitted
+    co_await cpu.Execute(500);
+    sem.Unlock(cpu, true);
+    co_await cpu.Execute(2000);  // window for the IRQ-context acquisition
+  }));
+  rig.engine()->Schedule(1000, [&] { cpu.RaiseIrq(77); });
+  rig.engine()->Run();
+
+  ASSERT_EQ(rig.chk.violation_count(), 1u) << rig.chk.Summary();
+  EXPECT_EQ(rig.chk.CountOf(ViolationKind::kIrqUnsafeLock), 1u) << rig.chk.Summary();
 }
 
 // --- Optimization #7 (reuse_elision) ---

@@ -1,5 +1,6 @@
 // Workload drivers: determinism, paper-shape assertions for each experiment
-// family (cheap versions of the bench checks, suitable for CI).
+// family (cheap versions of the bench checks, suitable for CI), every case
+// under the tlbcheck oracle.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -16,6 +17,28 @@
 
 namespace tlbsim {
 namespace {
+
+// Every case runs with the oracle attached to each System it builds and
+// fails on any violation. FractureTest's workload drives a bare Machine,
+// which no checker attaches to, so the oracle sees nothing of its runs.
+class OracleChecked : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    EnableTlbCheckEverywhere();
+    ResetGlobalTlbCheckSink();
+  }
+  void TearDown() override {
+    SetCheckEverySystem(false);
+    EXPECT_EQ(GlobalTlbCheckViolationCount(), 0u) << GlobalTlbCheckReport().Dump(2);
+  }
+};
+using MicrobenchTest = OracleChecked;
+using QueueBaselineTest = OracleChecked;
+using CowBenchTest = OracleChecked;
+using SysbenchTest = OracleChecked;
+using ApacheTest = OracleChecked;
+using FractureTest = OracleChecked;
+using ChurnTest = OracleChecked;
 
 MicroResult Micro(int level, int pages, Placement p, bool pti = true, uint64_t seed = 1) {
   MicroConfig cfg;
@@ -41,14 +64,14 @@ uint64_t MetricAt(const Json& metrics, std::initializer_list<std::string_view> p
   return v->AsUint();
 }
 
-TEST(MicrobenchTest, Deterministic) {
+TEST_F(MicrobenchTest, Deterministic) {
   MicroResult a = Micro(0, 4, Placement::kOtherSocket);
   MicroResult b = Micro(0, 4, Placement::kOtherSocket);
   EXPECT_DOUBLE_EQ(a.initiator.mean(), b.initiator.mean());
   EXPECT_DOUBLE_EQ(a.responder_cycles_per_op, b.responder_cycles_per_op);
 }
 
-TEST(MicrobenchTest, EveryIterationShootsDown) {
+TEST_F(MicrobenchTest, EveryIterationShootsDown) {
   MicroResult r = Micro(0, 1, Placement::kSameSocket);
   EXPECT_EQ(r.shootdowns, 100u);
   EXPECT_EQ(r.initiator.count(), 100u);
@@ -58,7 +81,7 @@ TEST(MicrobenchTest, EveryIterationShootsDown) {
 // shootdown sends one IPI per responder; with x2APIC multicast cpus 1 and 4
 // share cluster 0 and cpu 30 sits in cluster 1, so it costs two ICR writes,
 // and one per IPI without.
-TEST(MicrobenchTest, EveryResponderGetsAnIpi) {
+TEST_F(MicrobenchTest, EveryResponderGetsAnIpi) {
   for (bool multicast : {true, false}) {
     SCOPED_TRACE(multicast ? "multicast" : "unicast");
     MicroConfig cfg;
@@ -81,12 +104,12 @@ TEST(MicrobenchTest, EveryResponderGetsAnIpi) {
   }
 }
 
-TEST(MicrobenchTest, ConcurrentFlushingHelpsInitiator) {
+TEST_F(MicrobenchTest, ConcurrentFlushingHelpsInitiator) {
   EXPECT_LT(Micro(1, 10, Placement::kOtherSocket).initiator.mean(),
             Micro(0, 10, Placement::kOtherSocket).initiator.mean());
 }
 
-TEST(MicrobenchTest, ConcurrentBenefitGrowsWithPages) {
+TEST_F(MicrobenchTest, ConcurrentBenefitGrowsWithPages) {
   auto gain = [](int pages) {
     double base = Micro(0, pages, Placement::kSameCore).initiator.mean();
     double conc = Micro(1, pages, Placement::kSameCore).initiator.mean();
@@ -95,7 +118,7 @@ TEST(MicrobenchTest, ConcurrentBenefitGrowsWithPages) {
   EXPECT_GT(gain(10), gain(1));
 }
 
-TEST(MicrobenchTest, EarlyAckBenefitGrowsWithDistance) {
+TEST_F(MicrobenchTest, EarlyAckBenefitGrowsWithDistance) {
   auto gain = [](Placement p) {
     double before = Micro(2, 10, p).initiator.mean();
     double after = Micro(3, 10, p).initiator.mean();
@@ -104,13 +127,13 @@ TEST(MicrobenchTest, EarlyAckBenefitGrowsWithDistance) {
   EXPECT_GT(gain(Placement::kOtherSocket), gain(Placement::kSameCore));
 }
 
-TEST(MicrobenchTest, InContextHelpsResponderInSafeMode) {
+TEST_F(MicrobenchTest, InContextHelpsResponderInSafeMode) {
   double before = Micro(3, 10, Placement::kOtherSocket).responder_cycles_per_op;
   double after = Micro(4, 10, Placement::kOtherSocket).responder_cycles_per_op;
   EXPECT_LT(after, before);
 }
 
-TEST(MicrobenchTest, InitiatorLatencyOrdersByDistance) {
+TEST_F(MicrobenchTest, InitiatorLatencyOrdersByDistance) {
   double same_core = Micro(0, 1, Placement::kSameCore).initiator.mean();
   double same_socket = Micro(0, 1, Placement::kSameSocket).initiator.mean();
   double cross = Micro(0, 1, Placement::kOtherSocket).initiator.mean();
@@ -118,7 +141,7 @@ TEST(MicrobenchTest, InitiatorLatencyOrdersByDistance) {
   EXPECT_LT(same_socket, cross);
 }
 
-TEST(MicrobenchTest, UnsafeModeFasterThanSafe) {
+TEST_F(MicrobenchTest, UnsafeModeFasterThanSafe) {
   EXPECT_LT(Micro(0, 10, Placement::kOtherSocket, /*pti=*/false).initiator.mean(),
             Micro(0, 10, Placement::kOtherSocket, /*pti=*/true).initiator.mean());
 }
@@ -142,7 +165,7 @@ ChurnResult Churn(bool pagecache, int threads, FlushBackendKind backend, bool el
   return pagecache ? RunChurnPagecache(cfg) : RunChurnArena(cfg);
 }
 
-// The queue backend on the paper's workloads, under the tlbcheck oracle. It
+// The queue backend on the paper's workloads. It
 // implements none of the optimizations the figures sweep (the IPI engine
 // holds them all; QueueFlushBackend reads only cow_avoidance), so the
 // ablations and related_work run it at None(). Two kernel-side reads could
@@ -150,18 +173,6 @@ ChurnResult Churn(bool pagecache, int threads, FlushBackendKind backend, bool el
 // cacheline_consolidation, and the BeginBatch/EndBatch hooks that
 // userspace_batching calls. Each configuration below must therefore give the
 // same queue result at None() as with every figure optimization on.
-class QueueBaselineTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    EnableTlbCheckEverywhere();
-    ResetGlobalTlbCheckSink();
-  }
-  void TearDown() override {
-    SetCheckEverySystem(false);
-    EXPECT_EQ(GlobalTlbCheckViolationCount(), 0u) << GlobalTlbCheckReport().Dump(2);
-  }
-};
-
 template <typename Config, typename Run, typename Key>
 void ExpectQueueIgnoresFigureOpts(Config cfg, Run run, Key key) {
   auto [backend, opts, pti] = Knobs(cfg);
@@ -274,7 +285,7 @@ TEST_F(QueueBaselineTest, ChurnElisionMovesFlushesOffTheShootdownPath) {
   }
 }
 
-TEST(CowBenchTest, AvoidanceSavesCycles) {
+TEST_F(CowBenchTest, AvoidanceSavesCycles) {
   CowConfig cfg;
   cfg.system.kernel.opts = OptimizationSet::AllGeneral();
   cfg.pages = 32;
@@ -287,7 +298,7 @@ TEST(CowBenchTest, AvoidanceSavesCycles) {
   EXPECT_EQ(base.flushes_avoided, 0u);
 }
 
-TEST(SysbenchTest, RunsAndCountsShootdowns) {
+TEST_F(SysbenchTest, RunsAndCountsShootdowns) {
   SysbenchConfig cfg;
   cfg.threads = 4;
   cfg.writes_per_thread = 48;
@@ -297,7 +308,7 @@ TEST(SysbenchTest, RunsAndCountsShootdowns) {
   EXPECT_GT(r.shootdowns, 0u);
 }
 
-TEST(SysbenchTest, BatchingImprovesThroughput) {
+TEST_F(SysbenchTest, BatchingImprovesThroughput) {
   // Batching pays on top of the baseline and on top of the general
   // optimizations alike.
   for (OptimizationSet base : {OptimizationSet::None(), OptimizationSet::AllGeneral()}) {
@@ -313,7 +324,7 @@ TEST(SysbenchTest, BatchingImprovesThroughput) {
   }
 }
 
-TEST(SysbenchTest, FlushStormsAppearWithManyThreads) {
+TEST_F(SysbenchTest, FlushStormsAppearWithManyThreads) {
   SysbenchConfig cfg;
   cfg.threads = 12;
   cfg.writes_per_thread = 64;
@@ -322,7 +333,7 @@ TEST(SysbenchTest, FlushStormsAppearWithManyThreads) {
   EXPECT_GT(r.responder_full_storm + r.skipped_gen, 0u);
 }
 
-TEST(ApacheTest, ThroughputScalesWithCoresUntilCap) {
+TEST_F(ApacheTest, ThroughputScalesWithCoresUntilCap) {
   ApacheConfig cfg;
   cfg.requests_per_core = 30;
   cfg.server_cores = 1;
@@ -332,7 +343,7 @@ TEST(ApacheTest, ThroughputScalesWithCoresUntilCap) {
   EXPECT_GT(four, 2.5 * one);
 }
 
-TEST(ApacheTest, OptimizationsHelpAtHighCoreCounts) {
+TEST_F(ApacheTest, OptimizationsHelpAtHighCoreCounts) {
   ApacheConfig cfg;
   cfg.requests_per_core = 30;
   cfg.server_cores = 8;
@@ -343,7 +354,7 @@ TEST(ApacheTest, OptimizationsHelpAtHighCoreCounts) {
   EXPECT_GT(opt, base);
 }
 
-TEST(ApacheTest, GeneratorCapClips) {
+TEST_F(ApacheTest, GeneratorCapClips) {
   ApacheConfig cfg;
   cfg.requests_per_core = 20;
   cfg.server_cores = 4;
@@ -353,7 +364,7 @@ TEST(ApacheTest, GeneratorCapClips) {
   EXPECT_GT(r.raw_requests_per_mcycle, 10.0);
 }
 
-TEST(FractureTest, FracturingRowSelectiveEqualsFull) {
+TEST_F(FractureTest, FracturingRowSelectiveEqualsFull) {
   FractureConfig cfg;
   cfg.guest_size = PageSize::k2M;
   cfg.host_size = PageSize::k4K;
@@ -366,7 +377,7 @@ TEST(FractureTest, FracturingRowSelectiveEqualsFull) {
   EXPECT_EQ(sel.fracture_forced_full, 10u);
 }
 
-TEST(FractureTest, NonFracturingSelectiveIsCheap) {
+TEST_F(FractureTest, NonFracturingSelectiveIsCheap) {
   FractureConfig cfg;
   cfg.guest_size = PageSize::k4K;
   cfg.host_size = PageSize::k4K;
@@ -378,7 +389,7 @@ TEST(FractureTest, NonFracturingSelectiveIsCheap) {
   EXPECT_LT(sel * 5, full);
 }
 
-TEST(FractureTest, MitigationRestoresSelectiveFlush) {
+TEST_F(FractureTest, MitigationRestoresSelectiveFlush) {
   FractureConfig cfg;
   cfg.guest_size = PageSize::k2M;
   cfg.host_size = PageSize::k4K;
@@ -390,7 +401,7 @@ TEST(FractureTest, MitigationRestoresSelectiveFlush) {
   EXPECT_LT(fixed * 5, broken);
 }
 
-TEST(FractureTest, HugePagesReduceMissCounts) {
+TEST_F(FractureTest, HugePagesReduceMissCounts) {
   FractureConfig cfg;
   cfg.vm = false;
   cfg.rounds = 10;
@@ -401,7 +412,7 @@ TEST(FractureTest, HugePagesReduceMissCounts) {
   EXPECT_LT(huge * 10, small);
 }
 
-TEST(ChurnTest, SeededStormDeterministic) {
+TEST_F(ChurnTest, SeededStormDeterministic) {
   // Replaying the seeded storm must be cycle-identical for every workload
   // shape, backend and thread count.
   for (bool pagecache : {false, true}) {
@@ -426,7 +437,7 @@ TEST(ChurnTest, SeededStormDeterministic) {
   }
 }
 
-TEST(ChurnTest, ElisionMovesFlushesOffTheShootdownPath) {
+TEST_F(ChurnTest, ElisionMovesFlushesOffTheShootdownPath) {
   for (bool pagecache : {false, true}) {
     SCOPED_TRACE(pagecache ? "pagecache" : "arena");
     ChurnConfig cfg;
