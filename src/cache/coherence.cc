@@ -5,8 +5,16 @@
 
 namespace tlbsim {
 
+namespace {
+constexpr int kInitialSlotBits = 6;
+}  // namespace
+
 CoherenceModel::CoherenceModel(const Topology& topo, const CacheCosts& costs)
-    : topo_(topo), costs_(costs), cpu_words_((topo.num_cpus() + 63) / 64) {
+    : topo_(topo),
+      costs_(costs),
+      cpu_words_((topo.num_cpus() + 63) / 64),
+      data_slots_(size_t{1} << kInitialSlotBits),
+      slot_shift_(64 - kInitialSlotBits) {
   assert(topo.num_cpus() <= kMaxCpus);
   // CPU ids are socket-major, thread-minor: a core's and a socket's cpus are
   // contiguous id ranges.
@@ -41,9 +49,30 @@ LineId CoherenceModel::AllocateLine(const char* prefix, uint64_t index, const ch
   return next_named_++;
 }
 
+CoherenceModel::Entry& CoherenceModel::InsertDataLine(LineId line) {
+  if (2 * (data_line_count_ + 1) > data_slots_.size()) {
+    std::vector<Slot> old(2 * data_slots_.size());
+    old.swap(data_slots_);
+    --slot_shift_;
+    for (const Slot& s : old) {
+      if (s.line != 0) {
+        data_slots_[FindSlot(s.line)] = s;
+      }
+    }
+  }
+  if (data_line_count_ % kEntriesPerChunk == 0) {
+    entry_chunks_.push_back(std::make_unique<Entry[]>(kEntriesPerChunk));
+  }
+  Entry* e = &entry_chunks_.back()[data_line_count_ % kEntriesPerChunk];
+  ++data_line_count_;
+  data_slots_[FindSlot(line)] = Slot{line, e};
+  return *e;
+}
+
 CoherenceModel::Entry& CoherenceModel::EntryFor(LineId line) {
   if ((line & kDataBit) != 0) {
-    return data_lines_[line];
+    const Slot& s = data_slots_[FindSlot(line)];
+    return s.line == line ? *s.entry : InsertDataLine(line);
   }
   assert(line < next_named_ && "named line ids come from AllocateLine");
   if (line >= named_lines_.size()) {
@@ -80,7 +109,7 @@ Topology::Distance CoherenceModel::FarthestOther(int cpu, const CpuBits& holders
     if (i == cpu >> 6) {
       h &= ~(1ULL << (cpu & 63));
     }
-    count += static_cast<uint64_t>(__builtin_popcountll(h));
+    count += static_cast<uint64_t>(PopCount64(h));
     off_socket |= (h & ~m.socket.w[i]) != 0;
     off_core |= (h & ~m.core.w[i]) != 0;
   }
@@ -179,7 +208,10 @@ Cycles CoherenceModel::Access(int cpu, LineId line, AccessType type) {
 
 void CoherenceModel::EvictAll(LineId line) {
   if ((line & kDataBit) != 0) {
-    data_lines_.erase(line);
+    const Slot& s = data_slots_[FindSlot(line)];
+    if (s.line == line) {
+      *s.entry = Entry{};
+    }
   } else if (line < named_lines_.size()) {
     named_lines_[static_cast<size_t>(line)] = Entry{};
   }
@@ -190,15 +222,15 @@ void CoherenceModel::ResetStats() {
   for (Entry& e : named_lines_) {
     e.stats = LineStats{};
   }
-  for (auto& [id, e] : data_lines_) {  // det-ok: order-independent (zeroes every entry)
-    e.stats = LineStats{};
+  for (size_t i = 0; i < data_line_count_; ++i) {
+    entry_chunks_[i / kEntriesPerChunk][i % kEntriesPerChunk].stats = LineStats{};
   }
 }
 
 CoherenceModel::LineStats CoherenceModel::StatsFor(LineId line) const {
   if ((line & kDataBit) != 0) {
-    auto it = data_lines_.find(line);
-    return it == data_lines_.end() ? LineStats{} : it->second.stats;
+    const Slot& s = data_slots_[FindSlot(line)];
+    return s.line == line ? s.entry->stats : LineStats{};
   }
   return line < named_lines_.size() ? named_lines_[static_cast<size_t>(line)].stats : LineStats{};
 }

@@ -12,18 +12,24 @@
 // addresses via LineOfAddress().
 //
 // Directory layout (the simulator's hottest data structure): named ids are
-// dense (AllocateLine hands out 1, 2, 3, ...), so named lines index a vector;
-// only address-derived data lines go through a hash map. A line's holders
-// are one CPU bitset, and every CPU carries precomputed SMT-sibling and
-// same-socket masks, so the nearest holder, the farthest holder and the
-// invalidation count take a few word operations.
+// dense (AllocateLine hands out 1, 2, 3, ...), so named lines index a vector.
+// Address-derived data lines go through an open-addressed table: a
+// power-of-two array of (line, entry pointer) slots, Fibonacci-hashed and
+// linearly probed, kept at most half full. The entries themselves live in
+// fixed-size chunks in first-touch order, so a new line costs no allocation
+// of its own and growing the table moves only slots. A line is never removed
+// (EvictAll resets its entry in place), so probing needs no tombstones. A
+// line's holders are one CPU bitset, and every CPU carries precomputed
+// SMT-sibling and same-socket masks, so the nearest holder, the farthest
+// holder and the invalidation count take a few word operations.
 #ifndef TLBSIM_SRC_CACHE_COHERENCE_H_
 #define TLBSIM_SRC_CACHE_COHERENCE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/cpu_bits.h"
@@ -139,8 +145,28 @@ class CoherenceModel {
     CpuBits socket;  // same socket
   };
 
+  // One data-line slot; `line` 0 marks it empty (data ids carry kDataBit).
+  struct Slot {
+    LineId line = 0;
+    Entry* entry = nullptr;
+  };
+  static constexpr size_t kEntriesPerChunk = 256;
+
   // The entry for `line`, created (invalid) if absent.
   Entry& EntryFor(LineId line);
+
+  // The slot holding data line `line`, or the empty slot that ends its probe
+  // sequence.
+  size_t FindSlot(LineId line) const {
+    const size_t mask = data_slots_.size() - 1;
+    size_t i = static_cast<size_t>((line * 0x9E3779B97F4A7C15ULL) >> slot_shift_);
+    while (data_slots_[i].line != line && data_slots_[i].line != 0) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+  // Inserts data line `line` (absent) with a fresh entry.
+  Entry& InsertDataLine(LineId line);
 
   // Distance from `cpu` to the nearest holder (kCrossSocket if none).
   Topology::Distance NearestHolder(int cpu, const CpuBits& holders) const;
@@ -153,9 +179,14 @@ class CoherenceModel {
   const CacheCosts costs_;
   int cpu_words_;                // CpuBits words the topology uses
   std::vector<CpuMasks> masks_;  // indexed by cpu
-  // Named lines indexed by id (slot 0 unused); data lines hashed.
+  // Named lines indexed by id (slot 0 unused).
   std::vector<Entry> named_lines_;
-  std::unordered_map<LineId, Entry> data_lines_;
+  // Data lines: the probe table (power-of-two size, shift = 64 - log2 size)
+  // and the entry chunks it points into, `data_line_count_` entries in all.
+  std::vector<Slot> data_slots_;
+  int slot_shift_ = 0;
+  std::vector<std::unique_ptr<Entry[]>> entry_chunks_;
+  size_t data_line_count_ = 0;
   GlobalStats global_;
   std::vector<NameRec> named_;  // indexed by LineId - 1 (named ids are dense)
   std::vector<std::string> custom_names_;  // AllocateLine(std::string) names

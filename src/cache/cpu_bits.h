@@ -14,8 +14,22 @@
 
 namespace tlbsim {
 
-// Upper bound on simulated CPUs (sizes CPU sets and the checker's vector
-// clocks). 256 covers the 8-socket/224-cpu preset.
+// Number of set bits in `x`. Without -mpopcnt (the default build) gcc turns
+// __builtin_popcountll into a call to libgcc's __popcountdi2; the SWAR count
+// stays inline and branch-free.
+inline int PopCount64(uint64_t x) {
+#ifdef __POPCNT__
+  return __builtin_popcountll(x);
+#else
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+#endif
+}
+
+// Upper bound on simulated CPUs (sizes CPU sets). 256 covers the
+// 8-socket/224-cpu preset.
 inline constexpr int kMaxCpus = 256;
 
 struct CpuBits {
@@ -38,7 +52,7 @@ struct CpuBits {
   size_t count() const {
     size_t n = 0;
     for (uint64_t word : w) {
-      n += static_cast<size_t>(__builtin_popcountll(word));
+      n += static_cast<size_t>(PopCount64(word));
     }
     return n;
   }

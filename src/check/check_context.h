@@ -35,11 +35,13 @@
 #define TLBSIM_SRC_CHECK_CHECK_CONTEXT_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "src/check/violation.h"
@@ -157,12 +159,15 @@ class CheckContext final : public SystemChecker,
     uint16_t pcid;
     uint64_t vpn;
     PageSize size;
-    bool operator<(const BirthKey& o) const {
-      if (cpu != o.cpu) return cpu < o.cpu;
-      if (itlb != o.itlb) return itlb < o.itlb;
-      if (pcid != o.pcid) return pcid < o.pcid;
-      if (vpn != o.vpn) return vpn < o.vpn;
-      return size < o.size;
+    bool operator==(const BirthKey&) const = default;
+  };
+  struct BirthKeyHash {
+    size_t operator()(const BirthKey& k) const {
+      const uint64_t tag = static_cast<uint64_t>(k.cpu) << 32 |
+                           static_cast<uint64_t>(k.pcid) << 8 |
+                           static_cast<uint64_t>(k.itlb) << 4 | static_cast<uint64_t>(k.size);
+      const uint64_t h = k.vpn * 0x9E3779B97F4A7C15ULL ^ tag * 0xC2B2AE3D27D4EB4FULL;
+      return static_cast<size_t>(h ^ (h >> 29));
     }
   };
 
@@ -191,7 +196,8 @@ class CheckContext final : public SystemChecker,
 
   std::vector<MmState*> pcid_map_;  // pcid -> owning mm state (4096 slots)
   std::map<uint64_t, std::unique_ptr<MmState>> mm_by_root_;
-  std::map<BirthKey, uint64_t> births_;
+  // Looked up and overwritten, never iterated, so hash order never shows.
+  std::unordered_map<BirthKey, uint64_t, BirthKeyHash> births_;
 
   std::vector<LockHolds> holds_;  // per CPU
 

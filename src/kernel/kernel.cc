@@ -512,6 +512,7 @@ Co<void> Kernel::SysMsyncClean(Thread& t, uint64_t addr, uint64_t len) {
   co_await cpu.Execute(machine_->costs().vma_op_body);
 
   std::vector<uint64_t> dirty;
+  dirty.reserve(mm.pt.CountDirty4K(addr, addr + len));
   mm.pt.ForEachLeafWith(PteFlags::kPresent | PteFlags::kWrite | PteFlags::kDirty, addr,
                         addr + len, [&](uint64_t va, Pte, PageSize) { dirty.push_back(va); });
 

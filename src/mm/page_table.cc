@@ -1,6 +1,7 @@
 #include "src/mm/page_table.h"
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 
 namespace tlbsim {
@@ -56,7 +57,7 @@ void PageTable::PropagateStore(uint64_t va, PageSize size, Pte new_pte) {
     if (node == nullptr) {
       continue;
     }
-    node->entries[PtIndex(va, leaf_level)] = new_pte;
+    StoreLeaf(*node, PtIndex(va, leaf_level), new_pte);
   }
 }
 
@@ -71,7 +72,7 @@ void PageTable::Map(uint64_t va, uint64_t pfn, uint64_t flags, PageSize size) {
     flags |= PteFlags::kHuge;
   }
   Pte old = node->entries[idx];
-  node->entries[idx] = Pte::Make(pfn, flags);
+  StoreLeaf(*node, idx, Pte::Make(pfn, flags));
   if (write_observer_ != nullptr) {
     write_observer_->OnPteWrite(*this, va, old, node->entries[idx], size);
   }
@@ -86,7 +87,7 @@ Pte PageTable::SetPte(uint64_t va, Pte new_pte) {
   int leaf_level = r.size == PageSize::k4K ? 0 : 1;
   uint64_t idx = PtIndex(va, leaf_level);
   Pte old = node->entries[idx];
-  node->entries[idx] = new_pte;
+  StoreLeaf(*node, idx, new_pte);
   if (write_observer_ != nullptr) {
     write_observer_->OnPteWrite(*this, va, old, new_pte, r.size);
   }
@@ -103,7 +104,7 @@ Pte PageTable::Unmap(uint64_t va) {
   int leaf_level = r.size == PageSize::k4K ? 0 : 1;
   uint64_t idx = PtIndex(va, leaf_level);
   Pte old = node->entries[idx];
-  node->entries[idx] = Pte();
+  StoreLeaf(*node, idx, Pte());
   if (write_observer_ != nullptr) {
     write_observer_->OnPteWrite(*this, va, old, Pte(), r.size);
   }
@@ -200,9 +201,32 @@ bool PageTable::PruneEmpty(uint64_t lo, uint64_t hi) {
   return freed;
 }
 
+uint64_t PageTable::CountDirtyIn(const Node& node, int level, uint64_t base, uint64_t lo,
+                                 uint64_t hi) {
+  auto [first, last] = Overlapping(level, base, lo, hi);
+  uint64_t n = 0;
+  if (level == 0) {
+    for (uint64_t w = first / 64; w * 64 < last; ++w) {
+      n += static_cast<uint64_t>(std::popcount(SummaryBits(node, w, first, last)));
+    }
+    return n;
+  }
+  for (uint64_t i = first; i < last; ++i) {
+    if (node.children[i]) {
+      n += CountDirtyIn(*node.children[i], level - 1, base + i * SpanAt(level), lo, hi);
+    }
+  }
+  return n;
+}
+
+uint64_t PageTable::CountDirty4K(uint64_t lo, uint64_t hi) const {
+  return CountDirtyIn(*root_, kPtLevels - 1, 0, lo, hi);
+}
+
 std::unique_ptr<PageTable::Node> PageTable::CloneTree(const Node& src, int home_node) {
   auto n = std::make_unique<Node>();
   n->entries = src.entries;
+  n->dirty = src.dirty;
   n->node = home_node;
   for (uint64_t i = 0; i < kPtEntries; ++i) {
     if (src.children[i]) {

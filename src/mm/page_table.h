@@ -19,6 +19,12 @@
 // Node-aware walks go through the walker's local replica. The tlbcheck
 // oracle verifies replica agreement at flush-acknowledgement time via
 // FindReplicaDivergence.
+//
+// Dirty summary: every last-level table keeps a 512-bit mask of the slots
+// whose entry has kDirty, flipped by the leaf stores that flip a dirty bit
+// (Map / SetPte / Unmap, replicas included). A leaf walk whose mask
+// includes kDirty (msync) visits only those slots, so it costs O(dirty
+// pages) rather than O(mapped pages).
 #ifndef TLBSIM_SRC_MM_PAGE_TABLE_H_
 #define TLBSIM_SRC_MM_PAGE_TABLE_H_
 
@@ -95,12 +101,19 @@ class PageTable {
   }
 
   // The same walk, limited to leaves whose flags include all of `mask`
-  // (which must include kPresent), such as msync's dirty and writable.
+  // (which must include kPresent), such as msync's dirty and writable. With
+  // kDirty in the mask, last-level tables are read through their dirty
+  // summary.
   template <typename Fn>
   void ForEachLeafWith(uint64_t mask, uint64_t lo, uint64_t hi, Fn&& fn) const {
     assert((mask & PteFlags::kPresent) != 0);
     VisitLeaves(*root_, kPtLevels - 1, 0, lo, hi, mask, fn);
   }
+
+  // Number of 4K leaves in [lo, hi) whose entry has kDirty, read from the
+  // dirty summaries: an upper bound on what a walk with kDirty in its mask
+  // visits there (2M leaves are not counted).
+  uint64_t CountDirty4K(uint64_t lo, uint64_t hi) const;
 
   // Frees empty intermediate tables under [lo, hi). Returns true if any
   // paging-structure page was freed (drives the freed-tables flag that gates
@@ -151,11 +164,34 @@ class PageTable {
   void set_write_observer(PteWriteObserver* obs) { write_observer_ = obs; }
 
  private:
+  static constexpr uint64_t kSummaryWords = kPtEntries / 64;
+
   struct Node {
     std::array<Pte, kPtEntries> entries{};
     std::array<std::unique_ptr<Node>, kPtEntries> children;
+    // Bit i set iff entries[i] has kDirty; read only in last-level tables.
+    std::array<uint64_t, kSummaryWords> dirty{};
     int node = 0;  // home memory node of this paging-structure page
   };
+
+  // Stores a leaf entry and keeps the table's dirty summary in step. The
+  // summary's cacheline is touched only when the dirty bit flips, so stores
+  // that never dirty (read-only mappings, unmaps of clean pages) cost
+  // nothing extra.
+  static void StoreLeaf(Node& node, uint64_t idx, Pte pte) {
+    if (((node.entries[idx].raw() ^ pte.raw()) & PteFlags::kDirty) != 0) {
+      node.dirty[idx >> 6] ^= 1ULL << (idx & 63);
+    }
+    node.entries[idx] = pte;
+  }
+
+  // The dirty-summary bits of word `w` that fall in slots [first, last).
+  static uint64_t SummaryBits(const Node& node, uint64_t w, uint64_t first, uint64_t last) {
+    const uint64_t lo = std::max(first, w * 64) - w * 64;
+    const uint64_t hi = std::min(last, w * 64 + 64) - w * 64;
+    const uint64_t below_hi = hi == 64 ? ~0ULL : (1ULL << hi) - 1;
+    return node.dirty[w] & below_hi & ~((1ULL << lo) - 1);
+  }
 
   struct Replica {
     std::unique_ptr<Node> root;
@@ -199,22 +235,22 @@ class PageTable {
                           uint64_t mask, Fn& fn) {
     auto [first, last] = Overlapping(level, base, lo, hi);
     if (level == 0) {
-      // Eight PTEs (a cacheline's worth) at a time, tested without a branch
-      // first: when matches are few and scattered (msync's dirty PTEs), most
-      // groups hold none and cost no data-dependent branch.
-      for (uint64_t i = first; i < last; i += 8) {
-        const uint64_t end = std::min(i + 8, last);
-        bool any = false;
-        for (uint64_t j = i; j < end; ++j) {
-          any |= (node.entries[j].raw() & mask) == mask;
-        }
-        if (!any) {
-          continue;
-        }
-        for (uint64_t j = i; j < end; ++j) {
-          Pte e = node.entries[j];
+      if ((mask & PteFlags::kDirty) == 0) {
+        for (uint64_t i = first; i < last; ++i) {
+          Pte e = node.entries[i];
           if ((e.raw() & mask) == mask) {
-            fn(base + j * kPageSize4K, e, PageSize::k4K);
+            fn(base + i * kPageSize4K, e, PageSize::k4K);
+          }
+        }
+        return;
+      }
+      // Only slots in the dirty summary can match.
+      for (uint64_t w = first / 64; w * 64 < last; ++w) {
+        for (uint64_t bits = SummaryBits(node, w, first, last); bits != 0; bits &= bits - 1) {
+          const uint64_t i = w * 64 + static_cast<uint64_t>(__builtin_ctzll(bits));
+          Pte e = node.entries[i];
+          if ((e.raw() & mask) == mask) {
+            fn(base + i * kPageSize4K, e, PageSize::k4K);
           }
         }
       }
@@ -234,6 +270,8 @@ class PageTable {
     }
   }
 
+  static uint64_t CountDirtyIn(const Node& node, int level, uint64_t base, uint64_t lo,
+                               uint64_t hi);
   static std::unique_ptr<Node> CloneTree(const Node& src, int home_node);
   static bool PruneNode(Node& node, int level, uint64_t base, uint64_t lo, uint64_t hi,
                         uint64_t* node_count);

@@ -439,7 +439,10 @@ class SharerListModel {
 
 // Seeded random (cpu, line, type) sequences — with occasional evictions —
 // must cost, count and attribute exactly what the sharer-list model does.
-void ExpectMatchesSharerList(const Topology& topo, uint64_t seed) {
+// `data_lines` address-derived lines join 24 named ones; thousands of them
+// grow the data-line table several times over.
+void ExpectMatchesSharerList(const Topology& topo, uint64_t seed, uint64_t data_lines = 8,
+                             int steps = 20000) {
   CacheCosts costs;
   CoherenceModel model(topo, costs);
   SharerListModel ref(topo, costs);
@@ -447,8 +450,10 @@ void ExpectMatchesSharerList(const Topology& topo, uint64_t seed) {
   for (int i = 0; i < 24; ++i) {
     lines.push_back(model.AllocateLine("line", static_cast<uint64_t>(i), ""));
   }
-  for (uint64_t pa = 0; pa < 8; ++pa) {
-    lines.push_back(CoherenceModel::LineOfAddress(pa << 12));
+  for (uint64_t pa = 0; pa < data_lines; ++pa) {
+    // Page-aligned lines, then runs of adjacent lines within pages.
+    uint64_t addr = pa < 8 ? pa << 12 : ((pa / 16) << 12) + ((pa % 16) << 6) + (1ULL << 30);
+    lines.push_back(CoherenceModel::LineOfAddress(addr));
   }
   Rng rng(seed);
   auto below = [&rng](uint64_t n) { return rng.UniformU64() % n; };
@@ -457,7 +462,7 @@ void ExpectMatchesSharerList(const Topology& topo, uint64_t seed) {
   for (int i = 0; i < 12; ++i) {
     pool.push_back(static_cast<int>(below(static_cast<uint64_t>(topo.num_cpus()))));
   }
-  for (int step = 0; step < 20000; ++step) {
+  for (int step = 0; step < steps; ++step) {
     LineId line = lines[below(lines.size())];
     int cpu = pool[below(pool.size())];
     uint64_t r = below(100);
@@ -499,6 +504,15 @@ TEST(CoherenceDifferentialTest, DefaultTopologyMatchesSharerList) {
 TEST(CoherenceDifferentialTest, EightSocketMatchesSharerList) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     ExpectMatchesSharerList(Topology::EightSocket(), seed);
+  }
+}
+
+// 6,000 data lines take the data-line table from 64 slots to 16,384 (eight
+// growths); ~10 accesses a line, and ~1% of steps evict a line that later
+// steps touch again.
+TEST(CoherenceDifferentialTest, ThousandsOfDataLinesMatchSharerList) {
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    ExpectMatchesSharerList(Topology{}, seed, /*data_lines=*/6000, /*steps=*/60000);
   }
 }
 

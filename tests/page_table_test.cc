@@ -6,6 +6,7 @@
 
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -266,6 +267,93 @@ TEST(PageTablePropertyTest, FlagFilteredWalkMatchesFilteredPresentWalk) {
     }
   }
   EXPECT_GT(matched, 1000u);  // the masks are not so strict that nothing matches
+}
+
+// Property: the dirty summaries stay exact under every kind of leaf store.
+// Seeded random Map / SetPte / Unmap / PruneEmpty steps on 4K and 2M pages,
+// with replication off and on; after every step msync's walk (present +
+// write + dirty) equals a brute-force filter of the present walk, and
+// CountDirty4K equals the number of dirty 4K leaves it counts.
+TEST(PageTablePropertyTest, DirtySummaryTracksEveryLeafStore) {
+  constexpr uint64_t kMsyncMask = PteFlags::kPresent | PteFlags::kWrite | PteFlags::kDirty;
+  constexpr int kRegions = 6;  // 2M regions; the middle one starts a new PD
+  const uint64_t first = kBase + (1ULL << 30) - (kRegions / 2) * kPageSize2M;
+  constexpr uint64_t kSpan = kRegions * kPageSize2M;
+  using Leaf = std::tuple<uint64_t, uint64_t, PageSize>;  // va, raw pte, size
+  for (bool replicated : {false, true}) {
+    PageTable pt;
+    if (replicated) {
+      pt.EnableReplication(2);
+    }
+    Rng rng(replicated ? 77 : 76);
+    auto random_flags = [&] {
+      uint64_t flags = PteFlags::kPresent;
+      flags |= rng.Chance(0.6) ? PteFlags::kWrite : 0;
+      flags |= rng.Chance(0.5) ? PteFlags::kDirty : 0;
+      flags |= rng.Chance(0.5) ? PteFlags::kAccessed : 0;
+      return flags;
+    };
+    // Regions 0 and 3 hold 2M pages, the others 4K pages.
+    auto huge_region = [](int r) { return r % 3 == 0; };
+    size_t dirty_seen = 0;
+    for (int step = 0; step < 2000; ++step) {
+      const int r = static_cast<int>(rng.UniformInt(0, kRegions - 1));
+      const uint64_t region = first + static_cast<uint64_t>(r) * kPageSize2M;
+      const uint64_t va =
+          huge_region(r) ? region
+                         : region + static_cast<uint64_t>(rng.UniformInt(0, 511)) * kPageSize4K;
+      const PageSize size = huge_region(r) ? PageSize::k2M : PageSize::k4K;
+      const bool mapped = pt.Walk(va).present;
+      const int64_t op = rng.UniformInt(0, 99);
+      if (!mapped || op < 30) {
+        pt.Map(va, static_cast<uint64_t>(rng.UniformInt(1, 1 << 20)) << (huge_region(r) ? 9 : 0),
+               random_flags(), size);
+      } else if (op < 75) {
+        // msync's clean, a write fault's dirtying, or a random flip.
+        Pte old = pt.Walk(va).pte;
+        uint64_t set = rng.Chance(0.5) ? PteFlags::kDirty | PteFlags::kWrite : 0;
+        uint64_t clear = set == 0 ? PteFlags::kDirty | PteFlags::kWrite : 0;
+        if (rng.Chance(0.3)) {
+          set = rng.Chance(0.5) ? PteFlags::kDirty : 0;
+          clear = set == 0 ? PteFlags::kDirty : 0;
+        }
+        pt.SetPte(va, old.WithFlags(set, clear));
+      } else if (op < 95) {
+        pt.Unmap(va);
+      } else {
+        pt.PruneEmpty(region, region + kPageSize2M);
+      }
+      const uint64_t lo = first + static_cast<uint64_t>(rng.UniformInt(0, kRegions * 512)) *
+                                      kPageSize4K;
+      const uint64_t hi = rng.Chance(0.5) ? first + kSpan
+                                          : lo + static_cast<uint64_t>(rng.UniformInt(0, 1024)) *
+                                                     kPageSize4K;
+      for (auto [qlo, qhi] : {std::pair{first, first + kSpan}, std::pair{lo, hi}}) {
+        std::vector<Leaf> want;
+        uint64_t dirty_4k = 0;
+        pt.ForEachPresent(qlo, qhi, [&](uint64_t leaf_va, Pte pte, PageSize leaf_size) {
+          if ((pte.raw() & kMsyncMask) == kMsyncMask) {
+            want.emplace_back(leaf_va, pte.raw(), leaf_size);
+          }
+          dirty_4k += leaf_size == PageSize::k4K && pte.dirty() ? 1 : 0;
+        });
+        std::vector<Leaf> got;
+        pt.ForEachLeafWith(kMsyncMask, qlo, qhi, [&](uint64_t leaf_va, Pte pte, PageSize s) {
+          got.emplace_back(leaf_va, pte.raw(), s);
+        });
+        ASSERT_EQ(got, want) << "replicated " << replicated << " step " << step;
+        ASSERT_EQ(pt.CountDirty4K(qlo, qhi), dirty_4k)
+            << "replicated " << replicated << " step " << step;
+        dirty_seen += got.size();
+      }
+      uint64_t div_va = 0;
+      int div_node = -1;
+      if (step % 100 == 0) {
+        ASSERT_FALSE(pt.FindReplicaDivergence(&div_va, &div_node)) << "step " << step;
+      }
+    }
+    EXPECT_GT(dirty_seen, 10000u);  // the walks had dirty leaves to find
+  }
 }
 
 // --- NUMA homing & Mitosis-style replication ---
